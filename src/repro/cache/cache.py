@@ -65,10 +65,14 @@ class SetAssociativeCache:
         self.n_sets = params.n_sets
         self.assoc = params.assoc
         self._set_mask = self.n_sets - 1
-        self._tags: list[list[Optional[int]]] = [
-            [None] * self.assoc for _ in range(self.n_sets)
-        ]
-        self._index: list[dict[int, int]] = [{} for _ in range(self.n_sets)]
+        # Flat per-cache state (one list or dict per cache, never one per
+        # set): way ``w`` of set ``s`` lives at *slot* ``s * assoc + w``.
+        # ``_tags[slot]`` is the resident block id (``None`` when empty),
+        # ``_index`` maps every resident block to its slot, and ``_occ``
+        # counts the valid ways of each set.
+        self._tags: list[Optional[int]] = [None] * (self.n_sets * self.assoc)
+        self._index: dict[int, int] = {}
+        self._occ: list[int] = [0] * self.n_sets
         self.policy = make_policy(params.policy, self.n_sets, self.assoc)
         self._policy_tracks_invalidate = (
             type(self.policy).on_invalidate
@@ -103,9 +107,9 @@ class SetAssociativeCache:
         """
         set_idx = block & self._set_mask
         self.stats.accesses += 1
-        way = self._index[set_idx].get(block)
-        if way is not None:
-            self.policy.on_hit(set_idx, way)
+        slot = self._index.get(block)
+        if slot is not None:
+            self.policy.on_hit(set_idx, slot - set_idx * self.assoc)
             return True
         self.stats.misses += 1
         self.policy.on_miss(set_idx)
@@ -123,21 +127,23 @@ class SetAssociativeCache:
 
     def _fill(self, set_idx: int, block: int) -> Optional[int]:
         """Install ``block`` into ``set_idx``; return the evicted block."""
-        tags = self._tags[set_idx]
-        index = self._index[set_idx]
+        tags = self._tags
+        base = set_idx * self.assoc
         victim_block: Optional[int] = None
-        if len(index) < self.assoc:
-            way = tags.index(None)
+        if self._occ[set_idx] < self.assoc:
+            # First empty way of the set (the slice holds one: occ < assoc).
+            way = tags.index(None, base) - base
+            self._occ[set_idx] += 1
         else:
             way = self.policy.choose_victim(set_idx)
-            victim_block = tags[way]
+            victim_block = tags[base + way]
             assert victim_block is not None
-            del index[victim_block]
+            del self._index[victim_block]
             self.stats.evictions += 1
             if self.on_evict is not None:
                 self.on_evict(victim_block)
-        tags[way] = block
-        index[block] = way
+        tags[base + way] = block
+        self._index[block] = base + way
         self.policy.on_fill(set_idx, way)
         return victim_block
 
@@ -147,7 +153,7 @@ class SetAssociativeCache:
 
     def probe(self, block: int) -> bool:
         """Non-modifying residency test (used by remote segment search)."""
-        return block in self._index[block & self._set_mask]
+        return block in self._index
 
     def install(self, block: int) -> Optional[int]:
         """Fill ``block`` without counting a demand access (prefetch path).
@@ -155,22 +161,21 @@ class SetAssociativeCache:
         Returns the victim block, if any. Installing a resident block is a
         no-op returning ``None``.
         """
-        set_idx = block & self._set_mask
-        if block in self._index[set_idx]:
+        if block in self._index:
             return None
         self.stats.prefetch_fills += 1
-        return self._fill(set_idx, block)
+        return self._fill(block & self._set_mask, block)
 
     def invalidate(self, block: int) -> bool:
         """Remove ``block`` if resident (coherence). Returns True if removed."""
-        set_idx = block & self._set_mask
-        index = self._index[set_idx]
-        way = index.pop(block, None)
-        if way is None:
+        slot = self._index.pop(block, None)
+        if slot is None:
             return False
-        self._tags[set_idx][way] = None
+        set_idx = block & self._set_mask
+        self._tags[slot] = None
+        self._occ[set_idx] -= 1
         if self._policy_tracks_invalidate:
-            self.policy.on_invalidate(set_idx, way)
+            self.policy.on_invalidate(set_idx, slot - set_idx * self.assoc)
         self.stats.invalidations += 1
         if self.on_evict is not None:
             self.on_evict(block)
@@ -197,12 +202,10 @@ class SetAssociativeCache:
         if width < self.assoc:
             raise ValueError("width must be >= assoc")
         tags = np.full((self.n_sets, width), -1, dtype=np.int64)
-        for set_idx, row in enumerate(self._tags):
-            for way, tag in enumerate(row):
-                if tag is not None:
-                    tags[set_idx, way] = tag
-        occupancy = [len(index) for index in self._index]
-        return tags, occupancy
+        assoc = self.assoc
+        for block, slot in self._index.items():
+            tags[slot // assoc, slot % assoc] = block
+        return tags, list(self._occ)
 
     def probe_batch(self, blocks) -> "list[bool]":
         """Vectorised residency probe: one bool per block id.
@@ -211,7 +214,8 @@ class SetAssociativeCache:
         counterpart of :meth:`probe`, used to cross-check the batch
         kernel's tag mirror against the authoritative python state.
         """
-        return [block in self._index[block & self._set_mask] for block in blocks]
+        index = self._index
+        return [block in index for block in blocks]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -219,28 +223,29 @@ class SetAssociativeCache:
 
     def resident_blocks(self) -> Iterator[int]:
         """Iterate over every resident block id (order unspecified)."""
-        for index in self._index:
-            yield from index
+        return iter(self._index)
 
     def set_of(self, block: int) -> int:
         """Set index a block maps to (exposed for the bloom signature)."""
         return block & self._set_mask
 
     def blocks_in_set(self, set_idx: int) -> list[int]:
-        """Resident block ids of one set (bloom eviction rescan)."""
-        return list(self._index[set_idx])
+        """Resident block ids of one set, in way order."""
+        base = set_idx * self.assoc
+        return [b for b in self._tags[base : base + self.assoc] if b is not None]
 
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
-        return sum(len(index) for index in self._index)
+        return len(self._index)
 
     def flush(self) -> None:
         """Empty the cache (does not reset stats)."""
-        for set_idx in range(self.n_sets):
-            for block in list(self._index[set_idx]):
-                way = self._index[set_idx].pop(block)
-                self._tags[set_idx][way] = None
-                self.policy.on_invalidate(set_idx, way)
+        assoc = self.assoc
+        for slot in self._index.values():
+            self._tags[slot] = None
+            self.policy.on_invalidate(slot // assoc, slot % assoc)
+        self._index.clear()
+        self._occ[:] = [0] * self.n_sets
 
     def __contains__(self, block: int) -> bool:
         return self.probe(block)

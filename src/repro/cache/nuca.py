@@ -83,9 +83,10 @@ class NucaL2:
     def hot_banks(self) -> list[tuple]:
         """Per-bank flat state tuples for the engine's inline L2 lookup.
 
-        One ``(index, tags, ages, hi, set_mask, assoc)`` tuple per bank:
-        the bank cache's set index dicts, tag lists, LRU age lists and
-        high-water list, plus geometry constants. Banks are always LRU
+        One ``(index, tags, ages, hi, occ, set_mask, assoc)`` tuple per
+        bank: the bank cache's flat block-to-slot dict, flat tag and LRU
+        age lists, per-set high-water and occupancy lists, plus geometry
+        constants (slot = ``set * assoc + way``). Banks are always LRU
         (enforced here), so the engine can inline the age-counter update
         without a policy dispatch; bank access/miss/eviction statistics
         are batched by the engine and flushed into each bank's
@@ -105,6 +106,7 @@ class NucaL2:
                     bank._tags,
                     policy._age,
                     policy._hi,
+                    bank._occ,
                     bank._set_mask,
                     bank.assoc,
                 )

@@ -26,6 +26,13 @@ list form — without its O(assoc) ``list.remove`` on every single hit,
 which dominated the replay profile. Invalidated ways keep a stale age:
 harmless, because the cache fills empty ways before consulting
 :meth:`choose_victim` and every fill assigns a fresh age.
+
+The ages of all sets share one flat list, set ``s`` owning the slice
+``[s * assoc, (s + 1) * assoc)``. Nothing crosses a slice boundary: ages
+are only compared within one set's slice (:meth:`choose_victim` takes
+the minimum of that slice and the first way holding it), and the
+``hi``/``lo`` watermarks stay per set, so every set sees exactly the age
+sequence it saw with its own list.
 """
 
 from __future__ import annotations
@@ -48,7 +55,9 @@ class LruPolicy(ReplacementPolicy):
 
     def __init__(self, n_sets: int, assoc: int) -> None:
         super().__init__(n_sets, assoc)
-        self._age: list[list[int]] = [[0] * assoc for _ in range(n_sets)]
+        #: One flat age list: way ``w`` of set ``s`` at ``s * assoc + w``
+        #: (the cache's slot numbering, so the engine indexes it by slot).
+        self._age: list[int] = [0] * (n_sets * assoc)
         #: Per-set high-water age (MRU-end assignments count up from 0).
         self._hi = [0] * n_sets
         #: Per-set low-water age (LRU-end assignments count down from 0).
@@ -57,7 +66,7 @@ class LruPolicy(ReplacementPolicy):
     def on_hit(self, set_idx: int, way: int) -> None:
         hi = self._hi[set_idx] + 1
         self._hi[set_idx] = hi
-        self._age[set_idx][way] = hi
+        self._age[set_idx * self.assoc + way] = hi
 
     def on_fill(self, set_idx: int, way: int) -> None:
         self._insert(set_idx, way)
@@ -66,21 +75,23 @@ class LruPolicy(ReplacementPolicy):
         """Insert a fresh block at the MRU end (subclasses override)."""
         hi = self._hi[set_idx] + 1
         self._hi[set_idx] = hi
-        self._age[set_idx][way] = hi
+        self._age[set_idx * self.assoc + way] = hi
 
     def _insert_lru(self, set_idx: int, way: int) -> None:
         """Insert a fresh block at the LRU end (next eviction candidate)."""
         lo = self._lo[set_idx] - 1
         self._lo[set_idx] = lo
-        self._age[set_idx][way] = lo
+        self._age[set_idx * self.assoc + way] = lo
 
     def choose_victim(self, set_idx: int) -> int:
-        ages = self._age[set_idx]
-        return ages.index(min(ages))
+        base = set_idx * self.assoc
+        ages = self._age
+        return ages.index(min(ages[base : base + self.assoc]), base) - base
 
     def recency_order(self, set_idx: int) -> list[int]:
         """Ways of one set ordered LRU-first (tests and diagnostics)."""
-        ages = self._age[set_idx]
+        base = set_idx * self.assoc
+        ages = self._age[base : base + self.assoc]
         return sorted(range(self.assoc), key=ages.__getitem__)
 
 

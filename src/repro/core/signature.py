@@ -103,11 +103,11 @@ class BloomSignature:
         mask = self._mask
         idx = block & mask
         cache = self._cache
-        # Iterate the set's residency dict directly — this callback runs
-        # once per eviction, and materialising blocks_in_set()'s list was
-        # a measurable slice of the replay profile.
-        for other in cache._index[block & cache._set_mask]:
-            if other != block and other & mask == idx:
+        # Scan the set's slice of the flat tag list directly: empty ways
+        # hold None, and the evicted block may still sit in its way.
+        base = (block & cache._set_mask) * cache.assoc
+        for other in cache._tags[base : base + cache.assoc]:
+            if other is not None and other != block and other & mask == idx:
                 return
         self._set.masks[idx] &= ~self._bit
 

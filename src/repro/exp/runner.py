@@ -18,13 +18,14 @@ and persist before the run stops.
 
 Each worker process builds every distinct trace at most once: declarative
 specs regenerate it from ``(workload, scale, n_threads, seed)`` via the
-deterministic generators, while explicit traces (specs built with
-:func:`~repro.exp.spec.spec_for`) are shipped to the workers once at pool
-start. On Linux the pool forks, so the parent materialises every trace's
-replay tables first and workers inherit them zero-copy. Simulation
-itself is deterministic given the trace and config, so results are
-identical whatever the job count — the test suite pins that with a
-byte-identical-JSON guard.
+deterministic generators (once per ``run()`` in the parent, reusing the
+previous call's traces where they overlap), while explicit traces (specs
+built with :func:`~repro.exp.spec.spec_for`) are shipped to the workers
+once at pool start. On Linux the pool forks, so the parent materialises
+every trace's replay tables first and workers inherit them zero-copy.
+Simulation itself is deterministic given the trace and config, so
+results are identical whatever the job count — the test suite pins that
+with a byte-identical-JSON guard.
 """
 
 from __future__ import annotations
@@ -184,6 +185,9 @@ class Runner:
         self.last_stats = RunnerStats()
         #: Terminal failures of the most recent ``run()`` call.
         self.last_failures: list[SpecOutcome] = []
+        #: Declarative traces built by the most recent ``run()`` call
+        #: (trace key -> Trace), offered to the next call for reuse.
+        self._traces: dict[str, Trace] = {}
 
     def run(
         self,
@@ -231,15 +235,28 @@ class Runner:
                     )
                 pending[key] = spec
 
-        # Resolve each distinct declarative trace once, run-locally, and
-        # ship it through the explicit-trace channel (inherited for free
-        # under fork, pickled once per worker under spawn). Keeping the
-        # resolution in this per-run dict — not the module cache — lets
-        # the parent release the arrays when the run ends, so long
-        # campaigns do not accumulate every trace they ever touched.
+        # Resolve each distinct declarative trace once and ship it through
+        # the explicit-trace channel (inherited for free under fork,
+        # pickled once per worker under spawn). Traces the previous run()
+        # built are carried over when this run needs them again (back-to-
+        # back figures share most traces); the rest are released *before*
+        # anything new is built, so the parent holds at most one run's
+        # traces — never every trace a long campaign ever touched.
+        needed = {
+            spec.trace_key()
+            for spec in pending.values()
+            if spec.trace_id is None
+        }
+        self._traces = {
+            key: t for key, t in self._traces.items() if key in needed
+        }
         for spec in pending.values():
-            if spec.trace_id is None and spec.trace_key() not in explicit:
-                explicit[spec.trace_key()] = _build_trace(spec)
+            key = spec.trace_key()
+            if spec.trace_id is None and key not in explicit:
+                built = self._traces.get(key)
+                if built is None:
+                    built = self._traces[key] = _build_trace(spec)
+                explicit[key] = built
 
         # Results persist as they arrive (not after the whole batch), so
         # an interrupted campaign keeps every simulation it finished.

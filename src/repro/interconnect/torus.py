@@ -8,7 +8,27 @@ charged) broadcast traffic of remote segment search.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import ConfigurationError
+
+
+@lru_cache(maxsize=None)
+def _hop_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """Hop counts between every node pair of a ``width`` x ``width``
+    torus, as an immutable row-major table. Hops do not depend on the
+    per-hop latency, so one table serves every ``hop_cycles``."""
+
+    def axis(d: int) -> int:
+        return min(d, width - d)
+
+    return tuple(
+        tuple(
+            axis(abs(a % width - b % width)) + axis(abs(a // width - b // width))
+            for b in range(width * width)
+        )
+        for a in range(width * width)
+    )
 
 
 class Torus2D:
@@ -27,22 +47,10 @@ class Torus2D:
         self.width = width
         self.hop_cycles = hop_cycles
         self.n_nodes = width * width
-        # Precompute the full distance matrix: 16x16 is trivially small and
-        # migration cost lookups sit on the simulator's hot-ish path.
-        self._dist = [
-            [self._compute_hops(a, b) for b in range(self.n_nodes)]
-            for a in range(self.n_nodes)
-        ]
-
-    def _coords(self, node: int) -> tuple[int, int]:
-        return node % self.width, node // self.width
-
-    def _compute_hops(self, a: int, b: int) -> int:
-        ax, ay = self._coords(a)
-        bx, by = self._coords(b)
-        dx = abs(ax - bx)
-        dy = abs(ay - by)
-        return min(dx, self.width - dx) + min(dy, self.width - dy)
+        # The full distance matrix, shared by every torus of this width:
+        # migration cost lookups sit on the simulator's hot-ish path, and
+        # every engine construction builds a torus.
+        self._dist = _hop_table(width)
 
     def hops(self, a: int, b: int) -> int:
         """Hop count between cores ``a`` and ``b`` (0 when equal)."""

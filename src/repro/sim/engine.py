@@ -205,8 +205,9 @@ class _CoreHot(NamedTuple):
     keywords, so only the unpack in run() must mirror this order).
     """
 
-    l1i_index: list
+    l1i_index: dict
     l1i_tags: list
+    l1i_occ: list
     l1i_set_mask: int
     l1i_assoc: int
     l1i_stats: object
@@ -223,8 +224,9 @@ class _CoreHot(NamedTuple):
     itlb: object
     itlb_map: object
     itlb_entries: int
-    l1d_index: list
+    l1d_index: dict
     l1d_tags: list
+    l1d_occ: list
     l1d_set_mask: int
     l1d_assoc: int
     l1d_stats: object
@@ -689,6 +691,7 @@ class ReplayEngine:
         return _CoreHot(
             l1i_index=l1i._index,
             l1i_tags=l1i._tags,
+            l1i_occ=l1i._occ,
             l1i_set_mask=l1i._set_mask,
             l1i_assoc=l1i.assoc,
             l1i_stats=l1i.stats,
@@ -712,6 +715,7 @@ class ReplayEngine:
             itlb_entries=itlb.entries,
             l1d_index=l1d._index,
             l1d_tags=l1d._tags,
+            l1d_occ=l1d._occ,
             l1d_set_mask=l1d._set_mask,
             l1d_assoc=l1d.assoc,
             l1d_stats=l1d.stats,
@@ -1272,6 +1276,7 @@ class ReplayEngine:
             (
                 l1i_index,
                 l1i_tags,
+                l1i_occ,
                 l1i_set_mask,
                 l1i_assoc,
                 l1i_stats,
@@ -1290,6 +1295,7 @@ class ReplayEngine:
                 itlb_entries,
                 l1d_index,
                 l1d_tags,
+                l1d_occ,
                 l1d_set_mask,
                 l1d_assoc,
                 l1d_stats,
@@ -1409,16 +1415,15 @@ class ReplayEngine:
                     # (ibase is charged once per inline record at
                     # the quantum flush: ibase * i_n.)
                     set_idx = block & l1i_set_mask
-                    index = l1i_index[set_idx]
-                    way = index.get(block)
-                    if way is not None:
+                    slot = l1i_index.get(block)
+                    if slot is not None:
                         # --- L1-I hit ---
                         if l1i_is_lru:
                             hi = l1i_hi[set_idx] + 1
                             l1i_hi[set_idx] = hi
-                            l1i_ages[set_idx][way] = hi
+                            l1i_ages[slot] = hi
                         else:
-                            l1i_on_hit(set_idx, way)
+                            l1i_on_hit(set_idx, slot - set_idx * l1i_assoc)
                         if i_cls is not None:
                             # MissClassifier.observe (hit case), inlined:
                             # keep the fully-associative shadow's recency
@@ -1477,26 +1482,34 @@ class ReplayEngine:
                         bypass_tick += 1
                         fill = bypass_tick % BYPASS_REPAIR_RATE == 0
                     if fill:
-                        # --- SetAssociativeCache._fill, inlined ---
-                        if len(index) < l1i_assoc:
-                            tags = l1i_tags[set_idx]
-                            way = tags.index(None)
+                        # --- SetAssociativeCache._fill, inlined (the
+                        # set's ways are the slots base .. base+assoc-1
+                        # of the flat tag and age lists) ---
+                        base = set_idx * l1i_assoc
+                        if l1i_occ[set_idx] < l1i_assoc:
+                            slot = l1i_tags.index(None, base)
+                            l1i_occ[set_idx] += 1
                         else:
                             if l1i_is_lru:
-                                ages = l1i_ages[set_idx]
-                                way = ages.index(min(ages))
+                                slot = l1i_ages.index(
+                                    min(l1i_ages[base : base + l1i_assoc]),
+                                    base,
+                                )
                             else:
-                                way = l1i_choose_victim(set_idx)
-                            tags = l1i_tags[set_idx]
-                            victim = tags[way]
-                            del index[victim]
+                                slot = base + l1i_choose_victim(set_idx)
+                            victim = l1i_tags[slot]
+                            del l1i_index[victim]
                             i_ev += 1
                             if l1i_evict_is_sig:
                                 # BloomSignature.on_evict, inlined:
                                 # clear the bit unless a same-set
-                                # survivor shares the filter index.
+                                # survivor shares the filter index. The
+                                # new block is written first and scanned
+                                # with the survivors — harmless, since
+                                # the insert below sets its bit anyway.
+                                l1i_tags[slot] = block
                                 vidx = victim & sig_imask
-                                for other in index:
+                                for other in l1i_tags[base : base + l1i_assoc]:
                                     if other & sig_imask == vidx:
                                         break
                                 else:
@@ -1507,14 +1520,14 @@ class ReplayEngine:
                                 pf_pending.discard(victim)
                             elif l1i_on_evict is not None:
                                 l1i_on_evict(victim)
-                        tags[way] = block
-                        index[block] = way
+                        l1i_tags[slot] = block
+                        l1i_index[block] = slot
                         if l1i_is_lru:
                             hi = l1i_hi[set_idx] + 1
                             l1i_hi[set_idx] = hi
-                            l1i_ages[set_idx][way] = hi
+                            l1i_ages[slot] = hi
                         else:
-                            l1i_on_fill(set_idx, way)
+                            l1i_on_fill(set_idx, slot - base)
                     if nuca_ipen is None:
                         if block in l2_seen:
                             i_stall_cycles += i_miss_l2
@@ -1537,34 +1550,35 @@ class ReplayEngine:
                             b_tags,
                             b_ages,
                             b_hi,
+                            b_occ,
                             b_mask,
                             b_assoc,
                         ) = nuca_hot[bank]
                         nuca_acc[bank] += 1
                         b_set = local & b_mask
-                        b_dict = b_index[b_set]
-                        b_way = b_dict.get(local)
-                        if b_way is not None:
+                        b_slot = b_index.get(local)
+                        if b_slot is not None:
                             h = b_hi[b_set] + 1
                             b_hi[b_set] = h
-                            b_ages[b_set][b_way] = h
+                            b_ages[b_slot] = h
                             i_stall_cycles += nuca_ipen[bank]
                         else:
                             nuca_miss_ct[bank] += 1
-                            if len(b_dict) < b_assoc:
-                                b_t = b_tags[b_set]
-                                b_way = b_t.index(None)
+                            b_base = b_set * b_assoc
+                            if b_occ[b_set] < b_assoc:
+                                b_slot = b_tags.index(None, b_base)
+                                b_occ[b_set] += 1
                             else:
-                                b_a = b_ages[b_set]
-                                b_way = b_a.index(min(b_a))
-                                b_t = b_tags[b_set]
-                                del b_dict[b_t[b_way]]
+                                b_slot = b_ages.index(
+                                    min(b_ages[b_base : b_base + b_assoc]), b_base
+                                )
+                                del b_index[b_tags[b_slot]]
                                 nuca_ev[bank] += 1
-                            b_t[b_way] = local
-                            b_dict[local] = b_way
+                            b_tags[b_slot] = local
+                            b_index[local] = b_slot
                             h = b_hi[b_set] + 1
                             b_hi[b_set] = h
-                            b_ages[b_set][b_way] = h
+                            b_ages[b_slot] = h
                             i_stall_cycles += i_miss_mem
                     if fill and sig_masks is not None:
                         sig_masks[block & sig_imask] |= sig_bit
@@ -1575,32 +1589,37 @@ class ReplayEngine:
                         # (an install, not a demand access — no
                         # access/miss counts, no policy.on_miss).
                         nxt = block + 1
-                        n_set = nxt & l1i_set_mask
-                        n_index = l1i_index[n_set]
-                        if nxt not in n_index:
+                        if nxt not in l1i_index:
                             i_pf += 1
-                            if len(n_index) < l1i_assoc:
-                                n_tags = l1i_tags[n_set]
-                                n_way = n_tags.index(None)
+                            n_set = nxt & l1i_set_mask
+                            n_base = n_set * l1i_assoc
+                            if l1i_occ[n_set] < l1i_assoc:
+                                n_slot = l1i_tags.index(None, n_base)
+                                l1i_occ[n_set] += 1
                             else:
                                 if l1i_is_lru:
-                                    n_a = l1i_ages[n_set]
-                                    n_way = n_a.index(min(n_a))
+                                    n_slot = l1i_ages.index(
+                                        min(
+                                            l1i_ages[
+                                                n_base : n_base + l1i_assoc
+                                            ]
+                                        ),
+                                        n_base,
+                                    )
                                 else:
-                                    n_way = l1i_choose_victim(n_set)
-                                n_tags = l1i_tags[n_set]
-                                victim = n_tags[n_way]
-                                del n_index[victim]
+                                    n_slot = n_base + l1i_choose_victim(n_set)
+                                victim = l1i_tags[n_slot]
+                                del l1i_index[victim]
                                 i_ev += 1
                                 pf_pending.discard(victim)
-                            n_tags[n_way] = nxt
-                            n_index[nxt] = n_way
+                            l1i_tags[n_slot] = nxt
+                            l1i_index[nxt] = n_slot
                             if l1i_is_lru:
                                 hi = l1i_hi[n_set] + 1
                                 l1i_hi[n_set] = hi
-                                l1i_ages[n_set][n_way] = hi
+                                l1i_ages[n_slot] = hi
                             else:
-                                l1i_on_fill(n_set, n_way)
+                                l1i_on_fill(n_set, n_slot - n_base)
                             pf_pending.add(nxt)
                             pf_issued += 1
                             l2_seen.add(nxt)
@@ -1680,16 +1699,15 @@ class ReplayEngine:
                     # (bounded deque; the oldest tag falls off).
                     dp_hist.append(block)
                 set_idx = block & l1d_set_mask
-                index = l1d_index[set_idx]
-                way = index.get(block)
-                if way is not None:
+                slot = l1d_index.get(block)
+                if slot is not None:
                     # --- L1-D hit ---
                     if l1d_is_lru:
                         hi = l1d_hi[set_idx] + 1
                         l1d_hi[set_idx] = hi
-                        l1d_ages[set_idx][way] = hi
+                        l1d_ages[slot] = hi
                     else:
-                        l1d_on_hit(set_idx, way)
+                        l1d_on_hit(set_idx, slot - set_idx * l1d_assoc)
                     if d_cls is not None:
                         # MissClassifier.observe (hit case), inlined.
                         if block in dcls_shadow:
@@ -1737,18 +1755,19 @@ class ReplayEngine:
                 if l1d_need_on_miss:
                     l1d_on_miss(set_idx)
                 # --- SetAssociativeCache._fill, inlined ---
-                if len(index) < l1d_assoc:
-                    tags = l1d_tags[set_idx]
-                    way = tags.index(None)
+                base = set_idx * l1d_assoc
+                if l1d_occ[set_idx] < l1d_assoc:
+                    slot = l1d_tags.index(None, base)
+                    l1d_occ[set_idx] += 1
                 else:
                     if l1d_is_lru:
-                        ages = l1d_ages[set_idx]
-                        way = ages.index(min(ages))
+                        slot = l1d_ages.index(
+                            min(l1d_ages[base : base + l1d_assoc]), base
+                        )
                     else:
-                        way = l1d_choose_victim(set_idx)
-                    tags = l1d_tags[set_idx]
-                    victim = tags[way]
-                    del index[victim]
+                        slot = base + l1d_choose_victim(set_idx)
+                    victim = l1d_tags[slot]
+                    del l1d_index[victim]
                     d_ev += 1
                     if l1d_evict_is_dir:
                         # Directory.on_evict, inlined.
@@ -1759,14 +1778,14 @@ class ReplayEngine:
                                 del dir_sharers[victim]
                     elif l1d_on_evict is not None:
                         l1d_on_evict(victim)
-                tags[way] = block
-                index[block] = way
+                l1d_tags[slot] = block
+                l1d_index[block] = slot
                 if l1d_is_lru:
                     hi = l1d_hi[set_idx] + 1
                     l1d_hi[set_idx] = hi
-                    l1d_ages[set_idx][way] = hi
+                    l1d_ages[slot] = hi
                 else:
-                    l1d_on_fill(set_idx, way)
+                    l1d_on_fill(set_idx, slot - base)
                 if nuca_ipen is None:
                     if block in l2_seen:
                         in_l2 = True
@@ -1784,34 +1803,35 @@ class ReplayEngine:
                         b_tags,
                         b_ages,
                         b_hi,
+                        b_occ,
                         b_mask,
                         b_assoc,
                     ) = nuca_hot[bank]
                     nuca_acc[bank] += 1
                     b_set = local & b_mask
-                    b_dict = b_index[b_set]
-                    b_way = b_dict.get(local)
-                    if b_way is not None:
+                    b_slot = b_index.get(local)
+                    if b_slot is not None:
                         h = b_hi[b_set] + 1
                         b_hi[b_set] = h
-                        b_ages[b_set][b_way] = h
+                        b_ages[b_slot] = h
                         in_l2 = True
                     else:
                         nuca_miss_ct[bank] += 1
-                        if len(b_dict) < b_assoc:
-                            b_t = b_tags[b_set]
-                            b_way = b_t.index(None)
+                        b_base = b_set * b_assoc
+                        if b_occ[b_set] < b_assoc:
+                            b_slot = b_tags.index(None, b_base)
+                            b_occ[b_set] += 1
                         else:
-                            b_a = b_ages[b_set]
-                            b_way = b_a.index(min(b_a))
-                            b_t = b_tags[b_set]
-                            del b_dict[b_t[b_way]]
+                            b_slot = b_ages.index(
+                                min(b_ages[b_base : b_base + b_assoc]), b_base
+                            )
+                            del b_index[b_tags[b_slot]]
                             nuca_ev[bank] += 1
-                        b_t[b_way] = local
-                        b_dict[local] = b_way
+                        b_tags[b_slot] = local
+                        b_index[local] = b_slot
                         h = b_hi[b_set] + 1
                         b_hi[b_set] = h
-                        b_ages[b_set][b_way] = h
+                        b_ages[b_slot] = h
                         in_l2 = False
                 if k == KS:
                     d_stall_cycles += d_store_l2 if in_l2 else d_store_mem
@@ -1993,4 +2013,17 @@ def simulate(trace: Trace, config: Optional[SimConfig] = None, **kwargs) -> Simu
         config = SimConfig(**kwargs)
     elif kwargs:
         raise ConfigurationError("pass either a SimConfig or kwargs, not both")
-    return ReplayEngine(trace, config).run()
+    engine = ReplayEngine(trace, config)
+    try:
+        return engine.run()
+    finally:
+        # A finished engine is a web of reference cycles (policy <->
+        # engine, the coherence directory <-> its L1-Ds, each bloom
+        # signature or prefetcher <-> its L1-I), so it would otherwise
+        # wait for a full collector pass, holding its caches and the
+        # directory's per-block sharer sets (tens of MB at ci scale).
+        # Nothing else holds this engine: cut the cycles so reference
+        # counting frees it now.
+        for cache in (*engine.machine.l1i, *engine.machine.l1d):
+            cache.on_evict = None
+        engine.__dict__.clear()

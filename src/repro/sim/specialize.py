@@ -240,6 +240,7 @@ def _hot_fields(spec: KernelSpec) -> list[str]:
     fields = [
         "l1i_index",
         "l1i_tags",
+        "l1i_occ",
         "l1i_stats",
         "l1i_ages",
         "l1i_hi",
@@ -247,6 +248,7 @@ def _hot_fields(spec: KernelSpec) -> list[str]:
         "itlb_map",
         "l1d_index",
         "l1d_tags",
+        "l1d_occ",
         "l1d_stats",
         "l1d_ages",
         "l1d_hi",
@@ -519,12 +521,11 @@ def generate_source(spec: KernelSpec) -> str:
         "        itlb_map.popitem(last=False)\n"
         f"    tlb_cycles += {s.itlb_pen}\n"
         f"set_idx = block & {s.l1i_set_mask}\n"
-        "index = l1i_index[set_idx]\n"
-        "way = index.get(block)\n"
-        "if way is not None:\n"
+        "slot = l1i_index.get(block)\n"
+        "if slot is not None:\n"
         "    hi = l1i_hi[set_idx] + 1\n"
         "    l1i_hi[set_idx] = hi\n"
-        "    l1i_ages[set_idx][way] = hi",
+        "    l1i_ages[slot] = hi",
         4,
     )
     if s.has_cls:
@@ -596,11 +597,16 @@ def generate_source(spec: KernelSpec) -> str:
             4,
         )
         fill_indent = 5
-    # SetAssociativeCache._fill, inlined (age-counter LRU arm only).
+    # SetAssociativeCache._fill, inlined (age-counter LRU arm only; the
+    # set's ways are slots base .. base+assoc-1 of the flat lists).
+    i_ways = f"base : base + {s.l1i_assoc}"
     if s.l1i_evict_sig:
+        # The new block is written first and scanned with the survivors:
+        # harmless, since the fill's signature insert sets its bit anyway.
         evict_arm = (
+            "    l1i_tags[slot] = block\n"
             f"    vidx = victim & {s.sig_imask}\n"
-            "    for other in index:\n"
+            f"    for other in l1i_tags[{i_ways}]:\n"
             f"        if other & {s.sig_imask} == vidx:\n"
             "            break\n"
             "    else:\n"
@@ -613,22 +619,21 @@ def generate_source(spec: KernelSpec) -> str:
     else:
         evict_arm = ""
     e.emit(
-        f"if len(index) < {s.l1i_assoc}:\n"
-        "    tags = l1i_tags[set_idx]\n"
-        "    way = tags.index(None)\n"
+        f"base = set_idx * {s.l1i_assoc}\n"
+        f"if l1i_occ[set_idx] < {s.l1i_assoc}:\n"
+        "    slot = l1i_tags.index(None, base)\n"
+        "    l1i_occ[set_idx] += 1\n"
         "else:\n"
-        "    ages = l1i_ages[set_idx]\n"
-        "    way = ages.index(min(ages))\n"
-        "    tags = l1i_tags[set_idx]\n"
-        "    victim = tags[way]\n"
-        "    del index[victim]\n"
+        f"    slot = l1i_ages.index(min(l1i_ages[{i_ways}]), base)\n"
+        "    victim = l1i_tags[slot]\n"
+        "    del l1i_index[victim]\n"
         "    i_ev += 1\n"
         + evict_arm
-        + "tags[way] = block\n"
-        "index[block] = way\n"
+        + "l1i_tags[slot] = block\n"
+        "l1i_index[block] = slot\n"
         "hi = l1i_hi[set_idx] + 1\n"
         "l1i_hi[set_idx] = hi\n"
-        "l1i_ages[set_idx][way] = hi",
+        "l1i_ages[slot] = hi",
         fill_indent,
     )
     # Downstream penalty.
@@ -650,34 +655,35 @@ def generate_source(spec: KernelSpec) -> str:
             "    b_tags,\n"
             "    b_ages,\n"
             "    b_hi,\n"
+            "    b_occ,\n"
             "    b_mask,\n"
             "    b_assoc,\n"
             ") = nuca_hot[bank]\n"
             "nuca_acc[bank] += 1\n"
             "b_set = local & b_mask\n"
-            "b_dict = b_index[b_set]\n"
-            "b_way = b_dict.get(local)\n"
-            "if b_way is not None:\n"
+            "b_slot = b_index.get(local)\n"
+            "if b_slot is not None:\n"
             "    h = b_hi[b_set] + 1\n"
             "    b_hi[b_set] = h\n"
-            "    b_ages[b_set][b_way] = h\n"
+            "    b_ages[b_slot] = h\n"
             "    i_stall_cycles += nuca_ipen[bank]\n"
             "else:\n"
             "    nuca_miss_ct[bank] += 1\n"
-            "    if len(b_dict) < b_assoc:\n"
-            "        b_t = b_tags[b_set]\n"
-            "        b_way = b_t.index(None)\n"
+            "    b_base = b_set * b_assoc\n"
+            "    if b_occ[b_set] < b_assoc:\n"
+            "        b_slot = b_tags.index(None, b_base)\n"
+            "        b_occ[b_set] += 1\n"
             "    else:\n"
-            "        b_a = b_ages[b_set]\n"
-            "        b_way = b_a.index(min(b_a))\n"
-            "        b_t = b_tags[b_set]\n"
-            "        del b_dict[b_t[b_way]]\n"
+            "        b_slot = b_ages.index(\n"
+            "            min(b_ages[b_base : b_base + b_assoc]), b_base\n"
+            "        )\n"
+            "        del b_index[b_tags[b_slot]]\n"
             "        nuca_ev[bank] += 1\n"
-            "    b_t[b_way] = local\n"
-            "    b_dict[local] = b_way\n"
+            "    b_tags[b_slot] = local\n"
+            "    b_index[local] = b_slot\n"
             "    h = b_hi[b_set] + 1\n"
             "    b_hi[b_set] = h\n"
-            "    b_ages[b_set][b_way] = h\n"
+            "    b_ages[b_slot] = h\n"
             f"    i_stall_cycles += {s.i_miss_mem}",
             4,
         )
@@ -690,26 +696,26 @@ def generate_source(spec: KernelSpec) -> str:
     if s.has_pf:
         e.emit(
             "nxt = block + 1\n"
-            f"n_set = nxt & {s.l1i_set_mask}\n"
-            "n_index = l1i_index[n_set]\n"
-            "if nxt not in n_index:\n"
+            "if nxt not in l1i_index:\n"
             "    i_pf += 1\n"
-            f"    if len(n_index) < {s.l1i_assoc}:\n"
-            "        n_tags = l1i_tags[n_set]\n"
-            "        n_way = n_tags.index(None)\n"
+            f"    n_set = nxt & {s.l1i_set_mask}\n"
+            f"    n_base = n_set * {s.l1i_assoc}\n"
+            f"    if l1i_occ[n_set] < {s.l1i_assoc}:\n"
+            "        n_slot = l1i_tags.index(None, n_base)\n"
+            "        l1i_occ[n_set] += 1\n"
             "    else:\n"
-            "        n_a = l1i_ages[n_set]\n"
-            "        n_way = n_a.index(min(n_a))\n"
-            "        n_tags = l1i_tags[n_set]\n"
-            "        victim = n_tags[n_way]\n"
-            "        del n_index[victim]\n"
+            "        n_slot = l1i_ages.index(\n"
+            f"            min(l1i_ages[n_base : n_base + {s.l1i_assoc}]), n_base\n"
+            "        )\n"
+            "        victim = l1i_tags[n_slot]\n"
+            "        del l1i_index[victim]\n"
             "        i_ev += 1\n"
             "        pf_pending.discard(victim)\n"
-            "    n_tags[n_way] = nxt\n"
-            "    n_index[nxt] = n_way\n"
+            "    l1i_tags[n_slot] = nxt\n"
+            "    l1i_index[nxt] = n_slot\n"
             "    hi = l1i_hi[n_set] + 1\n"
             "    l1i_hi[n_set] = hi\n"
-            "    l1i_ages[n_set][n_way] = hi\n"
+            "    l1i_ages[n_slot] = hi\n"
             "    pf_pending.add(nxt)\n"
             "    pf_issued += 1\n"
             "    l2_seen.add(nxt)",
@@ -784,12 +790,11 @@ def generate_source(spec: KernelSpec) -> str:
         e.emit("dp_hist.append(block)", 3)
     e.emit(
         f"set_idx = block & {s.l1d_set_mask}\n"
-        "index = l1d_index[set_idx]\n"
-        "way = index.get(block)\n"
-        "if way is not None:\n"
+        "slot = l1d_index.get(block)\n"
+        "if slot is not None:\n"
         "    hi = l1d_hi[set_idx] + 1\n"
         "    l1d_hi[set_idx] = hi\n"
-        "    l1d_ages[set_idx][way] = hi",
+        "    l1d_ages[slot] = hi",
         3,
     )
     if s.has_cls:
@@ -855,22 +860,21 @@ def generate_source(spec: KernelSpec) -> str:
     else:
         d_evict_arm = ""
     e.emit(
-        f"if len(index) < {s.l1d_assoc}:\n"
-        "    tags = l1d_tags[set_idx]\n"
-        "    way = tags.index(None)\n"
+        f"base = set_idx * {s.l1d_assoc}\n"
+        f"if l1d_occ[set_idx] < {s.l1d_assoc}:\n"
+        "    slot = l1d_tags.index(None, base)\n"
+        "    l1d_occ[set_idx] += 1\n"
         "else:\n"
-        "    ages = l1d_ages[set_idx]\n"
-        "    way = ages.index(min(ages))\n"
-        "    tags = l1d_tags[set_idx]\n"
-        "    victim = tags[way]\n"
-        "    del index[victim]\n"
+        f"    slot = l1d_ages.index(min(l1d_ages[base : base + {s.l1d_assoc}]), base)\n"
+        "    victim = l1d_tags[slot]\n"
+        "    del l1d_index[victim]\n"
         "    d_ev += 1\n"
         + d_evict_arm
-        + "tags[way] = block\n"
-        "index[block] = way\n"
+        + "l1d_tags[slot] = block\n"
+        "l1d_index[block] = slot\n"
         "hi = l1d_hi[set_idx] + 1\n"
         "l1d_hi[set_idx] = hi\n"
-        "l1d_ages[set_idx][way] = hi",
+        "l1d_ages[slot] = hi",
         3,
     )
     if not s.has_nuca:
@@ -891,34 +895,35 @@ def generate_source(spec: KernelSpec) -> str:
             "    b_tags,\n"
             "    b_ages,\n"
             "    b_hi,\n"
+            "    b_occ,\n"
             "    b_mask,\n"
             "    b_assoc,\n"
             ") = nuca_hot[bank]\n"
             "nuca_acc[bank] += 1\n"
             "b_set = local & b_mask\n"
-            "b_dict = b_index[b_set]\n"
-            "b_way = b_dict.get(local)\n"
-            "if b_way is not None:\n"
+            "b_slot = b_index.get(local)\n"
+            "if b_slot is not None:\n"
             "    h = b_hi[b_set] + 1\n"
             "    b_hi[b_set] = h\n"
-            "    b_ages[b_set][b_way] = h\n"
+            "    b_ages[b_slot] = h\n"
             "    in_l2 = True\n"
             "else:\n"
             "    nuca_miss_ct[bank] += 1\n"
-            "    if len(b_dict) < b_assoc:\n"
-            "        b_t = b_tags[b_set]\n"
-            "        b_way = b_t.index(None)\n"
+            "    b_base = b_set * b_assoc\n"
+            "    if b_occ[b_set] < b_assoc:\n"
+            "        b_slot = b_tags.index(None, b_base)\n"
+            "        b_occ[b_set] += 1\n"
             "    else:\n"
-            "        b_a = b_ages[b_set]\n"
-            "        b_way = b_a.index(min(b_a))\n"
-            "        b_t = b_tags[b_set]\n"
-            "        del b_dict[b_t[b_way]]\n"
+            "        b_slot = b_ages.index(\n"
+            "            min(b_ages[b_base : b_base + b_assoc]), b_base\n"
+            "        )\n"
+            "        del b_index[b_tags[b_slot]]\n"
             "        nuca_ev[bank] += 1\n"
-            "    b_t[b_way] = local\n"
-            "    b_dict[local] = b_way\n"
+            "    b_tags[b_slot] = local\n"
+            "    b_index[local] = b_slot\n"
             "    h = b_hi[b_set] + 1\n"
             "    b_hi[b_set] = h\n"
-            "    b_ages[b_set][b_way] = h\n"
+            "    b_ages[b_slot] = h\n"
             "    in_l2 = False",
             3,
         )
@@ -1174,7 +1179,11 @@ def kernel_for(spec: KernelSpec) -> Callable:
             path.write_text(source)
     if fn is None:
         if os.environ.get("REPRO_SPECIALIZE_AOT"):
-            fn = _aot_kernel(source, sig)
+            # Built extensions are keyed by their source, not the spec,
+            # so a generator change never loads a module built from an
+            # older template.
+            source_sig = hashlib.sha256(source.encode("utf-8")).hexdigest()
+            fn = _aot_kernel(source, source_sig[:16])
         if fn is None:
             fn = _exec_kernel(source, sig)
         _KERNEL_CACHE[spec] = fn

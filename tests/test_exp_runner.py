@@ -287,3 +287,40 @@ class TestDeterminism:
         )
         Runner(jobs=1).run([spec])
         assert runner_mod._TRACE_CACHE == before
+
+    def test_traces_carry_over_between_runs(self, monkeypatch):
+        """A second run() reuses the first run's traces it still needs,
+        builds only the new ones, and releases the rest."""
+        import gc
+        import weakref
+
+        from repro.exp import runner as runner_mod
+
+        built = []
+        real = runner_mod.standard_trace
+
+        def counting(*args, **kwargs):
+            trace = real(*args, **kwargs)
+            built.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(runner_mod, "standard_trace", counting)
+
+        def spec(workload, variant):
+            return ExperimentSpec(
+                workload,
+                scale="smoke",
+                seed=5,
+                config=SimConfig(variant=variant),
+            )
+
+        runner = Runner(jobs=1)
+        runner.run([spec("tpcc-1", "base"), spec("tpce", "base")])
+        assert len(built) == 2
+        tpce_trace = built[1]
+        # tpcc-1 is needed again (new variant), tpce is not, mapreduce is new.
+        runner.run([spec("tpcc-1", "slicc"), spec("mapreduce", "base")])
+        assert len(built) == 3
+        gc.collect()
+        assert tpce_trace() is None
+        assert built[0]() is not None

@@ -361,3 +361,56 @@ class TestFingerprintMemo:
         first = trace_fingerprint(smoke_tpcc)
         assert getattr(smoke_tpcc, "_exp_fingerprint") == first
         assert trace_fingerprint(smoke_tpcc) == first
+
+
+class TestKeyMemo:
+    """key()/trace_key() are memoised on the frozen instance."""
+
+    def _spec(self, **kw):
+        return ExperimentSpec(
+            "tpcc-1", scale="smoke", seed=3, config=SimConfig(variant="slicc"), **kw
+        )
+
+    def test_memo_is_stored_and_reused(self):
+        spec = self._spec()
+        key = spec.key()
+        assert spec._key == key and spec._trace_key == spec.trace_key()
+        assert spec.key() is key
+
+    def test_replace_yields_fresh_key(self):
+        from dataclasses import replace
+
+        spec = self._spec()
+        key = spec.key()
+        moved = replace(spec, seed=4)
+        assert moved._key is None
+        assert moved.key() != key
+        assert moved.trace_key() != spec.trace_key()
+        relabelled = replace(spec, label="x")
+        assert relabelled._key is None and relabelled.key() == key
+
+    def test_round_trips_keep_the_key(self):
+        import pickle
+
+        from repro.exp.spec import spec_from_dict
+
+        spec = self._spec()
+        key = spec.key()
+        assert pickle.loads(pickle.dumps(spec)).key() == key
+        fresh = spec_from_dict(spec.to_dict())
+        assert fresh._key is None and fresh.key() == key
+
+    def test_eq_hash_and_dict_ignore_the_memo(self):
+        memoised, fresh = self._spec(), self._spec()
+        memoised.key()
+        assert memoised == fresh and hash(memoised) == hash(fresh)
+        assert memoised.to_dict() == fresh.to_dict()
+        assert "_key" not in memoised.to_dict()
+        assert "_key" not in repr(memoised)
+
+    def test_to_dict_matches_asdict(self, smoke_tpcc):
+        from dataclasses import asdict
+
+        for spec in (self._spec(n_threads=8), spec_for(smoke_tpcc, variant="pif")):
+            spec.key()
+            assert spec.to_dict() == asdict(spec)
