@@ -13,11 +13,7 @@ performance PR. Run from the repo root:
 
 ``--out DIR`` writes elsewhere (the CI golden-freshness job regenerates
 into a temp dir and diffs against ``tests/golden/`` so stale pins cannot
-merge silently). The specs here leave ``kernel="auto"``, so
-``REPRO_KERNEL=specialized`` (or ``=batch``) regenerates the whole grid
-through an alternative replay kernel — CI's golden-freshness matrix
-uses exactly that to pin every kernel byte-identical, and
-``REPRO_NO_SPECIALIZE=1`` covers the escape hatch.
+merge silently).
 """
 
 from __future__ import annotations
@@ -30,8 +26,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.exp.store import result_to_json  # noqa: E402
 from repro.params import ScalePreset  # noqa: E402
-from repro.sim.engine import VARIANTS, SimConfig, simulate  # noqa: E402
+from repro.sim.engine import SimConfig, simulate  # noqa: E402
 from repro.workloads import standard_trace  # noqa: E402
+
+#: The paper's seven variants: the plain-variant pins of the golden grid.
+GOLDEN_VARIANTS = (
+    "base",
+    "nextline",
+    "pif",
+    "slicc",
+    "slicc-sw",
+    "slicc-pp",
+    "steps",
+)
 
 #: The golden grid: every variant on two structurally different smoke
 #: workloads (OLTP with teams-relevant type mix, and TPC-E).
@@ -88,7 +95,9 @@ def golden_dir() -> Path:
     return Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
-def _dump_variants(trace, workload: str, out: Path, variants=VARIANTS) -> None:
+def _dump_variants(
+    trace, workload: str, out: Path, variants=GOLDEN_VARIANTS
+) -> None:
     for variant in variants:
         result = simulate(trace, variant=variant)
         path = out / f"{workload}__{variant}.json"

@@ -36,21 +36,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.errors import ConfigurationError  # noqa: E402
+from dump_golden import GOLDEN_VARIANTS  # noqa: E402
 from repro.params import ScalePreset  # noqa: E402
 from repro.sched import policy_names  # noqa: E402
-from repro.sim.engine import (  # noqa: E402
-    VARIANTS,
-    ReplayEngine,
-    SimConfig,
-    simulate,
-)
+from repro.sim.engine import SimConfig, simulate  # noqa: E402
 from repro.workloads import standard_trace  # noqa: E402
 
 #: Variants timed by default: the paper's seven plus ``tmi``, so the
 #: perf gate covers a migrating policy that takes the plain fast path
 #: with quantum-boundary hooks (the extension-policy overhead model).
-DEFAULT_BENCH_VARIANTS = list(VARIANTS) + ["tmi"]
+DEFAULT_BENCH_VARIANTS = list(GOLDEN_VARIANTS) + ["tmi"]
 
 
 def host_metadata() -> dict:
@@ -114,21 +109,12 @@ def bench(
     variants: list[str],
     repeat: int,
     seed: int,
-    kernel: str = "auto",
     profile: bool = False,
 ) -> dict:
     """Measure every variant; returns the result document.
 
-    ``kernel`` forces a replay kernel (``batch``/``specialized``/
-    ``inline``/``fallback``); the default ``auto`` is the engine's own
-    selection. ``profile`` additionally cProfiles one (untimed) run per
-    variant and records the top-15 cumulative hotspots.
-    Each measurement row records the kernel the engine actually ran
-    (``auto`` resolves per config), so baselines pin *which* code path
-    their numbers describe and a regression can be blamed on the right
-    kernel. Variants a forced kernel cannot run (e.g. ``batch`` with
-    nextline's prefetcher) are reported as skipped rather than failing
-    the whole sweep.
+    ``profile`` additionally cProfiles one (untimed) run per variant and
+    records the top-15 cumulative hotspots.
     """
     trace = standard_trace(workload, scale, seed=seed)
     records = trace.total_records
@@ -139,19 +125,12 @@ def bench(
         "n_threads": len(trace.threads),
         "total_records": records,
         "repeat": repeat,
-        "kernel": kernel,
         "python": platform.python_version(),
         "host": host_metadata(),
         "variants": {},
     }
     for variant in variants:
-        config = SimConfig(variant=variant, kernel=kernel)
-        try:
-            used = ReplayEngine(trace, config).kernel
-        except ConfigurationError as exc:
-            print(f"{workload}/{variant:>9}: skipped ({exc})", flush=True)
-            doc["variants"][variant] = {"skipped": str(exc)}
-            continue
+        config = SimConfig(variant=variant)
         best = float("inf")
         for _ in range(repeat):
             t0 = time.perf_counter()
@@ -160,13 +139,12 @@ def bench(
         row = {
             "seconds": round(best, 4),
             "records_per_sec": round(records / best),
-            "kernel": used,
         }
         if profile:
             row["profile"] = profile_hotspots(trace, config)
         doc["variants"][variant] = row
         print(
-            f"{workload}/{variant:>9} [{used}]: {best:7.3f}s  "
+            f"{workload}/{variant:>9}: {best:7.3f}s  "
             f"{records / best / 1e3:8.1f} krec/s",
             flush=True,
         )
@@ -198,29 +176,23 @@ def check(doc: dict, baseline_path: Path, max_regression: float) -> int:
             base_row = base_doc.get("variants", {}).get(variant)
             if base_row is None:
                 continue
-            if "skipped" in row or "skipped" in base_row:
-                continue
             compared += 1
             floor = base_row["records_per_sec"] * (1.0 - max_regression)
             ratio = row["records_per_sec"] / base_row["records_per_sec"]
             status = "ok" if row["records_per_sec"] >= floor else "REGRESSED"
-            # Older baselines predate the kernel field; report those as
-            # the inline loop, which is what they measured.
-            kernel = row.get("kernel", "inline")
             print(
-                f"check {workload}/{variant:>9} [{kernel}]: "
+                f"check {workload}/{variant:>9}: "
                 f"{row['records_per_sec']:>9} rec/s vs "
                 f"baseline {base_row['records_per_sec']:>9} "
                 f"(floor {floor:>11.0f}) {status}"
             )
             if status != "ok":
-                failures.append((f"{workload}/{variant}", kernel, ratio))
+                failures.append((f"{workload}/{variant}", ratio))
     if failures:
-        # Name every offender with its kernel and measured ratio so a CI
-        # failure line is diagnosable without re-running the harness.
+        # Name every offender with its measured ratio so a CI failure
+        # line is diagnosable without re-running the harness.
         detail = ", ".join(
-            f"{name} ({kernel} kernel) at {ratio:.2f}x of baseline"
-            for name, kernel, ratio in failures
+            f"{name} at {ratio:.2f}x of baseline" for name, ratio in failures
         )
         print(
             f"FAIL: {detail} — below the {1.0 - max_regression:.2f}x floor "
@@ -263,13 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeat", type=int, default=2)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--kernel",
-        default="auto",
-        choices=["auto", "batch", "specialized", "inline", "fallback"],
-        help="force a replay kernel; auto is the engine's own selection "
-        "(the kernel actually used is recorded per measurement)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="cProfile one extra (untimed) run per variant and record "
@@ -294,7 +259,6 @@ def main(argv: list[str] | None = None) -> int:
             "scale": args.scale,
             "seed": args.seed,
             "repeat": args.repeat,
-            "kernel": args.kernel,
             "python": platform.python_version(),
             "host": host_metadata(),
             "workloads": {
@@ -304,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
                     args.variants,
                     args.repeat,
                     args.seed,
-                    args.kernel,
                     args.profile,
                 )
                 for workload in workloads
@@ -317,7 +280,6 @@ def main(argv: list[str] | None = None) -> int:
             args.variants,
             args.repeat,
             args.seed,
-            args.kernel,
             args.profile,
         )
     if args.out:

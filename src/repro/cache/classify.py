@@ -36,10 +36,10 @@ class MissClassifier:
     keeps its own counters.
 
     The hot state is the ``_shadow`` OrderedDict (fully-associative LRU)
-    and the ``_seen`` set; the replay engine's inline fast path updates
-    both directly and batches ``accesses``/``counts`` per quantum, with
-    :meth:`observe` kept as the reference implementation for the
-    engine's generic fallback path and for unit tests.
+    and the ``_seen`` set; the replay kernel updates both directly and
+    batches ``accesses``/``counts`` per quantum, with :meth:`observe`
+    kept as the reference implementation for the engine's reference
+    path (``kernel="reference"``) and for unit tests.
     """
 
     __slots__ = ("capacity_blocks", "_seen", "_shadow", "counts", "accesses")

@@ -77,7 +77,7 @@ class NucaL2:
         return self._banks[self.bank_of(block)].probe(block // self.n_banks)
 
     # ------------------------------------------------------------------
-    # Flat hot interface (the replay engine's inline fast path)
+    # Flat hot interface (the replay kernel's inlined L2 lookup)
     # ------------------------------------------------------------------
 
     def hot_banks(self) -> list[tuple]:
@@ -98,7 +98,7 @@ class NucaL2:
             if type(policy) is not LruPolicy:  # pragma: no cover - guard
                 raise ConfigurationError(
                     f"NUCA bank {bank.name} uses {type(policy).__name__}; "
-                    "the inline fast path assumes plain LRU banks"
+                    "the replay kernel assumes plain LRU banks"
                 )
             banks.append(
                 (

@@ -9,7 +9,6 @@ Commands
 ``queue``   enqueue / drain a durable multi-worker sweep queue
 ``store``   verify / compact / migrate a result store (jsonl or sqlite)
 ``info``    show workload and machine parameters
-``kernel``  explain replay-kernel selection for a config
 
 Exit codes
 ----------
@@ -94,7 +93,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1)
 
 
-def _add_exec(parser: argparse.ArgumentParser) -> None:
+def _add_exec(
+    parser: argparse.ArgumentParser,
+    store_help: str = "persist results under DIR; reruns become "
+    "incremental (default: in-memory only)",
+) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
@@ -105,8 +108,7 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
         "--store",
         default=None,
         metavar="DIR",
-        help="persist results under DIR; reruns become incremental "
-        "(default: in-memory only)",
+        help=store_help,
     )
     parser.add_argument(
         "--backend",
@@ -603,85 +605,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kernel_rows(engine) -> list[list[str]]:
-    """Eligibility table rows for every selectable kernel of one
-    constructed engine (inline/fallback are always available)."""
-    import os
-
-    from repro.sim.batch import numpy_available
-
-    rows = [
-        ["inline", "ok (always available)"],
-        ["fallback", "ok (always available)"],
-    ]
-    if os.environ.get("REPRO_NO_BATCH"):
-        batch = "vetoed (REPRO_NO_BATCH is set)"
-    elif not numpy_available():
-        batch = "unavailable (numpy missing)"
-    else:
-        blockers = engine._batch_blockers()
-        batch = "ineligible: " + "; ".join(blockers) if blockers else "ok"
-    rows.append(["batch", batch])
-    if os.environ.get("REPRO_NO_SPECIALIZE"):
-        spec = "vetoed (REPRO_NO_SPECIALIZE is set)"
-    else:
-        blockers = engine._specialize_blockers()
-        spec = "ineligible: " + "; ".join(blockers) if blockers else "ok"
-    rows.append(["specialized", spec])
-    return rows
-
-
-def _cmd_kernel_explain(args: argparse.Namespace) -> int:
-    import dataclasses
-    import os
-
-    from repro.sim.engine import ReplayEngine, SimConfig
-    from repro.workloads import standard_trace
-
-    target = args.spec
-    if Path(target).suffix == ".json" or Path(target).is_file():
-        from repro.exp.specfile import load_spec_file
-
-        specs, baseline = load_spec_file(target)
-        if baseline is not None:
-            specs = specs + [baseline]
-        configs: list = []
-        seen: set = set()
-        for spec in specs:
-            config = spec.canonical_config()
-            if repr(config) not in seen:
-                seen.add(repr(config))
-                configs.append((spec.label or config.variant, config))
-    elif target in policy_names():
-        configs = [(target, SimConfig(variant=target))]
-    else:
-        raise ConfigurationError(
-            f"{target!r} is neither a registered variant "
-            f"({policy_names()}) nor a spec file"
-        )
-
-    # Blockers are structural (policy flags + cache geometry), so a
-    # smoke trace is enough to construct the probe engines.
-    trace = standard_trace("tpcc-1", ScalePreset.SMOKE, seed=3)
-    env = os.environ.get("REPRO_KERNEL", "").strip()
-    for label, config in configs:
-        resolved = ReplayEngine(
-            trace, dataclasses.replace(config, kernel="auto")
-        ).kernel
-        probe = ReplayEngine(
-            trace, dataclasses.replace(config, kernel="inline")
-        )
-        note = f" (REPRO_KERNEL={env})" if env else ""
-        print(
-            format_table(
-                ["kernel", "eligibility"],
-                _kernel_rows(probe),
-                title=f"{label}: auto resolves to {resolved!r}{note}",
-            )
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -808,44 +731,14 @@ def build_parser() -> argparse.ArgumentParser:
         "in-flight simulations, persists them, and releases the "
         "remaining leases for other workers; a second signal aborts "
         "in-flight work immediately (nothing further persisted, "
-        "still 130).",
+        "still 130). Every worker of a campaign must use the same "
+        "store backend.",
     )
     q_work.add_argument("queue", help="queue directory or queue.jsonl file")
-    q_work.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="result store (default: the campaign directory next to "
-        "the queue)",
-    )
-    q_work.add_argument(
-        "--backend",
-        choices=STORE_BACKENDS,
-        default=None,
-        help="store backend (jsonl or sqlite); default decided by the "
-        "store path, an existing store file, or REPRO_STORE_BACKEND. "
-        "Every worker of a campaign must agree on the backend",
-    )
-    q_work.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for this drainer's runner (default: 1)",
-    )
-    q_work.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="in-process retries per spec for transient failures "
-        "(default: 2)",
-    )
-    q_work.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-spec wall-clock timeout (default: none)",
+    _add_exec(
+        q_work,
+        store_help="result store (default: the campaign directory next "
+        "to the queue)",
     )
     q_work.add_argument(
         "--lease",
@@ -963,26 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(info)
     info.set_defaults(func=_cmd_info)
 
-    kernel = sub.add_parser(
-        "kernel",
-        help="inspect replay-kernel selection for a config",
-    )
-    ksub = kernel.add_subparsers(dest="action", required=True)
-    k_explain = ksub.add_parser(
-        "explain",
-        help="show what kernel='auto' resolves to and per-kernel "
-        "eligibility/blockers",
-        description="For a registered variant name or an exp spec file, "
-        "print which replay kernel kernel='auto' resolves to (honouring "
-        "REPRO_KERNEL / REPRO_NO_BATCH / REPRO_NO_SPECIALIZE) and, for "
-        "each selectable kernel, whether an explicit request would be "
-        "honoured or why it would raise.",
-    )
-    k_explain.add_argument(
-        "spec",
-        help="a registered variant name, or a JSON exp spec file",
-    )
-    k_explain.set_defaults(func=_cmd_kernel_explain)
     return parser
 
 

@@ -22,7 +22,8 @@ deterministic generators (once per ``run()`` in the parent, reusing the
 previous call's traces where they overlap), while explicit traces (specs
 built with :func:`~repro.exp.spec.spec_for`) are shipped to the workers
 once at pool start. On Linux the pool forks, so the parent materialises
-every trace's replay tables first and workers inherit them zero-copy.
+every trace's replay tables and compiles every spec's replay kernel
+first, and workers inherit both zero-copy.
 Simulation itself is deterministic given the trace and config, so
 results are identical whatever the job count — the test suite pins that
 with a byte-identical-JSON guard.
@@ -42,9 +43,9 @@ from repro.exp.pool import FaultTolerantPool, SpecOutcome, _backoff_delay
 from repro.exp.spec import ExperimentSpec, trace_fingerprint
 from repro.exp.store import ResultStore, result_from_dict, result_to_dict
 from repro.params import ScalePreset
-from repro.sched import get_policy
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
+from repro.sim.specialize import kernel_for, kernel_spec
 from repro.workloads import standard_trace
 from repro.workloads.trace import Trace
 
@@ -341,20 +342,12 @@ class Runner:
             for trace in explicit.values():
                 for thread in trace.threads:
                     thread.replay_tables(PAGE_SHIFT)
-            # Same zero-copy treatment for the batch kernel's SoA
-            # arrays: any spec that opts into kernel="batch" gets its
-            # trace's arrays built once in the parent, for each distinct
-            # cache geometry the pending specs imply (PIF overrides the
-            # L1-I), instead of once per worker. Geometry mirrors
-            # BatchKernel.__init__; ThreadTrace.batch_tables memoises
-            # per geometry and drops the arrays from pickles.
-            self._materialise_batch_tables(pending, explicit)
-            # And for the specialized kernel: generate + compile each
-            # distinct per-config kernel once in the parent so workers
-            # inherit the populated memo (specialize._KERNEL_CACHE)
-            # through the forked address space instead of regenerating
-            # it per process.
-            self._materialise_specialized_kernels(pending, explicit)
+            # Likewise compile each distinct replay kernel once here:
+            # workers inherit the populated memo instead of compiling
+            # their own. The spec is a pure function of the config, so
+            # this builds no trace and no engine.
+            for spec in pending:
+                kernel_for(kernel_spec(spec.config))
         else:
             ctx = multiprocessing.get_context()
         pool = FaultTolerantPool(
@@ -417,98 +410,3 @@ class Runner:
                     break
         finally:
             _EXPLICIT = previous
-
-    @staticmethod
-    def _materialise_batch_tables(
-        pending: list[ExperimentSpec], explicit: dict[str, Trace]
-    ) -> None:
-        """Pre-fork build of the batch kernel's SoA arrays.
-
-        For every pending spec that opts into ``kernel="batch"``, build
-        its trace's structure-of-arrays tables in the parent for the
-        cache geometry that spec implies, so forked workers inherit the
-        arrays zero-copy instead of rebuilding them per process.
-        ``ThreadTrace.batch_tables`` memoises one geometry per thread
-        (the overwhelmingly common case — geometry only varies across
-        specs when PIF's L1-I override is mixed with standard ones), so
-        specs are visited in order and the last geometry per trace wins;
-        workers rebuild any other geometry on first use, exactly as they
-        would have without this pre-pass.
-        """
-        import os
-
-        batch_specs = [s for s in pending if s.config.kernel == "batch"]
-        if not batch_specs:
-            return
-        from repro.sim.batch import numpy_available
-
-        if not numpy_available() or os.environ.get("REPRO_NO_BATCH"):
-            # The runs themselves will raise; nothing useful to share.
-            return
-        from repro.sim.tlb import PAGE_SHIFT
-
-        for spec in batch_specs:
-            trace = explicit.get(spec.trace_key())
-            if trace is None:
-                continue
-            system = spec.config.system
-            i_params = get_policy(spec.variant).l1i_params(system)
-            if i_params is None:
-                i_params = system.l1i
-            d_params = system.l1d
-            geometry = (
-                PAGE_SHIFT,
-                i_params.n_sets,
-                d_params.n_sets,
-                max(i_params.assoc, d_params.assoc),
-            )
-            for thread in trace.threads:
-                thread.batch_tables(*geometry)
-
-    @staticmethod
-    def _materialise_specialized_kernels(
-        pending: list[ExperimentSpec], explicit: dict[str, Trace]
-    ) -> None:
-        """Pre-fork generation of the specialized kernels.
-
-        For every pending spec that resolves to ``kernel="specialized"``
-        (explicitly, or via ``REPRO_KERNEL=specialized`` re-resolving
-        ``auto``), build a throwaway engine in the parent: construction
-        generates, compiles and memoises the per-config kernel in
-        ``repro.sim.specialize._KERNEL_CACHE``, which forked workers
-        then inherit zero-copy. Ineligible or vetoed configs are left
-        for the runs themselves to report (explicit requests raise
-        there; fleet overrides fall back silently), so this pre-pass
-        never fails a sweep.
-        """
-        import os
-
-        wants_specialized = [
-            s for s in pending if s.config.kernel == "specialized"
-        ]
-        if os.environ.get(
-            "REPRO_KERNEL", ""
-        ).strip() == "specialized" and not os.environ.get(
-            "REPRO_NO_SPECIALIZE"
-        ):
-            wants_specialized += [
-                s for s in pending if s.config.kernel == "auto"
-            ]
-        if not wants_specialized:
-            return
-        from repro.sim.engine import ReplayEngine
-
-        seen: set = set()
-        for spec in wants_specialized:
-            if spec.key() in seen:
-                continue
-            seen.add(spec.key())
-            trace = explicit.get(spec.trace_key())
-            if trace is None:
-                continue
-            try:
-                # Construction alone generates, compiles and memoises
-                # the kernel (ReplayEngine.__init__ -> kernel_for_engine).
-                ReplayEngine(trace, spec.config)
-            except ConfigurationError:
-                continue

@@ -156,10 +156,9 @@ class ExperimentSpec:
             if name not in relevant
         }
         if config.kernel != _DEFAULT_CONFIG.kernel:
-            # The replay kernel (batch/specialized/inline/fallback)
-            # never affects
-            # results — all kernels are pinned byte-identical — so it
-            # must not fragment the result store.
+            # The replay kernel (auto or reference) never affects
+            # results — both are pinned byte-identical — so it must not
+            # fragment the result store.
             overrides["kernel"] = _DEFAULT_CONFIG.kernel
         return replace(config, **overrides) if overrides else config
 
@@ -253,6 +252,16 @@ def spec_for(
     )
 
 
+#: Retired ``SimConfig.kernel`` names that older queues may still carry,
+#: mapped to the kernel that now runs the same (byte-identical) replay.
+_RETIRED_KERNELS = {
+    "inline": "auto",
+    "batch": "auto",
+    "specialized": "auto",
+    "fallback": "reference",
+}
+
+
 def spec_from_dict(payload: Mapping) -> ExperimentSpec:
     """Rebuild a spec from :meth:`ExperimentSpec.to_dict` output.
 
@@ -261,7 +270,9 @@ def spec_from_dict(payload: Mapping) -> ExperimentSpec:
     cache parameter dicts) is coerced back into dataclasses, so
     ``spec_from_dict(spec.to_dict()).key() == spec.key()`` — the
     round-trip a queued spec takes through ``queue.jsonl`` before a
-    worker picks it up.
+    worker picks it up. A retired kernel name in a persisted payload
+    maps to its successor, so queues written by older versions stay
+    drainable (spec keys never include the kernel).
 
     Raises:
         ConfigurationError: for unknown fields or a payload that is not
@@ -281,6 +292,9 @@ def spec_from_dict(payload: Mapping) -> ExperimentSpec:
         )
     config = kw.pop("config", None)
     if config is not None:
+        kernel = config.get("kernel") if isinstance(config, Mapping) else None
+        if isinstance(kernel, str) and kernel in _RETIRED_KERNELS:
+            config = {**config, "kernel": _RETIRED_KERNELS[kernel]}
         kw["config"] = _coerce(config, SimConfig)
     try:
         return ExperimentSpec(**kw)

@@ -170,6 +170,11 @@ class SliccParams:
             raise ConfigurationError("fill_up_t must be positive")
         if self.matched_t <= 0:
             raise ConfigurationError("matched_t must be positive")
+        if self.msv_window < 1:
+            raise ConfigurationError("msv_window must be at least 1")
+        if self.thread_pool_factor < 1:
+            # An empty pool admits no thread: the run would stall.
+            raise ConfigurationError("thread_pool_factor must be at least 1")
         if not (0 <= self.dilution_t <= self.msv_window):
             raise ConfigurationError(
                 f"dilution_t must lie in [0, msv_window={self.msv_window}]"

@@ -29,11 +29,11 @@ class MigrationDataPrefetcher:
 
     The hot state is ``_history`` (thread id -> bounded deque of recent
     data blocks) and ``_pending`` (thread id -> set of prefetched tags
-    not yet demanded). The replay engine's inline fast path resolves
-    both once per quantum (the running thread is fixed within one) and
-    drives them directly, batching ``useful``; :meth:`record_access` and
-    :meth:`note_demand` remain the reference implementation used by the
-    engine's generic fallback path and by unit tests.
+    not yet demanded). The replay kernel resolves both once per quantum
+    (the running thread is fixed within one) and drives them directly,
+    batching ``useful``; :meth:`record_access` and :meth:`note_demand`
+    remain the reference implementation used by the engine's reference
+    path (``kernel="reference"``) and by unit tests.
     """
 
     __slots__ = ("n_blocks", "_history", "issued", "useful", "_pending")

@@ -89,26 +89,6 @@ class SchedulingPolicy:
     nextline_prefetch: ClassVar[bool] = False
     #: The engine calls :meth:`quantum_end` after every quantum.
     quantum_hook: ClassVar[bool] = False
-    #: The vectorised batch replay kernel reproduces this policy's
-    #: semantics bit-for-bit. True for any policy whose per-record
-    #: behaviour is the standard TLB + LRU L1 + SLICC/STEPS tracker
-    #: machinery the kernel mirrors (policies only ever act at quantum
-    #: boundaries, so that covers every current policy). Set False on a
-    #: future policy that hooks per-record state the kernel does not
-    #: model; the engine then auto-selects the inline loop. Structural
-    #: blockers (prefetchers, classifiers, NUCA, non-LRU L1 policies)
-    #: are detected separately — see ``ReplayEngine._batch_blockers``.
-    batch_kernel_safe: ClassVar[bool] = True
-    #: The per-config generated kernel (``sim/specialize.py``) folds
-    #: this policy's capability flags into straight-line code — in
-    #: particular the scheduling tail assumes SLICC-machinery hooks only
-    #: ever stage real core targets (the ``-1`` context-switch sentinel
-    #: is folded to the STEPS arm alone). True for every registered
-    #: policy; clear it on a future policy whose hooks break a folded
-    #: assumption and the engine keeps it on the inline loop. Structural
-    #: blockers (non-LRU L1 policies) are detected separately — see
-    #: ``ReplayEngine._specialize_blockers``.
-    specialize_safe: ClassVar[bool] = True
 
     #: SimConfig fields (from :data:`POLICY_GATED_FIELDS`) that influence
     #: results under this policy; see the module docstring.

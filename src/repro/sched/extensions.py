@@ -29,7 +29,7 @@ cost one method call per quantum, nothing per record.
 
 All three feed on per-core L1-I statistics the engine maintains anyway
 (quantum_end diffs cumulative counters against a snapshot), so they work
-identically through the inline fast path and the generic reference path.
+identically through the replay kernel and the reference path.
 """
 
 from __future__ import annotations

@@ -1,13 +1,10 @@
 """Simulation engine: machine model, timing, replay loop, results.
 
-``VARIANTS``/``SLICC_VARIANTS`` are deprecated compatibility re-exports
-(the paper's original seven); the authoritative, growing variant list is
-the scheduling-policy registry — ``repro.sched.policy_names()``.
+The variant list is the scheduling-policy registry —
+``repro.sched.policy_names()``.
 """
 
 from repro.sim.engine import (
-    SLICC_VARIANTS,
-    VARIANTS,
     ReplayEngine,
     SimConfig,
     simulate,
@@ -20,11 +17,9 @@ from repro.sim.tlb import Tlb
 __all__ = [
     "Machine",
     "ReplayEngine",
-    "SLICC_VARIANTS",
     "SimConfig",
     "SimulationResult",
     "Tlb",
     "TimingModel",
-    "VARIANTS",
     "simulate",
 ]

@@ -16,10 +16,11 @@ live in the :mod:`repro.sched` registry — the paper's seven variants:
 
 plus the scenario extensions (``tmi``, ``affinity``, ``random-migrate``
 — see :mod:`repro.sched.extensions`). The engine owns the mechanism
-(caches, queues, agents, the replay loop); the policy object declares
-which machinery to build and makes the scheduling decisions, only at
-quantum boundaries and scheduling events — the per-record hot path
-stays policy-free (see DESIGN.md's policy-subsystem section).
+(caches, queues, agents); the policy object declares which machinery
+to build and makes the scheduling decisions, only at quantum boundaries
+and scheduling events — the per-record hot path stays policy-free (see
+DESIGN.md's policy-subsystem section). The replay loop itself is
+generated per configuration by :mod:`repro.sim.specialize`.
 
 Scheduling model: every core has a local cycle clock and a FIFO thread
 queue; an event heap always advances the core that is earliest in time,
@@ -36,14 +37,10 @@ transfer cost (Section 4.4) when it next starts running.
 from __future__ import annotations
 
 import heapq
-import os
-from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from repro.cache.classify import MissClass, MissClassifier
-from repro.cache.policies.base import ReplacementPolicy
-from repro.cache.policies.lru import LruPolicy
 from repro.core.agent import SliccAgent
 from repro.core.scheduler import ThreadQueues
 from repro.core.txn_types import PreambleTypeDetector
@@ -59,30 +56,10 @@ from repro.sched import (
 )
 from repro.sim.machine import Machine
 from repro.sim.results import SimulationResult
+from repro.sim.specialize import kernel_for, kernel_spec
 from repro.sim.timing import TimingModel
 from repro.sim.tlb import PAGE_SHIFT
-from repro.workloads.trace import KIND_INSTR, KIND_STORE, Trace
-
-#: Deprecated: the paper's original seven variants, frozen here for
-#: compatibility (golden grids, older callers). The authoritative —
-#: growing — list is the policy registry: ``repro.sched.policy_names()``.
-VARIANTS = (
-    "base",
-    "nextline",
-    "pif",
-    "slicc",
-    "slicc-sw",
-    "slicc-pp",
-    "steps",
-)
-
-#: Deprecated: the paper's variants that migrate threads. Policy classes
-#: now carry this as the ``migrates`` capability flag.
-SLICC_VARIANTS = ("slicc", "slicc-sw", "slicc-pp")
-
-#: Deprecated: the paper's variants that use team scheduling (the
-#: ``team_scheduling`` policy flag, minus STEPS).
-TEAM_VARIANTS = ("slicc-sw", "slicc-pp")
+from repro.workloads.trace import Trace
 
 #: Cycles of L2 bandwidth charged per block shipped by the migration data
 #: prefetcher (Section 5.5's mitigation experiment).
@@ -91,12 +68,6 @@ DATA_PREFETCH_CYCLES_PER_BLOCK = 2
 #: One in this many bypassed misses installs anyway (gap self-repair; see
 #: the segment-protection comment in ``_process_instruction``).
 BYPASS_REPAIR_RATE = 8
-
-#: MissClass members resolved once (the inline classifier path batches
-#: per-class counts in locals and flushes through these keys).
-_MC_COMPULSORY = MissClass.COMPULSORY
-_MC_CAPACITY = MissClass.CAPACITY
-_MC_CONFLICT = MissClass.CONFLICT
 
 
 @dataclass(frozen=True)
@@ -137,24 +108,13 @@ class SimConfig:
     #: (Table 2) instead of the infinite-L2 approximation. Slower; only
     #: changes results when a workload's footprint pressures 16MB.
     model_l2_capacity: bool = False
-    #: Replay kernel selection. ``"auto"`` (the default) resolves to the
-    #: pure-python inline loop — on the paper's thrash-regime traces the
-    #: vectorised batch kernel measures *slower* than the inline loop at
-    #: the 50-record quantum (35-99.9% i-miss rates leave no hit bulk to
-    #: vectorise; see the honest-result note in ``sim/batch.py``), so
-    #: auto never silently regresses a run. ``"batch"`` opts into the
-    #: batch kernel explicitly (raising on an ineligible config — see
-    #: :meth:`ReplayEngine._batch_blockers` — or when numpy is missing
-    #: or ``REPRO_NO_BATCH=1`` is set); ``"specialized"`` opts into the
-    #: per-config generated kernel (``sim/specialize.py``; raising on an
-    #: ineligible config — see :meth:`ReplayEngine._specialize_blockers`
-    #: — or when ``REPRO_NO_SPECIALIZE=1`` is set); ``"inline"`` forces
-    #: the inline loop; ``"fallback"`` routes every record through the
-    #: generic ``_process_instruction`` / ``_process_data`` reference
-    #: path. ``REPRO_KERNEL=<name>`` re-resolves ``"auto"`` fleet-wide
-    #: (falling back silently to inline on ineligible configs). All
-    #: kernels are byte-identical; the choice never affects results (and
-    #: is excluded from experiment store keys — see ``exp/spec.py``).
+    #: Replay kernel. ``"auto"`` (the default) runs the generated
+    #: per-config kernel (``sim/specialize.py``) for every record;
+    #: ``"reference"`` runs the same generated scheduling loop but hands
+    #: every record to the generic ``_process_instruction`` /
+    #: ``_process_data`` reference implementation. The two are
+    #: byte-identical, so the choice never affects results (and is
+    #: excluded from experiment store keys — see ``exp/spec.py``).
     kernel: str = "auto"
 
     def __post_init__(self) -> None:
@@ -164,12 +124,9 @@ class SimConfig:
             )
         if self.quantum <= 0:
             raise ConfigurationError("quantum must be positive")
-        if self.kernel not in (
-            "auto", "batch", "specialized", "inline", "fallback"
-        ):
+        if self.kernel not in ("auto", "reference"):
             raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; "
-                "expected auto, batch, specialized, inline or fallback"
+                f"unknown kernel {self.kernel!r}; expected auto or reference"
             )
 
 
@@ -195,79 +152,6 @@ class _ThreadState:
         self.addr: Optional[list[int]] = None
         self.kind: Optional[list[int]] = None
         self.page: Optional[list[int]] = None
-
-
-class _CoreHot(NamedTuple):
-    """Per-core references the replay loop touches, resolved once.
-
-    run() unpacks this positionally per dispatch; the field order here is
-    the single source of truth (construction in ``_build_core_hot`` uses
-    keywords, so only the unpack in run() must mirror this order).
-    """
-
-    l1i_index: dict
-    l1i_tags: list
-    l1i_occ: list
-    l1i_set_mask: int
-    l1i_assoc: int
-    l1i_stats: object
-    l1i_is_lru: bool
-    l1i_on_hit: object
-    l1i_need_on_miss: bool
-    l1i_on_miss: object
-    l1i_on_fill: object
-    l1i_choose_victim: object
-    l1i_on_evict: object
-    l1i_evict_is_sig: bool
-    l1i_ages: Optional[list]
-    l1i_hi: Optional[list]
-    itlb: object
-    itlb_map: object
-    itlb_entries: int
-    l1d_index: dict
-    l1d_tags: list
-    l1d_occ: list
-    l1d_set_mask: int
-    l1d_assoc: int
-    l1d_stats: object
-    l1d_is_lru: bool
-    l1d_on_hit: object
-    l1d_need_on_miss: bool
-    l1d_on_miss: object
-    l1d_on_fill: object
-    l1d_choose_victim: object
-    l1d_on_evict: object
-    l1d_evict_is_dir: bool
-    l1d_ages: Optional[list]
-    l1d_hi: Optional[list]
-    dtlb: object
-    dtlb_map: object
-    dtlb_entries: int
-    sig_masks: Optional[list]
-    sig_imask: int
-    sig_bit: int
-    presence_excl: int
-    slicc_agent: Optional[SliccAgent]
-    steps_agent: Optional[SliccAgent]
-    mc: object
-    mc_limit: int
-    msv: object
-    msv_bits: object
-    msv_window: int
-    msv_dilution: int
-    mtq_entries: object
-    mtq_matched: int
-    pf: Optional[NextLinePrefetcher]
-    pf_pending: Optional[set]
-    i_cls: Optional[MissClassifier]
-    icls_shadow: object
-    icls_seen: Optional[set]
-    icls_cap: int
-    d_cls: Optional[MissClassifier]
-    dcls_shadow: object
-    dcls_seen: Optional[set]
-    dcls_cap: int
-    nuca_ipen: Optional[list]
 
 
 class ReplayEngine:
@@ -381,39 +265,6 @@ class ReplayEngine:
                 MissClassifier(system.l1d.n_blocks) for _ in range(n)
             ]
 
-        # Banked-NUCA flat state (PR 3): per-bank hot tuples shared by
-        # all cores, a per-core instruction-miss penalty table (bank
-        # latency plus the front-end refill), and batched bank
-        # statistics run() flushes once when the loop ends.
-        self._nuca_hot: Optional[list[tuple]] = None
-        self._nuca_i_pen: Optional[list[list[int]]] = None
-        self._nuca_acc: Optional[list[int]] = None
-        self._nuca_miss: Optional[list[int]] = None
-        self._nuca_ev: Optional[list[int]] = None
-        if self.machine.nuca is not None:
-            nuca = self.machine.nuca
-            refill = system.frontend_refill_cycles
-            self._nuca_hot = nuca.hot_banks()
-            self._nuca_i_pen = [
-                [lat + refill for lat in nuca.latency_table(core)]
-                for core in range(n)
-            ]
-            self._nuca_acc = [0] * nuca.n_banks
-            self._nuca_miss = [0] * nuca.n_banks
-            self._nuca_ev = [0] * nuca.n_banks
-
-        # Fast-path coverage: since PR 3 every configuration takes the
-        # inlined record handling in run() — the next-line prefetcher,
-        # the miss classifiers, the migration data prefetcher and the
-        # banked NUCA L2 all expose flat hot state the loop drives
-        # directly with plain ints and batched counter flushes. The
-        # generic _process_instruction/_process_data methods are kept as
-        # the reference implementation: the golden suite pins both, and
-        # tests force these flags off to replay a config through the
-        # reference path and compare byte-for-byte.
-        self._fast_i = True
-        self._fast_d = True
-
         # Thread / core state.
         self.threads = [_ThreadState(t) for t in trace.threads]
         self.running: list[Optional[int]] = [None] * n
@@ -465,305 +316,16 @@ class ReplayEngine:
         self.cycles_tlb = 0
         self._ran = False
 
-        # Per-core tuples of every reference the replay loop touches,
-        # resolved once here (after all cache/prefetcher/signature
-        # wiring) so each dispatch is a single tuple unpack instead of
-        # dozens of attribute chains. Everything inside is stable for
-        # the lifetime of the run: policies, stat blocks, TLB maps and
-        # tracker objects are mutated in place, never rebound.
-        self._core_hot = [self._build_core_hot(core) for core in range(n)]
-
         # Policy attachment: the policy allocates its per-run state
         # against the fully built machine, and its decision entry points
         # are bound as engine attributes so the replay loop dispatches
-        # through one bound-method call exactly as before the extraction.
+        # through one bound-method call.
         policy = self.policy
         policy.bind(self)
         self._evaluate_migration = policy.evaluate_migration
         self._steps_switch = policy.context_switch
-        policy_type = type(policy)
-        self._policy_on_start = (
-            policy_type.on_thread_start
-            is not SchedulingPolicy.on_thread_start
-        )
         self._policy_on_complete = (
-            policy_type.on_complete is not SchedulingPolicy.on_complete
-        )
-        self._policy_quantum_hook = policy.quantum_hook
-
-        # Kernel selection (PR 6): batch (vectorised quantum passes) vs
-        # inline (the PR 2/3 per-record loop) vs fallback (the generic
-        # reference methods). All three are byte-identical — the golden
-        # suite pins it; the choice is pure performance.
-        self.kernel = self._select_kernel()
-        self._batch = None
-        self._specialized = None
-        if self.kernel == "batch":
-            from repro.sim.batch import BatchKernel
-
-            self._batch = BatchKernel(self)
-        elif self.kernel == "specialized":
-            from repro.sim.specialize import kernel_for_engine
-
-            self._specialized = kernel_for_engine(self)
-        elif self.kernel == "fallback":
-            self._fast_i = False
-            self._fast_d = False
-
-    def _batch_blockers(self) -> list[str]:
-        """Why this configuration cannot use the batch kernel (empty
-        when eligible).
-
-        The batch kernel mirrors exactly the machinery of the standard
-        fast path — LRU L1s, TLBs, bloom signatures, the coherence
-        directory and the SLICC/STEPS trackers. Features with their own
-        per-record inline state stay on the inline loop, as does any
-        policy that clears the ``batch_kernel_safe`` capability flag.
-        """
-        reasons = []
-        if not self.policy.batch_kernel_safe:
-            reasons.append(
-                f"policy {self.policy.name!r} clears batch_kernel_safe"
-            )
-        if self.prefetchers is not None:
-            reasons.append("next-line prefetcher")
-        if self.i_classifiers is not None:
-            reasons.append("miss classifiers")
-        if self.machine.nuca is not None:
-            reasons.append("banked NUCA L2")
-        if self.data_prefetcher is not None:
-            reasons.append("migration data prefetcher")
-        if self.machine.l1i[0].policy.__class__ is not LruPolicy:
-            reasons.append("non-LRU L1-I policy")
-        if self.machine.l1d[0].policy.__class__ is not LruPolicy:
-            reasons.append("non-LRU L1-D policy")
-        return reasons
-
-    def _specialize_blockers(self) -> list[str]:
-        """Why this configuration cannot use the specialized kernel
-        (empty when eligible).
-
-        The generator (``repro.sim.specialize``) emits the inline loop
-        with only the age-counter LRU replacement arms — prefetchers,
-        classifiers, the banked NUCA L2 and the data prefetcher are all
-        generatable, so unlike the batch kernel none of them block. A
-        policy that clears the ``specialize_safe`` capability flag stays
-        on the inline loop (its hooks may violate the generated tail's
-        folded assumptions — see ``sched/base.py``).
-        """
-        reasons = []
-        if not self.policy.specialize_safe:
-            reasons.append(
-                f"policy {self.policy.name!r} clears specialize_safe"
-            )
-        if self.machine.l1i[0].policy.__class__ is not LruPolicy:
-            reasons.append("non-LRU L1-I policy")
-        if self.machine.l1d[0].policy.__class__ is not LruPolicy:
-            reasons.append("non-LRU L1-D policy")
-        return reasons
-
-    def _select_kernel(self) -> str:
-        """Resolve ``config.kernel`` to the kernel this run will use.
-
-        ``auto`` resolves to ``inline``: both alternative kernels are
-        explicit opt-ins because neither beats the inline loop on the
-        paper's thrash-regime traces (batch *loses* — the measured
-        negative result in ``sim/batch.py``; specialized is a modest
-        win that stays under the roadmap bar — see ``sim/specialize.py``
-        and BENCH_10.json). ``REPRO_KERNEL=<name>`` re-resolves ``auto``
-        fleet-wide (CI runs the golden suite this way), falling back
-        *silently* to inline when the named kernel cannot run this
-        config — a fleet override must not break ineligible configs. An
-        explicit per-config ``batch``/``specialized`` request, by
-        contrast, is validated loudly: ineligible configuration, missing
-        numpy or a ``REPRO_NO_BATCH=1`` / ``REPRO_NO_SPECIALIZE=1`` veto
-        each raise rather than silently running a different kernel than
-        the caller asked for.
-        """
-        requested = self.config.kernel
-        if requested == "auto":
-            env = os.environ.get("REPRO_KERNEL", "").strip()
-            if not env or env == "auto":
-                return "inline"
-            if env == "batch":
-                from repro.sim.batch import numpy_available
-
-                if (
-                    os.environ.get("REPRO_NO_BATCH")
-                    or not numpy_available()
-                    or self._batch_blockers()
-                ):
-                    return "inline"
-                return "batch"
-            if env == "specialized":
-                if (
-                    os.environ.get("REPRO_NO_SPECIALIZE")
-                    or self._specialize_blockers()
-                ):
-                    return "inline"
-                return "specialized"
-            if env in ("inline", "fallback"):
-                return env
-            raise ConfigurationError(
-                f"unknown REPRO_KERNEL {env!r}; "
-                "expected auto, batch, specialized, inline or fallback"
-            )
-        if requested in ("fallback", "inline"):
-            return requested
-        if requested == "specialized":
-            if os.environ.get("REPRO_NO_SPECIALIZE"):
-                raise ConfigurationError(
-                    "kernel='specialized' requested but "
-                    "REPRO_NO_SPECIALIZE is set"
-                )
-            blockers = self._specialize_blockers()
-            if blockers:
-                raise ConfigurationError(
-                    "kernel='specialized' requested but the configuration "
-                    "is ineligible: " + "; ".join(blockers)
-                )
-            return "specialized"
-        from repro.sim.batch import numpy_available
-
-        if os.environ.get("REPRO_NO_BATCH"):
-            raise ConfigurationError(
-                "kernel='batch' requested but REPRO_NO_BATCH is set"
-            )
-        if not numpy_available():
-            raise ConfigurationError(
-                "kernel='batch' requested but numpy is unavailable"
-            )
-        blockers = self._batch_blockers()
-        if blockers:
-            raise ConfigurationError(
-                "kernel='batch' requested but the configuration is "
-                "ineligible: " + "; ".join(blockers)
-            )
-        return "batch"
-
-    def _build_core_hot(self, core: int) -> "_CoreHot":
-        machine = self.machine
-        l1i = machine.l1i[core]
-        l1i_policy = l1i.policy
-        l1i_is_lru = l1i_policy.__class__ is LruPolicy
-        l1d = machine.l1d[core]
-        l1d_policy = l1d.policy
-        l1d_is_lru = l1d_policy.__class__ is LruPolicy
-        itlb = machine.itlb[core]
-        dtlb = machine.dtlb[core]
-        sig_set = machine.signature_set
-        if sig_set is not None:
-            sig_masks = sig_set.masks
-            sig_imask = machine._sig_index_mask
-            sig_bit = 1 << core
-            presence_excl = self._worker_mask & ~(1 << core)
-        else:
-            sig_masks = None
-            sig_imask = sig_bit = presence_excl = 0
-        slicc_agent = self.agents[core] if self.agents is not None else None
-        steps_agent = (
-            self.steps_agents[core] if self.steps_agents is not None else None
-        )
-        track = slicc_agent if slicc_agent is not None else steps_agent
-        if track is not None:
-            mc = track.mc
-            mc_limit = mc.fill_up_t
-            msv = track.msv
-            msv_bits = msv._bits
-            msv_window = msv.window
-            msv_dilution = msv.dilution_t
-        else:
-            mc = msv = msv_bits = None
-            mc_limit = msv_window = msv_dilution = 0
-        if slicc_agent is not None:
-            mtq_entries = slicc_agent.mtq._entries
-            mtq_matched = slicc_agent.mtq.matched_t
-        else:
-            mtq_entries = None
-            mtq_matched = 0
-        pf = self.prefetchers[core] if self.prefetchers is not None else None
-        i_cls = (
-            self.i_classifiers[core] if self.i_classifiers is not None else None
-        )
-        d_cls = (
-            self.d_classifiers[core] if self.d_classifiers is not None else None
-        )
-        return _CoreHot(
-            l1i_index=l1i._index,
-            l1i_tags=l1i._tags,
-            l1i_occ=l1i._occ,
-            l1i_set_mask=l1i._set_mask,
-            l1i_assoc=l1i.assoc,
-            l1i_stats=l1i.stats,
-            l1i_is_lru=l1i_is_lru,
-            l1i_on_hit=l1i_policy.on_hit,
-            l1i_need_on_miss=(
-                type(l1i_policy).on_miss is not ReplacementPolicy.on_miss
-            ),
-            l1i_on_miss=l1i_policy.on_miss,
-            l1i_on_fill=l1i_policy.on_fill,
-            l1i_choose_victim=l1i_policy.choose_victim,
-            l1i_on_evict=l1i.on_evict,
-            l1i_evict_is_sig=(
-                machine.signatures is not None
-                and l1i.on_evict == machine.signatures[core].on_evict
-            ),
-            l1i_ages=l1i_policy._age if l1i_is_lru else None,
-            l1i_hi=l1i_policy._hi if l1i_is_lru else None,
-            itlb=itlb,
-            itlb_map=itlb._map,
-            itlb_entries=itlb.entries,
-            l1d_index=l1d._index,
-            l1d_tags=l1d._tags,
-            l1d_occ=l1d._occ,
-            l1d_set_mask=l1d._set_mask,
-            l1d_assoc=l1d.assoc,
-            l1d_stats=l1d.stats,
-            l1d_is_lru=l1d_is_lru,
-            l1d_on_hit=l1d_policy.on_hit,
-            l1d_need_on_miss=(
-                type(l1d_policy).on_miss is not ReplacementPolicy.on_miss
-            ),
-            l1d_on_miss=l1d_policy.on_miss,
-            l1d_on_fill=l1d_policy.on_fill,
-            l1d_choose_victim=l1d_policy.choose_victim,
-            l1d_on_evict=l1d.on_evict,
-            l1d_evict_is_dir=(
-                getattr(l1d.on_evict, "func", None)
-                == machine.directory.on_evict
-            ),
-            l1d_ages=l1d_policy._age if l1d_is_lru else None,
-            l1d_hi=l1d_policy._hi if l1d_is_lru else None,
-            dtlb=dtlb,
-            dtlb_map=dtlb._map,
-            dtlb_entries=dtlb.entries,
-            sig_masks=sig_masks,
-            sig_imask=sig_imask,
-            sig_bit=sig_bit,
-            presence_excl=presence_excl,
-            slicc_agent=slicc_agent,
-            steps_agent=steps_agent,
-            mc=mc,
-            mc_limit=mc_limit,
-            msv=msv,
-            msv_bits=msv_bits,
-            msv_window=msv_window,
-            msv_dilution=msv_dilution,
-            mtq_entries=mtq_entries,
-            mtq_matched=mtq_matched,
-            pf=pf,
-            pf_pending=pf._pending if pf is not None else None,
-            i_cls=i_cls,
-            icls_shadow=i_cls._shadow if i_cls is not None else None,
-            icls_seen=i_cls._seen if i_cls is not None else None,
-            icls_cap=i_cls.capacity_blocks if i_cls is not None else 0,
-            d_cls=d_cls,
-            dcls_shadow=d_cls._shadow if d_cls is not None else None,
-            dcls_seen=d_cls._seen if d_cls is not None else None,
-            dcls_cap=d_cls.capacity_blocks if d_cls is not None else 0,
-            nuca_ipen=(
-                self._nuca_i_pen[core] if self._nuca_i_pen is not None else None
-            ),
+            type(policy).on_complete is not SchedulingPolicy.on_complete
         )
 
     # ------------------------------------------------------------------
@@ -941,10 +503,11 @@ class ReplayEngine:
         caller must stop the quantum and perform the migration (the
         decision is stored in ``self._pending_target``).
 
-        The TLB has already been consulted by the caller (run() handles
-        it inline for every record); this path owns everything from the
-        L1 down. It is the generic fallback — run() short-circuits the
-        common configurations inline with identical semantics.
+        The TLB has already been consulted by the caller (the kernel's
+        TLB lookup runs for every record); this path owns everything
+        from the L1 down. It is the reference implementation that
+        ``kernel="reference"`` routes every record through; the
+        generated fast path must match it byte for byte.
         """
         machine = self.machine
         timing = self.timing
@@ -1105,833 +668,18 @@ class ReplayEngine:
     # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Execute the full trace; returns aggregated results."""
+        """Execute the full trace; returns aggregated results.
+
+        Admission and result collection live here; everything between —
+        the event loop, every record, the scheduling tail — is the
+        generated kernel for this configuration (:mod:`repro.sim.specialize`).
+        """
         if self._ran:
             raise SimulationError("ReplayEngine instances are single-use")
         self._ran = True
         self._pending_target: Optional[int] = None
         self._admit_threads(now=0)
-
-        if self._specialized is not None:
-            # Specialized kernel (PR 10): the whole main loop runs as a
-            # per-config generated function (repro.sim.specialize) —
-            # only admission above and collection below are shared.
-            self._specialized(self)
-            if self.completed != len(self.threads):
-                raise SimulationError(
-                    f"run ended with {self.completed}/{len(self.threads)} "
-                    "threads completed — scheduler deadlock"
-                )
-            return self._collect_results()
-
-        quantum = self.config.quantum
-        machine = self.machine
-        timing = self.timing
-        ibase = timing.ibase
-        dbase = timing.dbase
-        fast_i = self._fast_i
-        fast_d = self._fast_d
-        process_instruction = self._process_instruction
-        process_data = self._process_data
-        directory_on_write = machine.directory.on_write
-        dir_sharers = machine.directory._sharers
-        queues_is_empty = self.queues.is_empty
-        l2_seen = machine._l2_seen
-        itlb_pen = timing.itlb_miss
-        dtlb_pen = timing.dtlb_miss
-        i_miss_l2 = timing.i_miss_l2
-        i_miss_mem = timing.i_miss_mem
-        d_load_l2 = timing.d_load_l2
-        d_load_mem = timing.d_load_mem
-        d_store_l2 = timing.d_store_l2
-        d_store_mem = timing.d_store_mem
-        #: Late-prefetch residual: the fallback always charges the L2
-        #: flavour (prefetches are only consumed after their trigger miss
-        #: brought the line on chip), so this is one constant.
-        pf_late = timing.prefetch_late(True)
-        dp = self.data_prefetcher
-        nuca_hot = self._nuca_hot
-        nuca_acc = self._nuca_acc
-        nuca_miss_ct = self._nuca_miss
-        nuca_ev = self._nuca_ev
-        n_banks = machine.nuca.n_banks if machine.nuca is not None else 0
-        core_hot = self._core_hot
-        # Policy hooks, resolved once: zero per-quantum overhead for
-        # policies without them (the legacy seven), one bound-method call
-        # per scheduling event for those with them. Nothing here is ever
-        # consulted per record.
-        policy_on_start = self._policy_on_start
-        policy_on_thread_start = self.policy.on_thread_start
-        policy_quantum = self._policy_quantum_hook
-        policy_quantum_end = self.policy.quantum_end
-        KI = KIND_INSTR
-        KS = KIND_STORE
-        batch_dispatch = (
-            self._batch.dispatch if self._batch is not None else None
-        )
-        heappop = heapq.heappop
-        heap = self._heap
-        in_heap = self._in_heap
-        clocks = self.clock
-        threads = self.threads
-        n_threads = len(threads)
-        arrival_time = self._arrival_time
-        running = self.running
-        while True:
-            if not heap:
-                if self._arrival_ptr >= n_threads:
-                    break
-                # All admitted work finished before the next arrival: jump
-                # time forward to the arrival and admit it.
-                now = max(
-                    max(clocks),
-                    arrival_time[self._arrival_ptr],
-                )
-                self._admit_threads(now)
-                if not heap:
-                    raise SimulationError(
-                        "no core activated by a due arrival — pool stuck"
-                    )
-                continue
-            clock, _, core = heappop(heap)
-            in_heap[core] = False
-            clock = clocks[core] = max(clock, clocks[core])
-            if (
-                self._arrival_ptr < n_threads
-                and arrival_time[self._arrival_ptr] <= clock
-            ):
-                self._admit_threads(clock)
-
-            if running[core] is None:
-                thread_id = self.queues.dequeue(core)
-                if thread_id is None:
-                    # Note: the paper resets the MC when a queue drains
-                    # (Section 4.1). With the segment-protection bypass
-                    # that reset lets any thread landing on a drained core
-                    # overwrite a chunk other threads still use, so this
-                    # engine resets the MC on *idle-rung migrations* and
-                    # STAY decisions instead — same adaptivity, without
-                    # sacrificing assembled segments (see DESIGN.md).
-                    self._rebalance(clock)
-                    if not self.queues.is_empty(core):
-                        self._activate(core, clock)
-                    continue
-                running[core] = thread_id
-                state = threads[thread_id]
-                if policy_on_start:
-                    # SLICC resets the dispatched core's MSV/MTQ, STEPS
-                    # its MSV — per-thread trackers do not survive a
-                    # thread switch (the MC, describing the cache, does).
-                    policy_on_thread_start(core)
-                if state.pending_cycles:
-                    clocks[core] += state.pending_cycles
-                    state.pending_cycles = 0
-
-            thread_id = running[core]
-            state = threads[thread_id]
-
-            if batch_dispatch is not None:
-                # Batch kernel (PR 6): the whole quantum runs as
-                # vectorised passes in repro.sim.batch; only the
-                # scheduling tail below is shared with the inline path.
-                migrated = batch_dispatch(core, thread_id, state)
-                if migrated:
-                    if self._pending_target == -1:
-                        self._steps_switch(core)
-                    else:
-                        self._migrate(core, self._pending_target)
-                elif state.pos >= len(state.addr):
-                    self._complete(core, clocks[core])
-                elif policy_quantum:
-                    target = policy_quantum_end(core)
-                    if target is not None:
-                        self._migrate(core, target)
-                if running[core] is not None or not queues_is_empty(core):
-                    self._activate(core, clocks[core])
-                continue
-
-            addr = state.addr
-            kind = state.kind
-            pages = state.page
-            n_records = len(addr)
-            pos = state.pos
-            cycles = 0
-            tlb_cycles = 0
-            i_stall_cycles = 0
-            d_stall_cycles = 0
-            migrated = False
-
-            # Per-core hot references: one tuple unpack per dispatch
-            # (field order is defined by _CoreHot — keep this unpack
-            # aligned with the class). The loop body below handles every
-            # record — TLB access plus L1 hit or miss, and since PR 3
-            # also the next-line prefetcher, the miss classifiers, the
-            # migration data prefetcher and the banked NUCA L2 —
-            # entirely inline, with no attribute chains, method dispatch
-            # or result allocation. The inline paths mirror the
-            # reference _process_instruction/_process_data line for
-            # line; the golden suite pins them byte-identical, and the
-            # fast-vs-fallback matrix in tests/test_hot_path.py replays
-            # each configuration through both.
-            (
-                l1i_index,
-                l1i_tags,
-                l1i_occ,
-                l1i_set_mask,
-                l1i_assoc,
-                l1i_stats,
-                l1i_is_lru,
-                l1i_on_hit,
-                l1i_need_on_miss,
-                l1i_on_miss,
-                l1i_on_fill,
-                l1i_choose_victim,
-                l1i_on_evict,
-                l1i_evict_is_sig,
-                l1i_ages,
-                l1i_hi,
-                itlb,
-                itlb_map,
-                itlb_entries,
-                l1d_index,
-                l1d_tags,
-                l1d_occ,
-                l1d_set_mask,
-                l1d_assoc,
-                l1d_stats,
-                l1d_is_lru,
-                l1d_on_hit,
-                l1d_need_on_miss,
-                l1d_on_miss,
-                l1d_on_fill,
-                l1d_choose_victim,
-                l1d_on_evict,
-                l1d_evict_is_dir,
-                l1d_ages,
-                l1d_hi,
-                dtlb,
-                dtlb_map,
-                dtlb_entries,
-                sig_masks,
-                sig_imask,
-                sig_bit,
-                presence_excl,
-                slicc_agent,
-                steps_agent,
-                mc,
-                mc_limit,
-                msv,
-                msv_bits,
-                msv_window,
-                msv_dilution,
-                mtq_entries,
-                mtq_matched,
-                pf,
-                pf_pending,
-                i_cls,
-                icls_shadow,
-                icls_seen,
-                icls_cap,
-                d_cls,
-                dcls_shadow,
-                dcls_seen,
-                dcls_cap,
-                nuca_ipen,
-            ) = core_hot[core]
-
-            # Batched counters, flushed once per quantum: per-record
-            # read-modify-write on heap objects is pure overhead when
-            # nothing reads the totals mid-run.
-            bypass_tick = self._bypass_tick
-            if msv is not None:
-                # Local mirrors of the MSV occupancy/popcount, flushed at
-                # quantum end; resynced after _evaluate_migration, whose
-                # STAY outcome resets the MSV in place.
-                msv_n = len(msv_bits)
-                msv_ones = msv._ones
-            itlb_last = -1
-            dtlb_last = -1
-            i_n = 0
-            d_n = 0
-            itlb_m = 0
-            dtlb_m = 0
-            i_m = 0
-            d_m = 0
-            i_ev = 0
-            d_ev = 0
-            # PR 3 batched feature counters (flushed with the rest).
-            pf_issued = 0
-            pf_useful = 0
-            i_pf = 0
-            icls_comp = icls_capc = icls_conf = 0
-            dcls_comp = dcls_capc = dcls_conf = 0
-            dp_useful = 0
-            if dp is not None:
-                # The running thread is fixed for the whole quantum:
-                # resolve its data-prefetch history ring and pending set
-                # once (record_access/note_demand, amortised).
-                dp_hist = dp._history.get(thread_id)
-                if dp_hist is None:
-                    dp_hist = deque(maxlen=dp.n_blocks)
-                    dp._history[thread_id] = dp_hist
-                dp_pending = dp._pending.get(thread_id)
-            else:
-                dp_hist = None
-                dp_pending = None
-
-            end = pos + quantum
-            if end > n_records:
-                end = n_records
-            for block, k, page in zip(
-                addr[pos:end], kind[pos:end], pages[pos:end]
-            ):
-                pos += 1
-                if k == KI:
-                    # --- I-TLB (Tlb.access, inlined; the page id is
-                    # precomputed in the replay tables) ---
-                    i_n += 1
-                    if page == itlb_last:
-                        # Already the most-recent entry: move_to_end
-                        # would be a no-op (sequential blocks share a
-                        # page, so this is the common case).
-                        pass
-                    elif page in itlb_map:
-                        itlb_map.move_to_end(page)
-                        itlb_last = page
-                    else:
-                        itlb_m += 1
-                        itlb_map[page] = None
-                        itlb_last = page
-                        if len(itlb_map) > itlb_entries:
-                            itlb_map.popitem(last=False)
-                        tlb_cycles += itlb_pen
-                    if not fast_i:
-                        step, migrate = process_instruction(core, block)
-                        cycles += step
-                        if migrate:
-                            migrated = True
-                            break
-                        continue
-                    # (ibase is charged once per inline record at
-                    # the quantum flush: ibase * i_n.)
-                    set_idx = block & l1i_set_mask
-                    slot = l1i_index.get(block)
-                    if slot is not None:
-                        # --- L1-I hit ---
-                        if l1i_is_lru:
-                            hi = l1i_hi[set_idx] + 1
-                            l1i_hi[set_idx] = hi
-                            l1i_ages[slot] = hi
-                        else:
-                            l1i_on_hit(set_idx, slot - set_idx * l1i_assoc)
-                        if i_cls is not None:
-                            # MissClassifier.observe (hit case), inlined:
-                            # keep the fully-associative shadow's recency
-                            # faithful; nothing to classify.
-                            if block in icls_shadow:
-                                icls_shadow.move_to_end(block)
-                            else:
-                                icls_shadow[block] = None
-                                if len(icls_shadow) > icls_cap:
-                                    icls_shadow.popitem(last=False)
-                        if pf_pending is not None and block in pf_pending:
-                            # consume_if_prefetched, inlined: the hit
-                            # consumed an in-flight prefetch — charge the
-                            # late-prefetch residual.
-                            pf_pending.discard(block)
-                            pf_useful += 1
-                            i_stall_cycles += pf_late
-                        if mc is not None and mc._count >= mc_limit:
-                            if slicc_agent is not None:
-                                bypass_tick += 1
-                            # msv.record(miss=False), inlined
-                            if msv_n == msv_window:
-                                msv_ones -= msv_bits[0]
-                            else:
-                                msv_n += 1
-                            msv_bits.append(0)
-                        continue
-                    # --- L1-I miss ---
-                    i_m += 1
-                    if i_cls is not None:
-                        # MissClassifier.observe (miss case), inlined.
-                        if block in icls_shadow:
-                            icls_shadow.move_to_end(block)
-                            if block not in icls_seen:
-                                icls_seen.add(block)
-                                icls_comp += 1
-                            else:
-                                icls_conf += 1
-                        else:
-                            icls_shadow[block] = None
-                            if len(icls_shadow) > icls_cap:
-                                icls_shadow.popitem(last=False)
-                            if block not in icls_seen:
-                                icls_seen.add(block)
-                                icls_comp += 1
-                            else:
-                                icls_capc += 1
-                    if l1i_need_on_miss:
-                        l1i_on_miss(set_idx)
-                    fill = True
-                    mc_full = False
-                    if slicc_agent is not None and mc._count >= mc_limit:
-                        # Segment-protection bypass (see
-                        # _process_instruction for the rationale).
-                        mc_full = True
-                        bypass_tick += 1
-                        fill = bypass_tick % BYPASS_REPAIR_RATE == 0
-                    if fill:
-                        # --- SetAssociativeCache._fill, inlined (the
-                        # set's ways are the slots base .. base+assoc-1
-                        # of the flat tag and age lists) ---
-                        base = set_idx * l1i_assoc
-                        if l1i_occ[set_idx] < l1i_assoc:
-                            slot = l1i_tags.index(None, base)
-                            l1i_occ[set_idx] += 1
-                        else:
-                            if l1i_is_lru:
-                                slot = l1i_ages.index(
-                                    min(l1i_ages[base : base + l1i_assoc]),
-                                    base,
-                                )
-                            else:
-                                slot = base + l1i_choose_victim(set_idx)
-                            victim = l1i_tags[slot]
-                            del l1i_index[victim]
-                            i_ev += 1
-                            if l1i_evict_is_sig:
-                                # BloomSignature.on_evict, inlined:
-                                # clear the bit unless a same-set
-                                # survivor shares the filter index. The
-                                # new block is written first and scanned
-                                # with the survivors — harmless, since
-                                # the insert below sets its bit anyway.
-                                l1i_tags[slot] = block
-                                vidx = victim & sig_imask
-                                for other in l1i_tags[base : base + l1i_assoc]:
-                                    if other & sig_imask == vidx:
-                                        break
-                                else:
-                                    sig_masks[vidx] &= ~sig_bit
-                            elif pf_pending is not None:
-                                # NextLinePrefetcher.on_evict, inlined: a
-                                # pending prefetch for the victim dies.
-                                pf_pending.discard(victim)
-                            elif l1i_on_evict is not None:
-                                l1i_on_evict(victim)
-                        l1i_tags[slot] = block
-                        l1i_index[block] = slot
-                        if l1i_is_lru:
-                            hi = l1i_hi[set_idx] + 1
-                            l1i_hi[set_idx] = hi
-                            l1i_ages[slot] = hi
-                        else:
-                            l1i_on_fill(set_idx, slot - base)
-                    if nuca_ipen is None:
-                        if block in l2_seen:
-                            i_stall_cycles += i_miss_l2
-                        else:
-                            l2_seen.add(block)
-                            i_stall_cycles += i_miss_mem
-                    else:
-                        # --- NucaL2.access, inlined: banked lookup with
-                        # distance-aware latency; banks are plain LRU.
-                        # On a bank hit the penalty is the per-bank
-                        # latency table entry (latency + front-end
-                        # refill); a bank miss pays the memory-flavour
-                        # instruction miss and fills the bank. The
-                        # infinite-L2 l2_seen set is not consulted,
-                        # mirroring the reference path. ---
-                        bank = block % n_banks
-                        local = block // n_banks
-                        (
-                            b_index,
-                            b_tags,
-                            b_ages,
-                            b_hi,
-                            b_occ,
-                            b_mask,
-                            b_assoc,
-                        ) = nuca_hot[bank]
-                        nuca_acc[bank] += 1
-                        b_set = local & b_mask
-                        b_slot = b_index.get(local)
-                        if b_slot is not None:
-                            h = b_hi[b_set] + 1
-                            b_hi[b_set] = h
-                            b_ages[b_slot] = h
-                            i_stall_cycles += nuca_ipen[bank]
-                        else:
-                            nuca_miss_ct[bank] += 1
-                            b_base = b_set * b_assoc
-                            if b_occ[b_set] < b_assoc:
-                                b_slot = b_tags.index(None, b_base)
-                                b_occ[b_set] += 1
-                            else:
-                                b_slot = b_ages.index(
-                                    min(b_ages[b_base : b_base + b_assoc]), b_base
-                                )
-                                del b_index[b_tags[b_slot]]
-                                nuca_ev[bank] += 1
-                            b_tags[b_slot] = local
-                            b_index[local] = b_slot
-                            h = b_hi[b_set] + 1
-                            b_hi[b_set] = h
-                            b_ages[b_slot] = h
-                            i_stall_cycles += i_miss_mem
-                    if fill and sig_masks is not None:
-                        sig_masks[block & sig_imask] |= sig_bit
-                    if pf_pending is not None:
-                        # NextLinePrefetcher.on_demand_miss + the
-                        # engine's l2_touch of the prefetched block,
-                        # inlined: fetch block+1 unless already resident
-                        # (an install, not a demand access — no
-                        # access/miss counts, no policy.on_miss).
-                        nxt = block + 1
-                        if nxt not in l1i_index:
-                            i_pf += 1
-                            n_set = nxt & l1i_set_mask
-                            n_base = n_set * l1i_assoc
-                            if l1i_occ[n_set] < l1i_assoc:
-                                n_slot = l1i_tags.index(None, n_base)
-                                l1i_occ[n_set] += 1
-                            else:
-                                if l1i_is_lru:
-                                    n_slot = l1i_ages.index(
-                                        min(
-                                            l1i_ages[
-                                                n_base : n_base + l1i_assoc
-                                            ]
-                                        ),
-                                        n_base,
-                                    )
-                                else:
-                                    n_slot = n_base + l1i_choose_victim(n_set)
-                                victim = l1i_tags[n_slot]
-                                del l1i_index[victim]
-                                i_ev += 1
-                                pf_pending.discard(victim)
-                            l1i_tags[n_slot] = nxt
-                            l1i_index[nxt] = n_slot
-                            if l1i_is_lru:
-                                hi = l1i_hi[n_set] + 1
-                                l1i_hi[n_set] = hi
-                                l1i_ages[n_slot] = hi
-                            else:
-                                l1i_on_fill(n_set, n_slot - n_base)
-                            pf_pending.add(nxt)
-                            pf_issued += 1
-                            l2_seen.add(nxt)
-                    if steps_agent is not None:
-                        # observe_access + the STEPS dilution check,
-                        # inlined from _process_instruction.
-                        if mc._count < mc_limit:
-                            mc._count += 1
-                        else:
-                            if msv_n == msv_window:
-                                msv_ones -= msv_bits[0]
-                            else:
-                                msv_n += 1
-                            msv_bits.append(1)
-                            msv_ones += 1
-                        if (
-                            mc._count >= mc_limit
-                            and msv_ones >= msv_dilution
-                            and not queues_is_empty(core)
-                        ):
-                            self._pending_target = -1
-                            migrated = True
-                            break
-                    elif slicc_agent is not None:
-                        if not mc_full:
-                            # observe_access -> mc.record_miss, inlined
-                            # (mc_full was False, so no saturation check).
-                            mc._count += 1
-                        else:
-                            # observe_access -> msv.record(True) and the
-                            # presence gather (note_miss_presence) with
-                            # the fused bloom probe, inlined.
-                            if msv_n == msv_window:
-                                msv_ones -= msv_bits[0]
-                            else:
-                                msv_n += 1
-                            msv_bits.append(1)
-                            msv_ones += 1
-                            mtq_entries.append(
-                                sig_masks[block & sig_imask] & presence_excl
-                            )
-                            if (
-                                msv_ones >= msv_dilution
-                                and len(mtq_entries) == mtq_matched
-                            ):
-                                if self._evaluate_migration(
-                                    core, slicc_agent
-                                ):
-                                    migrated = True
-                                    break
-                                # STAY: the agent reset its trackers in
-                                # place — resync the mirrors.
-                                msv_n = len(msv_bits)
-                                msv_ones = msv._ones
-                    continue
-                # --- data record ---
-                # --- D-TLB (Tlb.access, inlined; precomputed page) ---
-                d_n += 1
-                if page == dtlb_last:
-                    pass
-                elif page in dtlb_map:
-                    dtlb_map.move_to_end(page)
-                    dtlb_last = page
-                else:
-                    dtlb_m += 1
-                    dtlb_map[page] = None
-                    dtlb_last = page
-                    if len(dtlb_map) > dtlb_entries:
-                        dtlb_map.popitem(last=False)
-                    tlb_cycles += dtlb_pen
-                if not fast_d:
-                    cycles += process_data(core, block, k == KS)
-                    continue
-                # (dbase is charged at the quantum flush: dbase * d_n.)
-                if dp_hist is not None:
-                    # MigrationDataPrefetcher.record_access, inlined
-                    # (bounded deque; the oldest tag falls off).
-                    dp_hist.append(block)
-                set_idx = block & l1d_set_mask
-                slot = l1d_index.get(block)
-                if slot is not None:
-                    # --- L1-D hit ---
-                    if l1d_is_lru:
-                        hi = l1d_hi[set_idx] + 1
-                        l1d_hi[set_idx] = hi
-                        l1d_ages[slot] = hi
-                    else:
-                        l1d_on_hit(set_idx, slot - set_idx * l1d_assoc)
-                    if d_cls is not None:
-                        # MissClassifier.observe (hit case), inlined.
-                        if block in dcls_shadow:
-                            dcls_shadow.move_to_end(block)
-                        else:
-                            dcls_shadow[block] = None
-                            if len(dcls_shadow) > dcls_cap:
-                                dcls_shadow.popitem(last=False)
-                    if k == KS:
-                        # Directory.on_write fast cases, inlined: first
-                        # write, or a write by the sole sharer.
-                        sharers = dir_sharers.get(block)
-                        if sharers is None:
-                            dir_sharers[block] = {core}
-                        elif len(sharers) == 1 and core in sharers:
-                            pass
-                        else:
-                            directory_on_write(core, block)
-                    continue
-                # --- L1-D miss ---
-                d_m += 1
-                if dp_pending and block in dp_pending:
-                    # note_demand, inlined: the miss consumed a block the
-                    # migration prefetcher shipped here.
-                    dp_pending.discard(block)
-                    dp_useful += 1
-                if d_cls is not None:
-                    # MissClassifier.observe (miss case), inlined.
-                    if block in dcls_shadow:
-                        dcls_shadow.move_to_end(block)
-                        if block not in dcls_seen:
-                            dcls_seen.add(block)
-                            dcls_comp += 1
-                        else:
-                            dcls_conf += 1
-                    else:
-                        dcls_shadow[block] = None
-                        if len(dcls_shadow) > dcls_cap:
-                            dcls_shadow.popitem(last=False)
-                        if block not in dcls_seen:
-                            dcls_seen.add(block)
-                            dcls_comp += 1
-                        else:
-                            dcls_capc += 1
-                if l1d_need_on_miss:
-                    l1d_on_miss(set_idx)
-                # --- SetAssociativeCache._fill, inlined ---
-                base = set_idx * l1d_assoc
-                if l1d_occ[set_idx] < l1d_assoc:
-                    slot = l1d_tags.index(None, base)
-                    l1d_occ[set_idx] += 1
-                else:
-                    if l1d_is_lru:
-                        slot = l1d_ages.index(
-                            min(l1d_ages[base : base + l1d_assoc]), base
-                        )
-                    else:
-                        slot = base + l1d_choose_victim(set_idx)
-                    victim = l1d_tags[slot]
-                    del l1d_index[victim]
-                    d_ev += 1
-                    if l1d_evict_is_dir:
-                        # Directory.on_evict, inlined.
-                        vs = dir_sharers.get(victim)
-                        if vs is not None:
-                            vs.discard(core)
-                            if not vs:
-                                del dir_sharers[victim]
-                    elif l1d_on_evict is not None:
-                        l1d_on_evict(victim)
-                l1d_tags[slot] = block
-                l1d_index[block] = slot
-                if l1d_is_lru:
-                    hi = l1d_hi[set_idx] + 1
-                    l1d_hi[set_idx] = hi
-                    l1d_ages[slot] = hi
-                else:
-                    l1d_on_fill(set_idx, slot - base)
-                if nuca_ipen is None:
-                    if block in l2_seen:
-                        in_l2 = True
-                    else:
-                        l2_seen.add(block)
-                        in_l2 = False
-                else:
-                    # --- NucaL2.access, inlined (data flavour): only
-                    # the bank hit/miss outcome feeds the overlap-
-                    # adjusted penalty; l2_seen is not consulted. ---
-                    bank = block % n_banks
-                    local = block // n_banks
-                    (
-                        b_index,
-                        b_tags,
-                        b_ages,
-                        b_hi,
-                        b_occ,
-                        b_mask,
-                        b_assoc,
-                    ) = nuca_hot[bank]
-                    nuca_acc[bank] += 1
-                    b_set = local & b_mask
-                    b_slot = b_index.get(local)
-                    if b_slot is not None:
-                        h = b_hi[b_set] + 1
-                        b_hi[b_set] = h
-                        b_ages[b_slot] = h
-                        in_l2 = True
-                    else:
-                        nuca_miss_ct[bank] += 1
-                        b_base = b_set * b_assoc
-                        if b_occ[b_set] < b_assoc:
-                            b_slot = b_tags.index(None, b_base)
-                            b_occ[b_set] += 1
-                        else:
-                            b_slot = b_ages.index(
-                                min(b_ages[b_base : b_base + b_assoc]), b_base
-                            )
-                            del b_index[b_tags[b_slot]]
-                            nuca_ev[bank] += 1
-                        b_tags[b_slot] = local
-                        b_index[local] = b_slot
-                        h = b_hi[b_set] + 1
-                        b_hi[b_set] = h
-                        b_ages[b_slot] = h
-                        in_l2 = False
-                if k == KS:
-                    d_stall_cycles += d_store_l2 if in_l2 else d_store_mem
-                    sharers = dir_sharers.get(block)
-                    if sharers is None:
-                        dir_sharers[block] = {core}
-                    elif len(sharers) == 1 and core in sharers:
-                        pass
-                    else:
-                        directory_on_write(core, block)
-                else:
-                    d_stall_cycles += d_load_l2 if in_l2 else d_load_mem
-                    # Directory.on_read, inlined.
-                    sharers = dir_sharers.get(block)
-                    if sharers is None:
-                        dir_sharers[block] = {core}
-                    else:
-                        sharers.add(core)
-
-            state.pos = pos
-            # Flush the batched counters. The fallback paths increment
-            # the same totals directly, so fast-path records were only
-            # ever counted in the locals (the L1 access counters belong
-            # to the fast path alone: with fast_i/fast_d set, every
-            # record of that kind took the inline route).
-            if fast_i:
-                self._bypass_tick = bypass_tick
-                if msv is not None:
-                    msv._ones = msv_ones
-                l1i_stats.accesses += i_n
-                l1i_stats.misses += i_m
-                l1i_stats.evictions += i_ev
-                inline_base = ibase * i_n
-                cycles += inline_base
-                self.cycles_base += inline_base
-                if pf is not None:
-                    pf.issued += pf_issued
-                    pf.useful += pf_useful
-                    l1i_stats.prefetch_fills += i_pf
-                if i_cls is not None:
-                    i_cls.accesses += i_n
-                    counts = i_cls.counts
-                    counts[_MC_COMPULSORY] += icls_comp
-                    counts[_MC_CAPACITY] += icls_capc
-                    counts[_MC_CONFLICT] += icls_conf
-            if fast_d:
-                l1d_stats.accesses += d_n
-                l1d_stats.misses += d_m
-                l1d_stats.evictions += d_ev
-                inline_base = dbase * d_n
-                cycles += inline_base
-                self.cycles_base += inline_base
-                if d_cls is not None:
-                    d_cls.accesses += d_n
-                    counts = d_cls.counts
-                    counts[_MC_COMPULSORY] += dcls_comp
-                    counts[_MC_CAPACITY] += dcls_capc
-                    counts[_MC_CONFLICT] += dcls_conf
-                if dp_useful:
-                    dp.useful += dp_useful
-            itlb.accesses += i_n
-            itlb.misses += itlb_m
-            dtlb.accesses += d_n
-            dtlb.misses += dtlb_m
-            cycles += tlb_cycles + i_stall_cycles + d_stall_cycles
-            self.cycles_tlb += tlb_cycles
-            self.cycles_i_stall += i_stall_cycles
-            self.cycles_d_stall += d_stall_cycles
-            clocks[core] += cycles
-            self.busy_cycles += cycles
-
-            if migrated:
-                if self._pending_target == -1:
-                    self._steps_switch(core)
-                else:
-                    self._migrate(core, self._pending_target)
-            elif state.pos >= n_records:
-                self._complete(core, clocks[core])
-            elif policy_quantum:
-                # Extension policies decide at quantum boundaries only
-                # (their per-record cost is zero: they read the batched
-                # L1-I statistics flushed just above).
-                target = policy_quantum_end(core)
-                if target is not None:
-                    self._migrate(core, target)
-
-            if running[core] is not None or not queues_is_empty(core):
-                self._activate(core, clocks[core])
-
-        if nuca_hot is not None:
-            # Flush the batched bank statistics (inline events only; the
-            # reference path updates bank stats directly, so mixed
-            # fast/fallback runs stay correct).
-            for bank, cache in enumerate(machine.nuca._banks):
-                stats = cache.stats
-                stats.accesses += nuca_acc[bank]
-                stats.misses += nuca_miss_ct[bank]
-                stats.evictions += nuca_ev[bank]
-                nuca_acc[bank] = nuca_miss_ct[bank] = nuca_ev[bank] = 0
-
+        kernel_for(kernel_spec(self.config))(self)
         if self.completed != len(self.threads):
             raise SimulationError(
                 f"run ended with {self.completed}/{len(self.threads)} "

@@ -43,30 +43,6 @@ class Tlb:
             self._map.popitem(last=False)
         return False
 
-    def access_pages(self, pages) -> int:
-        """Batch entry point: translate a sequence of *page ids* (not
-        block ids), returning the number of misses.
-
-        The batch replay kernel only touches the TLB at same-page run
-        boundaries; each run start is one ordinary LRU access. Misses
-        are counted into :attr:`misses`, but :attr:`accesses` is *not*
-        advanced — the kernel bulk-adds the true per-record access count
-        at quantum flush, exactly like the engine's inline loop.
-        """
-        misses = 0
-        tlb_map = self._map
-        entries = self.entries
-        for page in pages:
-            if page in tlb_map:
-                tlb_map.move_to_end(page)
-            else:
-                misses += 1
-                tlb_map[page] = None
-                if len(tlb_map) > entries:
-                    tlb_map.popitem(last=False)
-        self.misses += misses
-        return misses
-
     def mpki(self, instructions: int) -> float:
         """TLB misses per kilo-instruction."""
         if instructions <= 0:

@@ -7,6 +7,9 @@ sweeps share one baseline run per trace hash, and results are
 byte-identical between ``jobs=1`` and ``jobs=4``.
 """
 
+import os
+import sys
+
 import pytest
 
 from repro.analysis.sweeps import SweepPoint, sweep_dilution, sweep_fillup_matched
@@ -131,29 +134,37 @@ class TestRunnerBasics:
         assert rerun.last_stats.simulated == 0
         assert result.variant == "base"
 
-    def test_batch_kernel_spec_prefork_materialisation(self, smoke_tpcc):
-        """A kernel="batch" spec gets its trace's SoA arrays built in
-        the parent (pre-fork sharing, the replay_tables treatment), and
-        the run itself matches the default-kernel result — the kernel
-        is canonicalised out of the store key precisely because it
-        never changes the numbers."""
-        import os
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="the pre-fork pass needs fork"
+    )
+    def test_pooled_run_compiles_kernels_before_fork(
+        self, smoke_tpcc, monkeypatch
+    ):
+        """The parent fills the kernel memo that forked workers inherit,
+        from the configs alone: it constructs no ReplayEngine."""
+        from repro.sim import specialize
+        from repro.sim.engine import ReplayEngine
 
-        from repro.sim.batch import numpy_available
+        parent = os.getpid()
+        parent_engines = []
+        init = ReplayEngine.__init__
 
-        if not numpy_available() or os.environ.get("REPRO_NO_BATCH"):
-            pytest.skip("batch kernel unavailable")
-        spec = spec_for(smoke_tpcc, variant="slicc", kernel="batch")
-        Runner._materialise_batch_tables(
-            [spec], {spec.trace_key(): smoke_tpcc}
-        )
-        for thread in smoke_tpcc.threads:
-            key, _tables = thread._batch_tables
-            assert key[1:] == (64, 64, 8)  # 32KB/8-way L1s, stacked
-        (result,) = Runner().run([spec], trace=smoke_tpcc)
-        assert result_to_json(result) == result_to_json(
-            simulate(smoke_tpcc, variant="slicc")
-        )
+        def tracking_init(self, *args, **kwargs):
+            if os.getpid() == parent:
+                parent_engines.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReplayEngine, "__init__", tracking_init)
+        specialize.clear_cache()
+        specs = [
+            spec_for(smoke_tpcc, variant=variant)
+            for variant in ("base", "slicc", "nextline")
+        ]
+        Runner(jobs=2).run(specs, trace=smoke_tpcc)
+        assert parent_engines == []
+        assert set(specialize._KERNEL_CACHE) == {
+            specialize.kernel_spec(spec.config) for spec in specs
+        }
 
 
 class TestSweepEquivalence:

@@ -22,15 +22,15 @@ import pytest
 
 from repro.exp.store import result_to_json
 from repro.params import ScalePreset
-from repro.sim.engine import VARIANTS, SimConfig, simulate
+from repro.sim.engine import SimConfig, simulate
 from repro.workloads import standard_trace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# The golden grid — workloads, seed, and the prefetcher/classifier/NUCA/
-# data-prefetch config pins — is defined once in scripts/dump_golden.py
-# (the tool that records the fixtures); import it so the pinned set and
-# the regeneration script cannot drift apart.
+# The golden grid — variants, workloads, seed, and the prefetcher/
+# classifier/NUCA/data-prefetch config pins — is defined once in
+# scripts/dump_golden.py (the tool that records the fixtures); import it
+# so the pinned set and the regeneration script cannot drift apart.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from dump_golden import (  # noqa: E402
     GOLDEN_CONFIGS,
@@ -38,6 +38,7 @@ from dump_golden import (  # noqa: E402
     GOLDEN_POLICY_WORKLOADS,
     GOLDEN_SEED,
     GOLDEN_VARIANT_WORKLOADS,
+    GOLDEN_VARIANTS,
     GOLDEN_WORKLOADS,
 )
 
@@ -54,7 +55,7 @@ def test_every_variant_has_a_fixture():
     expected = {
         f"{workload}__{variant}.json"
         for workload in GOLDEN_WORKLOADS + GOLDEN_VARIANT_WORKLOADS
-        for variant in VARIANTS
+        for variant in GOLDEN_VARIANTS
     } | {
         f"{workload}__cfg-{name}.json"
         for workload in GOLDEN_WORKLOADS
@@ -68,7 +69,7 @@ def test_every_variant_has_a_fixture():
     assert expected <= present, f"missing fixtures: {expected - present}"
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", GOLDEN_VARIANTS)
 @pytest.mark.parametrize(
     "workload", GOLDEN_WORKLOADS + GOLDEN_VARIANT_WORKLOADS
 )

@@ -1,28 +1,37 @@
-"""Unit tests for the PR 2/PR 3 hot-path mechanisms.
+"""Unit tests for the hot-path mechanisms and the replay kernel.
 
 The golden-equivalence suite proves the full engine is unchanged
 end-to-end; these tests pin the individual mechanisms — the
 allocation-free cache access, the age-counter LRU backend, the
-transposed bloom store, and (PR 3) the inline fast paths for the
-next-line prefetcher, the miss classifiers, the banked NUCA L2 and the
-migration data prefetcher — against small hand-checkable scenarios and
-the reference implementations they replace.
+transposed bloom store — against small hand-checkable scenarios, and
+the generated replay kernel (``repro.sim.specialize``) against the
+``_process_instruction`` / ``_process_data`` reference path on every
+arm it emits: the next-line prefetcher, the miss classifiers, the
+banked NUCA L2, the migration data prefetcher and non-LRU L1s.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.policies.base import make_policy
+from repro.cache.policies.lru import LruPolicy
 from repro.core.signature import BloomSignature, SignatureSet
+from repro.errors import ConfigurationError
 from repro.exp.store import result_to_json
 from repro.params import CacheParams, ScalePreset, SliccParams, SystemParams
+from repro.sched import policy_names
+from repro.sim import specialize
 from repro.sim.engine import ReplayEngine, SimConfig
 from repro.sim.machine import Machine
+from repro.sim.specialize import kernel_spec
 from repro.workloads import standard_trace
+from repro.workloads.trace import KIND_INSTR, ThreadTrace, Trace
 
 
 @pytest.fixture
@@ -160,22 +169,32 @@ class TestTransposedSignatures:
         assert machine.presence_mask(block, 1, cores_mask) == (1 << 3) | (1 << 6)
 
     def test_mismatched_shared_bits_rejected(self, tiny_params):
-        from repro.errors import ConfigurationError
-
         cache = SetAssociativeCache(tiny_params)
         with pytest.raises(ConfigurationError):
             BloomSignature(128, cache, shared=SignatureSet(64))
 
 
 # ----------------------------------------------------------------------
-# PR 3: inline fast paths vs the generic reference implementation
+# The generated kernel vs the reference path
 # ----------------------------------------------------------------------
 
-#: One configuration per inline branch of the quantum loop, plus the
+
+def _l1_policies(l1i: str = "lru", l1d: str = "lru") -> SystemParams:
+    system = SystemParams()
+    return dataclasses.replace(
+        system,
+        l1i=dataclasses.replace(system.l1i, policy=l1i),
+        l1d=dataclasses.replace(system.l1d, policy=l1d),
+    )
+
+
+#: One configuration per generated arm of the quantum loop, plus the
 #: combinations: next-line prefetcher (consume/issue/evict), I+D miss
 #: classifiers (shadow LRU + three-C counts), banked NUCA (both record
-#: kinds), the migration data prefetcher (history/pending), and each of
-#: them stacked on the SLICC/STEPS tracker paths.
+#: kinds), the migration data prefetcher (history/pending), non-LRU L1s
+#: (the generic replacement arms, alone, under the prefetcher's installs
+#: and under SLICC's bypass and bloom evictions), and each of them
+#: stacked on the SLICC/STEPS tracker paths.
 FAST_PATH_CONFIGS = (
     ("nextline", {}),
     ("base-classify", {"variant": "base", "collect_miss_classes": True}),
@@ -209,6 +228,17 @@ FAST_PATH_CONFIGS = (
             "collect_miss_classes": True,
         },
     ),
+    ("base-srrip-l1i", {"variant": "base", "system": _l1_policies(l1i="srrip")}),
+    ("base-drrip-l1d", {"variant": "base", "system": _l1_policies(l1d="drrip")}),
+    ("nextline-lip-l1i", {"system": _l1_policies(l1i="lip")}),
+    (
+        "slicc-dip-l1i-brrip-l1d",
+        {"variant": "slicc", "system": _l1_policies(l1i="dip", l1d="brrip")},
+    ),
+    (
+        "steps-bip-both",
+        {"variant": "steps", "system": _l1_policies(l1i="bip", l1d="bip")},
+    ),
 )
 
 
@@ -217,19 +247,29 @@ def matrix_trace():
     return standard_trace("tpcc-1", ScalePreset.SMOKE, seed=3)
 
 
-def _run(trace, kwargs, fast: bool):
-    config = (
-        SimConfig(**kwargs) if "variant" in kwargs
-        else SimConfig(variant="nextline", **kwargs)
-    )
-    engine = ReplayEngine(trace, config)
-    if not fast:
-        # Force every record through the generic reference path
-        # (_process_instruction/_process_data). These flags exist for
-        # exactly this test: proving the inline loop bit-identical.
-        engine._fast_i = False
-        engine._fast_d = False
-    return result_to_json(engine.run())
+def _config(kwargs: dict, kernel: str = "auto") -> SimConfig:
+    return SimConfig(**{"variant": "nextline", **kwargs, "kernel": kernel})
+
+
+def _forbid_reference(engine: ReplayEngine) -> ReplayEngine:
+    """Make any record that reaches the reference path fail the run."""
+
+    def forbidden(*args):
+        raise AssertionError("a record took the reference path")
+
+    engine._process_instruction = engine._process_data = forbidden
+    return engine
+
+
+def _run(trace, kwargs, kernel: str) -> str:
+    return result_to_json(ReplayEngine(trace, _config(kwargs, kernel)).run())
+
+
+def _one_thread(blocks) -> Trace:
+    """A one-thread trace of instruction records on ``blocks``."""
+    addr = np.array(list(blocks), dtype=np.int64)
+    kind = np.full(len(addr), KIND_INSTR, dtype=np.int8)
+    return Trace("hand", [ThreadTrace(0, 0, addr, kind)], 12, 0)
 
 
 class TestFastVsFallbackMatrix:
@@ -239,41 +279,48 @@ class TestFastVsFallbackMatrix:
         ids=[name for name, _ in FAST_PATH_CONFIGS],
     )
     def test_inline_matches_reference(self, matrix_trace, name, kwargs):
-        fast = _run(matrix_trace, dict(kwargs), fast=True)
-        reference = _run(matrix_trace, dict(kwargs), fast=False)
-        assert fast == reference
-
-    def test_mixed_fast_instruction_reference_data(self, matrix_trace):
-        """Per-kind flags are independent: inline I records + reference
-        D records (and vice versa) still agree with the full inline run,
-        including the shared NUCA bank statistics."""
-        config = SimConfig(
-            variant="slicc",
-            model_l2_capacity=True,
-            data_prefetch_n=4,
-            collect_miss_classes=True,
+        assert _run(matrix_trace, kwargs, "auto") == _run(
+            matrix_trace, kwargs, "reference"
         )
-        full = ReplayEngine(matrix_trace, config)
-        expected = result_to_json(full.run())
-        for fast_i, fast_d in ((True, False), (False, True)):
-            engine = ReplayEngine(matrix_trace, config)
-            engine._fast_i = fast_i
-            engine._fast_d = fast_d
-            assert result_to_json(engine.run()) == expected, (fast_i, fast_d)
+
+    def test_prefetch_install_eviction_drops_pending(self):
+        """On a direct-mapped two-set L1-I, block 3's prefetch install
+        evicts the still-pending prefetch of block 1; 1 is then demanded
+        and hit, and that hit must consume no prefetch."""
+        kwargs = {
+            "variant": "nextline",
+            "system": SystemParams(l1i=CacheParams(size_bytes=128, assoc=1)),
+        }
+        trace = _one_thread([0, 2, 1, 1])
+        assert _run(trace, kwargs, "auto") == _run(trace, kwargs, "reference")
+
+    def test_stay_resyncs_tracker_mirrors(self):
+        """On a one-core machine every SLICC evaluation ends in STAY,
+        which resets the trackers mid-quantum; the thread then refills
+        the MC and must re-arm from the reset MSV."""
+        kwargs = {
+            "variant": "slicc",
+            "system": SystemParams(n_cores=1, torus_width=1),
+            "slicc": SliccParams(
+                fill_up_t=2, matched_t=1, dilution_t=2, msv_window=4
+            ),
+        }
+        trace = _one_thread(range(0, 40 * 64, 64))
+        assert ReplayEngine(trace, _config(kwargs)).run().stay_decisions > 1
+        assert _run(trace, kwargs, "auto") == _run(trace, kwargs, "reference")
 
 
 class TestFastPathCoverage:
     def test_nuca_prefetcher_combo_takes_fast_path(self, matrix_trace):
-        """Regression: a NUCA+prefetcher combination must run inline —
-        exactly the class of config PR 2 sent through the slow generic
-        fallback."""
+        """Regression: a NUCA+prefetcher combination runs the generated
+        fast arms, not the slow reference path."""
         engine = ReplayEngine(
             matrix_trace,
             SimConfig(variant="nextline", model_l2_capacity=True),
         )
         assert engine.prefetchers is not None
         assert engine.machine.nuca is not None
-        assert engine._fast_i and engine._fast_d
+        _forbid_reference(engine).run()
 
     @pytest.mark.parametrize(
         "name,kwargs",
@@ -281,22 +328,21 @@ class TestFastPathCoverage:
         ids=[name for name, _ in FAST_PATH_CONFIGS],
     )
     def test_every_config_is_fast(self, matrix_trace, name, kwargs):
-        kwargs = dict(kwargs)
-        config = (
-            SimConfig(**kwargs) if "variant" in kwargs
-            else SimConfig(variant="nextline", **kwargs)
-        )
-        engine = ReplayEngine(matrix_trace, config)
-        assert engine._fast_i and engine._fast_d
+        engine = ReplayEngine(matrix_trace, _config(kwargs))
+        result = _forbid_reference(engine).run()
+        assert result.threads_completed == len(matrix_trace.threads)
 
     def test_nuca_bank_stats_flushed(self, matrix_trace):
         """The batched bank counters must land in the bank CacheStats by
-        the time run() returns (inline runs only batch, never lose)."""
-        config = SimConfig(variant="base", model_l2_capacity=True)
-        fast = ReplayEngine(matrix_trace, config)
+        the time run() returns (the kernel only batches, never loses)."""
+        fast = ReplayEngine(
+            matrix_trace, SimConfig(variant="base", model_l2_capacity=True)
+        )
         fast.run()
-        ref = ReplayEngine(matrix_trace, config)
-        ref._fast_i = ref._fast_d = False
+        ref = ReplayEngine(
+            matrix_trace,
+            SimConfig(variant="base", model_l2_capacity=True, kernel="reference"),
+        )
         ref.run()
         fast_stats = fast.machine.nuca.stats()
         ref_stats = ref.machine.nuca.stats()
@@ -326,34 +372,6 @@ class TestReplayTables:
         assert clone.addr.tolist() == thread.addr.tolist()
 
 
-# ----------------------------------------------------------------------
-# PR 6: the batch replay kernel vs the inline loop vs the reference path
-# ----------------------------------------------------------------------
-
-import os  # noqa: E402
-
-from repro.errors import ConfigurationError  # noqa: E402
-from repro.sched import get_policy, policy_names  # noqa: E402
-from repro.sim.batch import numpy_available  # noqa: E402
-from repro.sim.tlb import PAGE_SHIFT, Tlb  # noqa: E402
-from repro.workloads.trace import KIND_INSTR  # noqa: E402
-
-_BATCH_OK = numpy_available() and not os.environ.get("REPRO_NO_BATCH")
-
-needs_batch = pytest.mark.skipif(
-    not _BATCH_OK, reason="numpy unavailable or REPRO_NO_BATCH set"
-)
-
-_SPECIALIZED_OK = not os.environ.get("REPRO_NO_SPECIALIZE")
-
-needs_specialized = pytest.mark.skipif(
-    not _SPECIALIZED_OK, reason="REPRO_NO_SPECIALIZE set"
-)
-
-#: Policies the batch kernel cannot run (structural blockers); forcing
-#: kernel="batch" on them must raise, and auto keeps them inline.
-BATCH_INELIGIBLE = frozenset({"nextline"})
-
 KERNEL_MATRIX_WORKLOADS = ("tpcc-1", "webserve", "phased")
 
 
@@ -365,346 +383,137 @@ def kernel_traces():
     }
 
 
-def _run_kernel(trace, variant: str, kernel: str) -> str:
-    engine = ReplayEngine(trace, SimConfig(variant=variant, kernel=kernel))
-    assert engine.kernel == kernel
-    return result_to_json(engine.run())
-
-
 class TestKernelEquivalenceMatrix:
-    """Every registered policy × three workloads: the four kernels are
-    byte-identical (the batch leg skips structurally ineligible
-    policies, whose batch request is pinned to raise below; the
-    specialized leg runs every policy — all ten are eligible)."""
+    """Every registered policy × three workloads: the generated kernel
+    and the reference path are byte-identical."""
 
     @pytest.mark.parametrize("workload", KERNEL_MATRIX_WORKLOADS)
     @pytest.mark.parametrize("variant", sorted(policy_names()))
     def test_kernels_byte_identical(self, kernel_traces, workload, variant):
         trace = kernel_traces[workload]
-        inline = _run_kernel(trace, variant, "inline")
-        fallback = _run_kernel(trace, variant, "fallback")
-        assert inline == fallback
-        if _BATCH_OK and variant not in BATCH_INELIGIBLE:
-            assert _run_kernel(trace, variant, "batch") == inline
-        if _SPECIALIZED_OK:
-            assert _run_kernel(trace, variant, "specialized") == inline
+        kwargs = {"variant": variant}
+        assert _run(trace, kwargs, "auto") == _run(trace, kwargs, "reference")
 
 
 class TestKernelSelection:
-    def test_auto_resolves_to_inline(self, matrix_trace, monkeypatch):
-        # The measured negative result: on the paper's thrash-regime
-        # traces the batch kernel loses to the inline loop, so auto
-        # must never pick it (see sim/batch.py). REPRO_KERNEL re-routes
-        # auto fleet-wide (the CI specialized leg), so pin the default
-        # resolution with the override cleared.
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        engine = ReplayEngine(matrix_trace, SimConfig(variant="slicc"))
-        assert engine.kernel == "inline"
-        assert engine._batch is None
-        assert engine._fast_i and engine._fast_d
+    def test_auto_runs_generated_kernel(self, matrix_trace):
+        specialize.clear_cache()
+        config = SimConfig(variant="slicc")
+        _forbid_reference(ReplayEngine(matrix_trace, config)).run()
+        spec = kernel_spec(config)
+        assert not spec.reference
+        assert list(specialize._KERNEL_CACHE) == [spec]
 
-    @needs_batch
-    def test_explicit_batch_honoured(self, matrix_trace):
-        engine = ReplayEngine(
-            matrix_trace, SimConfig(variant="slicc", kernel="batch")
-        )
-        assert engine.kernel == "batch"
-        assert engine._batch is not None
+    def test_reference_routes_every_record(self, matrix_trace, monkeypatch):
+        calls = {"i": 0, "d": 0}
+        process_i = ReplayEngine._process_instruction
+        process_d = ReplayEngine._process_data
 
-    def test_fallback_disables_fast_flags(self, matrix_trace):
-        engine = ReplayEngine(
-            matrix_trace, SimConfig(variant="base", kernel="fallback")
-        )
-        assert engine.kernel == "fallback"
-        assert not engine._fast_i and not engine._fast_d
+        def count_i(self, *args):
+            calls["i"] += 1
+            return process_i(self, *args)
+
+        def count_d(self, *args):
+            calls["d"] += 1
+            return process_d(self, *args)
+
+        monkeypatch.setattr(ReplayEngine, "_process_instruction", count_i)
+        monkeypatch.setattr(ReplayEngine, "_process_data", count_d)
+        config = SimConfig(variant="slicc", kernel="reference")
+        result = ReplayEngine(matrix_trace, config).run()
+        assert calls == {"i": result.i_accesses, "d": result.d_accesses}
+        assert calls["i"] + calls["d"] == matrix_trace.total_records
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimConfig(kernel="vectorised")
-
-    @needs_batch
-    def test_ineligible_policy_raises_on_forced_batch(self, matrix_trace):
-        with pytest.raises(ConfigurationError, match="ineligible"):
-            ReplayEngine(
-                matrix_trace, SimConfig(variant="nextline", kernel="batch")
-            )
-
-    @needs_batch
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"collect_miss_classes": True},
-            {"model_l2_capacity": True},
-            {"variant": "slicc", "data_prefetch_n": 4},
-        ],
-        ids=["classifiers", "nuca", "data-prefetch"],
-    )
-    def test_structural_blockers_raise_on_forced_batch(
-        self, matrix_trace, kwargs
-    ):
-        kwargs.setdefault("variant", "base")
-        with pytest.raises(ConfigurationError, match="ineligible"):
-            ReplayEngine(matrix_trace, SimConfig(kernel="batch", **kwargs))
-
-    def test_no_batch_env_vetoes_forced_batch(self, matrix_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        with pytest.raises(ConfigurationError, match="REPRO_NO_BATCH"):
-            ReplayEngine(
-                matrix_trace, SimConfig(variant="base", kernel="batch")
-            )
-        # auto is unaffected: it never picks batch anyway.
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        engine = ReplayEngine(matrix_trace, SimConfig(variant="base"))
-        assert engine.kernel == "inline"
-
-    def test_batch_kernel_safe_flag_blocks(self, matrix_trace, monkeypatch):
-        cls = get_policy("base")
-        monkeypatch.setattr(cls, "batch_kernel_safe", False)
-        engine = ReplayEngine(matrix_trace, SimConfig(variant="base"))
-        assert "batch_kernel_safe" in " ".join(engine._batch_blockers())
-        if _BATCH_OK:
-            with pytest.raises(ConfigurationError, match="batch_kernel_safe"):
-                ReplayEngine(
-                    matrix_trace, SimConfig(variant="base", kernel="batch")
-                )
+        for name in ("vectorised", "inline", "batch", "specialized", "fallback"):
+            with pytest.raises(ConfigurationError):
+                SimConfig(kernel=name)
 
     def test_kernel_excluded_from_spec_keys(self):
         from repro.exp.spec import ExperimentSpec
 
         base = ExperimentSpec("tpcc-1", config=SimConfig(variant="slicc"))
         forced = ExperimentSpec(
-            "tpcc-1", config=SimConfig(variant="slicc", kernel="batch")
+            "tpcc-1", config=SimConfig(variant="slicc", kernel="reference")
         )
         assert base.key() == forced.key()
-
-
-@needs_batch
-class TestBatchTables:
-    def test_tables_memoised_per_geometry(self, matrix_trace):
-        thread = matrix_trace.threads[0]
-        tables = thread.batch_tables(PAGE_SHIFT, 64, 64, 8)
-        assert thread.batch_tables(PAGE_SHIFT, 64, 64, 8) is tables
-        other = thread.batch_tables(PAGE_SHIFT, 128, 64, 8)
-        assert other is not tables
-
-    def test_row_ids_and_prefix_match_python(self, matrix_trace):
-        thread = matrix_trace.threads[0]
-        nis, nds, width = 64, 64, 8
-        row, flat, nib, spos, ipos, dpos, *_ = thread.batch_tables(
-            PAGE_SHIFT, nis, nds, width
-        )
-        addr = thread.addr.tolist()
-        kind = thread.kind.tolist()
-        expect_rows = [
-            (a & (nis - 1)) if k == KIND_INSTR else nis + (a & (nds - 1))
-            for a, k in zip(addr, kind)
-        ]
-        assert row.tolist() == expect_rows
-        assert flat.tolist() == [r * width for r in expect_rows]
-        run = 0
-        for i, k in enumerate(kind):
-            assert nib[i] == run
-            if k == KIND_INSTR:
-                run += 1
-        assert nib[len(kind)] == run
-        assert ipos.tolist() == [
-            i for i, k in enumerate(kind) if k == KIND_INSTR
-        ]
-        assert dpos.tolist() == [
-            i for i, k in enumerate(kind) if k != KIND_INSTR
-        ]
-
-    def test_tables_not_pickled(self, matrix_trace):
-        import pickle
-
-        thread = matrix_trace.threads[0]
-        thread.batch_tables(PAGE_SHIFT, 64, 64, 8)
-        clone = pickle.loads(pickle.dumps(thread))
-        assert not hasattr(clone, "_batch_tables")
-        assert clone.addr.tolist() == thread.addr.tolist()
-
-
-class TestBatchEntryPoints:
-    @needs_batch
-    def test_batch_export_mirrors_residency(self, tiny_params):
-        cache = SetAssociativeCache(tiny_params)
-        n_sets = tiny_params.n_sets
-        blocks = [0, n_sets, 2 * n_sets, 3, n_sets + 3]
-        for block in blocks:
-            cache.access_fast(block)
-        tags, occ = cache.batch_export()
-        assert tags.shape == (n_sets, tiny_params.assoc)
-        assert occ[0] == 3 and occ[3] == 2
-        resident = set(tags[tags != -1].tolist())
-        assert resident == set(blocks)
-        assert cache.probe_batch(blocks) == [True] * len(blocks)
-        assert cache.probe_batch([7 * n_sets]) == [False]
-        with pytest.raises(ValueError):
-            cache.batch_export(tiny_params.assoc - 1)
-
-    def test_tlb_access_pages_matches_scalar(self):
-        a, b = Tlb(entries=4), Tlb(entries=4)
-        pages = [1, 2, 3, 1, 4, 5, 6, 2, 1]
-        for page in pages:
-            a.access(page << PAGE_SHIFT)
-        misses = b.access_pages(pages)
-        assert misses == a.misses == b.misses
-        assert list(a._map) == list(b._map)
-        # accesses is bulk-added by the caller, not by access_pages.
-        assert b.accesses == 0
-
-
-# ----------------------------------------------------------------------
-# PR 10: the per-config specialized (generated) kernel
-# ----------------------------------------------------------------------
-
-import dataclasses  # noqa: E402
-
-from repro.params import SystemParams  # noqa: E402
-from repro.sim import specialize  # noqa: E402
-
-
-def _non_lru_system() -> SystemParams:
-    system = SystemParams()
-    return dataclasses.replace(
-        system, l1d=dataclasses.replace(system.l1d, policy="srrip")
-    )
 
 
 class TestSpecializedSelection:
-    @needs_specialized
-    def test_explicit_specialized_honoured(self, matrix_trace):
-        engine = ReplayEngine(
-            matrix_trace, SimConfig(variant="slicc", kernel="specialized")
-        )
-        assert engine.kernel == "specialized"
-        assert engine._specialized is not None
-
-    def test_no_specialize_env_vetoes_forced(self, matrix_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SPECIALIZE", "1")
-        with pytest.raises(ConfigurationError, match="REPRO_NO_SPECIALIZE"):
-            ReplayEngine(
-                matrix_trace,
-                SimConfig(variant="base", kernel="specialized"),
-            )
-        # auto is unaffected (and a fleet-wide REPRO_KERNEL=specialized
-        # override is silently neutralised by the veto).
-        monkeypatch.setenv("REPRO_KERNEL", "specialized")
-        engine = ReplayEngine(matrix_trace, SimConfig(variant="base"))
-        assert engine.kernel == "inline"
-
-    def test_specialize_safe_flag_blocks(self, matrix_trace, monkeypatch):
-        # The veto raises before blockers are consulted; neutralise it
-        # so this test pins the blocker message under every CI leg.
-        monkeypatch.delenv("REPRO_NO_SPECIALIZE", raising=False)
-        cls = get_policy("base")
-        monkeypatch.setattr(cls, "specialize_safe", False)
-        engine = ReplayEngine(matrix_trace, SimConfig(variant="base"))
-        assert "specialize_safe" in " ".join(engine._specialize_blockers())
-        with pytest.raises(ConfigurationError, match="specialize_safe"):
-            ReplayEngine(
-                matrix_trace,
-                SimConfig(variant="base", kernel="specialized"),
-            )
-
-    def test_non_lru_l1_blocks(self, matrix_trace, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SPECIALIZE", raising=False)
-        with pytest.raises(ConfigurationError, match="non-LRU L1-D"):
-            ReplayEngine(
-                matrix_trace,
-                SimConfig(
-                    variant="base",
-                    system=_non_lru_system(),
-                    kernel="specialized",
-                ),
-            )
-
-    @needs_specialized
-    def test_repro_kernel_env_resolves_auto(self, matrix_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "specialized")
-        engine = ReplayEngine(matrix_trace, SimConfig(variant="slicc"))
-        assert engine.kernel == "specialized"
-        # Explicit kernels keep their request under the override.
-        engine = ReplayEngine(
-            matrix_trace, SimConfig(variant="slicc", kernel="inline")
-        )
-        assert engine.kernel == "inline"
-
-    def test_repro_kernel_env_silent_fallback(self, matrix_trace, monkeypatch):
-        # A fleet override must not break ineligible configs: auto falls
-        # back to inline silently instead of raising.
-        monkeypatch.setenv("REPRO_KERNEL", "specialized")
-        engine = ReplayEngine(
-            matrix_trace,
-            SimConfig(variant="base", system=_non_lru_system()),
-        )
-        assert engine.kernel == "inline"
-
-    def test_repro_kernel_env_unknown_raises(self, matrix_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "vectorised")
-        with pytest.raises(ConfigurationError, match="REPRO_KERNEL"):
-            ReplayEngine(matrix_trace, SimConfig(variant="base"))
-
     def test_specialized_excluded_from_spec_keys(self):
-        from repro.exp.spec import ExperimentSpec
+        """A persisted spec naming a retired kernel ("specialized", from
+        queues written before the kernels collapsed) rebuilds onto the
+        default kernel and the same store key."""
+        from repro.exp.spec import ExperimentSpec, spec_from_dict
 
-        base = ExperimentSpec("tpcc-1", config=SimConfig(variant="slicc"))
-        forced = ExperimentSpec(
-            "tpcc-1",
-            config=SimConfig(variant="slicc", kernel="specialized"),
-        )
-        assert base.key() == forced.key()
+        spec = ExperimentSpec("tpcc-1", config=SimConfig(variant="slicc"))
+        payload = spec.to_dict()
+        payload["config"]["kernel"] = "specialized"
+        rebuilt = spec_from_dict(payload)
+        assert rebuilt.config.kernel == "auto"
+        assert rebuilt.key() == spec.key()
 
 
 class TestSpecializedGeneration:
-    def _spec(self, matrix_trace, **kwargs) -> "specialize.KernelSpec":
-        engine = ReplayEngine(matrix_trace, SimConfig(**kwargs))
-        return specialize.spec_from_engine(engine)
-
-    def test_generated_source_deterministic(self, matrix_trace):
+    def test_generated_source_deterministic(self):
         for kwargs in (
             {"variant": "slicc"},
             {"variant": "steps", "collect_miss_classes": True},
             {"variant": "nextline", "model_l2_capacity": True},
+            {"variant": "slicc", "system": _l1_policies(l1i="srrip")},
+            {"variant": "slicc-sw", "kernel": "reference"},
         ):
-            spec = self._spec(matrix_trace, **kwargs)
+            spec = kernel_spec(SimConfig(**kwargs))
             first = specialize.generate_source(spec)
             assert first == specialize.generate_source(spec)
-            # A reconstructed engine yields the same spec, so the memo
-            # key is stable across engine instances.
-            assert spec == self._spec(matrix_trace, **kwargs)
+            assert spec == kernel_spec(SimConfig(**kwargs))
             compile(first, "<test>", "exec")
 
-    def test_spec_canonicalises_inapplicable_knobs(self, matrix_trace):
-        # Policies without SLICC machinery must not fragment the kernel
-        # cache on SLICC thresholds: the spec zeroes them out.
-        spec = self._spec(matrix_trace, variant="base")
-        assert not spec.has_slicc and spec.mc_limit == 0
-        assert spec.msv_window == 0 and spec.mtq_matched == 0
+    def test_spec_canonicalises_inapplicable_knobs(self):
+        # Numeric knobs never fragment the kernel cache: thresholds,
+        # quantum and geometry are read by the kernel at run time.
+        base = kernel_spec(SimConfig(variant="slicc"))
+        tuned = kernel_spec(
+            SimConfig(
+                variant="slicc",
+                quantum=7,
+                slicc=SliccParams(fill_up_t=64, matched_t=2, dilution_t=3),
+                system=dataclasses.replace(SystemParams(), memory_latency=300),
+            )
+        )
+        assert base == tuned
+        # PIF's larger L1-I is still plain LRU: same kernel as base.
+        assert kernel_spec(SimConfig(variant="pif")) == kernel_spec(SimConfig())
 
-    def test_kernel_memoised_per_spec(self, matrix_trace):
-        spec = self._spec(matrix_trace, variant="slicc")
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        FAST_PATH_CONFIGS,
+        ids=[name for name, _ in FAST_PATH_CONFIGS],
+    )
+    def test_spec_matches_engine_structure(self, matrix_trace, name, kwargs):
+        """kernel_spec(config) needs no engine, yet agrees with the
+        machinery the engine builds for the same config."""
+        config = _config(kwargs)
+        spec = kernel_spec(config)
+        engine = ReplayEngine(matrix_trace, config)
+        machine = engine.machine
+        assert spec.slicc == (engine.agents is not None)
+        assert spec.steps == (engine.steps_agents is not None)
+        assert spec.nextline == (engine.prefetchers is not None)
+        assert spec.classify == (engine.i_classifiers is not None)
+        assert spec.nuca == (machine.nuca is not None)
+        assert spec.data_prefetch == (engine.data_prefetcher is not None)
+        assert spec.l1i_lru == (type(machine.l1i[0].policy) is LruPolicy)
+        assert spec.l1d_lru == (type(machine.l1d[0].policy) is LruPolicy)
+
+    def test_kernel_memoised_per_spec(self):
+        spec = kernel_spec(SimConfig(variant="slicc"))
         assert specialize.kernel_for(spec) is specialize.kernel_for(spec)
 
-    def test_dump_env_writes_source(self, matrix_trace, tmp_path, monkeypatch):
+    def test_dump_env_writes_source(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SPECIALIZE_DUMP", str(tmp_path))
-        spec = self._spec(matrix_trace, variant="slicc")
+        spec = kernel_spec(SimConfig(variant="slicc"))
         specialize.kernel_for(spec)
         dumped = tmp_path / f"{specialize.signature(spec)}.py"
         assert dumped.exists()
         assert dumped.read_text() == specialize.generate_source(spec)
-
-    def test_aot_without_toolchain_falls_back(
-        self, matrix_trace, tmp_path, monkeypatch
-    ):
-        # No mypyc/Cython in the test environment: the AOT leg must fall
-        # back silently to the exec'd kernel and still run end-to-end.
-        monkeypatch.delenv("REPRO_NO_SPECIALIZE", raising=False)
-        monkeypatch.setenv("REPRO_SPECIALIZE_AOT", "1")
-        monkeypatch.setenv("REPRO_SPECIALIZE_CACHE", str(tmp_path))
-        specialize.clear_cache()
-        try:
-            inline = _run_kernel(matrix_trace, "slicc", "inline")
-            assert _run_kernel(matrix_trace, "slicc", "specialized") == inline
-        finally:
-            specialize.clear_cache()

@@ -50,6 +50,23 @@ class TestSliccParams:
         with pytest.raises(ConfigurationError):
             SliccParams(bloom_bits=1000)
 
+    @pytest.mark.parametrize("factor", [0, -1])
+    def test_thread_pool_factor_below_one_rejected(self, factor):
+        # An empty pool admits no thread: unchecked, every SLICC run would
+        # stall deep in the loop ("pool stuck"), which the runner retries
+        # as a transient failure.
+        with pytest.raises(ConfigurationError, match="thread_pool_factor"):
+            SliccParams(thread_pool_factor=factor)
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_msv_window_below_one_rejected(self, window):
+        with pytest.raises(ConfigurationError, match="msv_window"):
+            SliccParams(msv_window=window, dilution_t=0)
+
+    def test_smallest_valid_pool_and_window_accepted(self):
+        p = SliccParams(thread_pool_factor=1, msv_window=1, dilution_t=1)
+        assert p.thread_pool_factor == 1 and p.msv_window == 1
+
 
 class TestCacheParamsScaled:
     def test_scaled_changes_size(self):

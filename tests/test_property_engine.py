@@ -2,12 +2,19 @@
 
 Random miniature workloads, replayed under every variant, must preserve
 the conservation invariants that hold regardless of scheduling: access
-totals, completion counts, and determinism.
+totals, completion counts, and determinism — and the generated replay
+kernel must match the reference path on random configurations.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.policies import policy_names as replacement_policy_names
+from repro.exp.store import result_to_json
+from repro.params import CacheParams, SliccParams, SystemParams
+from repro.sched import policy_names
 from repro.sim import SimConfig, simulate
 from repro.workloads import (
     DataSpec,
@@ -97,3 +104,56 @@ def test_miss_bounds(p):
         assert 0 <= r.i_misses <= r.i_accesses
         assert 0 <= r.d_misses <= r.d_accesses
         assert r.i_mpki >= 0 and r.d_mpki >= 0
+
+
+#: Every replacement policy an L1 can use (the generic arms' coverage).
+L1_POLICIES = tuple(replacement_policy_names())
+
+
+def l1_params(draw):
+    """An L1 with a random replacement policy; the small geometries put
+    the miniature workloads under eviction pressure."""
+    return CacheParams(
+        size_bytes=draw(st.sampled_from((2048, 8192, 32768))),
+        assoc=draw(st.sampled_from((2, 4, 8))),
+        policy=draw(st.sampled_from(L1_POLICIES)),
+    )
+
+
+@st.composite
+def kernel_configs(draw):
+    """A SimConfig drawn across every KernelSpec axis: the policy (its
+    capability flags), the classify / NUCA / data-prefetch toggles, each
+    L1's replacement policy — plus the numeric knobs the kernel binds at
+    run time (quantum, L1 geometry, SLICC thresholds). Low fill-up
+    thresholds saturate the MC within the miniature traces, so the
+    SLICC/STEPS tracker arms run too."""
+    msv_window = draw(st.integers(min_value=1, max_value=32))
+    return SimConfig(
+        variant=draw(st.sampled_from(policy_names())),
+        collect_miss_classes=draw(st.booleans()),
+        model_l2_capacity=draw(st.booleans()),
+        data_prefetch_n=draw(st.sampled_from((0, 4))),
+        quantum=draw(st.integers(min_value=1, max_value=200)),
+        system=SystemParams(l1i=l1_params(draw), l1d=l1_params(draw)),
+        slicc=SliccParams(
+            fill_up_t=draw(st.integers(min_value=1, max_value=64)),
+            matched_t=draw(st.integers(min_value=1, max_value=8)),
+            msv_window=msv_window,
+            dilution_t=draw(st.integers(min_value=0, max_value=msv_window)),
+            bloom_bits=draw(st.sampled_from((256, 2048))),
+            thread_pool_factor=draw(st.integers(min_value=1, max_value=3)),
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(workload_params, kernel_configs())
+def test_generated_kernel_matches_reference(p, config):
+    """The generated kernel and the reference path agree byte for byte
+    on random configurations — far beyond the golden pins' sliver of
+    the config space."""
+    trace = build_trace(p)
+    fast = simulate(trace, config=config)
+    reference = simulate(trace, config=replace(config, kernel="reference"))
+    assert result_to_json(fast) == result_to_json(reference)

@@ -300,6 +300,44 @@ class TestDrain:
         (failure,) = [e for e in events if e["event"] == "failed"]
         assert failure["kind"] == "bad-spec"
 
+    def test_drain_maps_retired_kernel_names(self, tmp_path):
+        """A queue written before the replay kernels collapsed to
+        auto/reference carries retired ``config.kernel`` names in its
+        payloads; it still drains, onto the same store keys."""
+        retired = {
+            "base": "inline",
+            "slicc": "batch",
+            "steps": "specialized",
+            "nextline": "fallback",
+        }
+        specs = smoke_specs(variants=tuple(retired))
+        queue = WorkQueue(tmp_path, worker_id="w")
+        for spec in specs:
+            payload = spec.to_dict()
+            payload["config"]["kernel"] = retired[spec.variant]
+            queue._append_locked(
+                {"event": "enqueued", "key": spec.key(), "t": 0.0, "spec": payload}
+            )
+        peek = WorkQueue(tmp_path, worker_id="peek")
+        claims = peek.claim(limit=4)
+        kernels = {
+            c.payload["config"]["kernel"]: spec_from_dict(c.payload).config.kernel
+            for c in claims
+        }
+        assert kernels == {
+            "inline": "auto",
+            "batch": "auto",
+            "specialized": "auto",
+            "fallback": "reference",
+        }
+        for claim in claims:
+            assert spec_from_dict(claim.payload).key() == claim.key
+        peek.release([c.key for c in claims])
+        runner = Runner(store=ResultStore(tmp_path), jobs=1)
+        report = drain(queue, runner, poll_seconds=0.05)
+        assert report.completed == 4 and report.failed == 0
+        assert set(runner.store.keys()) == {s.key() for s in specs}
+
 
 class TestDoubleCompletion:
     def test_double_finish_is_byte_identical_and_collapses(self, tmp_path):
