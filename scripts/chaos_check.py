@@ -32,10 +32,10 @@ contract:
   execution never changes results;
 * ``repro queue status --json`` agrees (drained, nothing failed).
 
-Both regimes are store-backend aware: run with ``--backend sqlite`` (or
-``REPRO_STORE_BACKEND=sqlite``, which the CI matrix leg sets) and every
-store open in this process tree uses the SQLite backend instead of
-JSONL. The recovery contract is asserted identically, plus a migration
+Both regimes are store-backend aware: run with ``--backend sqlite`` and
+the campaign store is created as SQLite instead of JSONL (the flag is
+forwarded to every ``repro queue work`` process). The recovery contract
+is asserted identically, plus a migration
 gate: the recovered store is migrated across backends (always ending at
 JSONL) and the re-exported rows must still be byte-identical to the
 fault-free reference — format conversion after a chaotic campaign loses
@@ -48,6 +48,7 @@ seeded, so the schedule — and therefore this script's outcome — is
 reproducible. Run from the repo root:
 
     python scripts/chaos_check.py [--seed N] [--store DIR] [--processes N]
+        [--backend jsonl|sqlite]
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ from repro.exp import (  # noqa: E402
     audit_store,
     compact_store,
     grid,
+    locate_store,
     migrate_store,
-    resolve_backend,
     result_to_json,
     spec_for,
 )
@@ -131,12 +132,6 @@ def build_declarative_specs():
     )
 
 
-def active_backend() -> str:
-    """The store backend this chaos run exercises (campaign paths are
-    directories, so the environment decides)."""
-    return os.environ.get("REPRO_STORE_BACKEND", "").strip().lower() or "jsonl"
-
-
 def check_migration(campaign: Path, keys, reference) -> None:
     """Migration invariant under chaos: the recovered store survives a
     backend conversion with every result row byte-identical.
@@ -147,7 +142,7 @@ def check_migration(campaign: Path, keys, reference) -> None:
     asserts. The hop files use non-default names, so they never
     confuse the campaign directory's backend detection.
     """
-    active = resolve_backend(campaign)
+    active, _ = locate_store(campaign)
     if active == "sqlite":
         hops = [campaign / "migrate-check.jsonl"]
     else:
@@ -195,7 +190,7 @@ def run_single(args) -> int:
     os.environ["REPRO_FAULT_HANG_S"] = HANG_SECONDS
     print(f"chaos pass: REPRO_FAULT={CHAOS_PROFILE} seed={args.seed}")
     runner = Runner(
-        store=ResultStore(store_path),
+        store=ResultStore(store_path, backend=args.backend),
         jobs=4,
         retries=2,
         timeout=TIMEOUT_SECONDS,
@@ -258,7 +253,7 @@ def run_single(args) -> int:
     check_migration(store_path, keys, reference)
     print(
         f"chaos check passed: {len(keys)} specs recovered byte-identical "
-        f"under {CHAOS_PROFILE!r} ({active_backend()} store)"
+        f"under {CHAOS_PROFILE!r} ({args.backend} store)"
     )
     return 0
 
@@ -349,6 +344,8 @@ def run_multi(args) -> int:
                 "0.2",
                 "--worker-id",
                 worker_id,
+                "--backend",
+                args.backend,
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -439,7 +436,7 @@ def run_multi(args) -> int:
     assert payload["done"] == len(keys) and payload["failed"] == 0, payload
     # The payload must name the campaign's store backend and schema so
     # CI legs can pin the leg they think they are running.
-    assert payload["store_backend"] == active_backend(), payload
+    assert payload["store_backend"] == args.backend, payload
     assert payload["store_schema_version"] == 1, payload
 
     before, kept = compact_store(campaign)
@@ -480,10 +477,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend",
         choices=STORE_BACKENDS,
-        default=None,
-        help="store backend to chaos-test (exported as "
-        "REPRO_STORE_BACKEND so worker subprocesses inherit it; "
-        "default: the inherited environment, else jsonl)",
+        default="jsonl",
+        help="store format to chaos-test, passed to every store this "
+        "run creates and every worker it spawns (default: jsonl)",
     )
     parser.add_argument(
         "--processes",
@@ -494,8 +490,6 @@ def main(argv=None) -> int:
         "whole-worker kills (default: 1 = single-process regime)",
     )
     args = parser.parse_args(argv)
-    if args.backend:
-        os.environ["REPRO_STORE_BACKEND"] = args.backend
     if args.processes > 1:
         return run_multi(args)
     return run_single(args)

@@ -114,10 +114,11 @@ def _add_exec(
         "--backend",
         choices=STORE_BACKENDS,
         default=None,
-        help="store backend: jsonl (append-only file, the default) or "
-        "sqlite (WAL database with an index on the spec key — right "
-        "for very large sweeps). Default: decided by the --store path "
-        "suffix, an existing store file, or REPRO_STORE_BACKEND",
+        help="format of a new store: jsonl (append-only file, the "
+        "default) or sqlite (WAL database with an index on the spec key "
+        "— right for very large sweeps). A store path's suffix, or the "
+        "store already in the directory, decides instead; a flag that "
+        "contradicts either is an error",
     )
     parser.add_argument(
         "--retries",
@@ -137,14 +138,13 @@ def _add_exec(
     )
 
 
-def _make_runner(args: argparse.Namespace) -> Runner:
-    store = (
-        ResultStore(args.store, backend=args.backend)
-        if args.store
-        else None
-    )
+def _make_runner(args: argparse.Namespace, default_store=None) -> Runner:
+    """The runner for ``--jobs/--store/--backend/--retries/--timeout``;
+    ``default_store`` is where results persist without ``--store``
+    (in memory when neither is given)."""
+    path = args.store or default_store
     return Runner(
-        store=store,
+        store=ResultStore(path, backend=args.backend) if path else None,
         jobs=args.jobs,
         retries=args.retries,
         timeout=args.timeout,
@@ -322,17 +322,8 @@ def _cmd_paper(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # The store lives inside the report directory by default, so pointing
     # a second invocation at the same --out is what makes it resumable.
-    # Passing the directory (not a fixed filename) lets --backend /
-    # REPRO_STORE_BACKEND / an existing store file pick the format.
-    store = ResultStore(
-        args.store if args.store else out, backend=args.backend
-    )
-    runner = Runner(
-        store=store,
-        jobs=args.jobs,
-        retries=args.retries,
-        timeout=args.timeout,
-    )
+    runner = _make_runner(args, default_store=out)
+    store = runner.store
 
     entries = []
     total_simulated = total_skipped = 0
@@ -381,12 +372,7 @@ def _cmd_store_migrate(args: argparse.Namespace) -> int:
             "migrate needs a destination: "
             "repro store migrate <src> <dst>"
         )
-    report = migrate_store(
-        args.path,
-        args.dst,
-        src_backend=args.src_backend or args.backend,
-        dst_backend=args.dst_backend,
-    )
+    report = migrate_store(args.path, args.dst)
     print(
         f"migrated {report.src} ({report.src_backend}) -> {report.dst} "
         f"({report.dst_backend}): {report.results} result row(s), "
@@ -405,7 +391,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             "makes sense for `store migrate`"
         )
     if args.action == "verify":
-        audit = audit_store(args.path, backend=args.backend)
+        audit = audit_store(args.path)
         if args.json:
             payload = asdict(audit)
             payload["path"] = str(audit.path)
@@ -435,7 +421,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             + ")"
         )
         return 0
-    before, kept = compact_store(args.path, backend=args.backend)
+    before, kept = compact_store(args.path)
     if before.backend == "sqlite":
         print(
             f"compacted {before.path}: {before.lines} rows -> {kept} "
@@ -500,13 +486,7 @@ def _cmd_queue_enqueue(args: argparse.Namespace) -> int:
 
 def _cmd_queue_work(args: argparse.Namespace) -> int:
     queue = _require_queue(args, worker_id=args.worker_id)
-    store_path = Path(args.store) if args.store else queue.path.parent
-    runner = Runner(
-        store=ResultStore(store_path, backend=args.backend),
-        jobs=args.jobs,
-        retries=args.retries,
-        timeout=args.timeout,
-    )
+    runner = _make_runner(args, default_store=queue.path.parent)
     report = drain(
         queue,
         runner,
@@ -731,8 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
         "in-flight simulations, persists them, and releases the "
         "remaining leases for other workers; a second signal aborts "
         "in-flight work immediately (nothing further persisted, "
-        "still 130). Every worker of a campaign must use the same "
-        "store backend.",
+        "still 130). Workers starting together on an empty campaign "
+        "must all pass the same --backend.",
     )
     q_work.add_argument("queue", help="queue directory or queue.jsonl file")
     _add_exec(
@@ -805,8 +785,8 @@ def build_parser() -> argparse.ArgumentParser:
         "store",
         help="verify / compact / migrate a result store (jsonl or sqlite)",
         description="Maintain a campaign's result store (JSONL file or "
-        "SQLite database; the backend is inferred from the path suffix, "
-        "an existing store file, or REPRO_STORE_BACKEND). `verify` "
+        "SQLite database: a store file's suffix names the format, a "
+        "directory uses the store in it). `verify` "
         "audits without modifying anything and exits 1 when corruption "
         "is found (line scan for jsonl; row scan + PRAGMA "
         "integrity_check for sqlite); `compact` garbage-collects "
@@ -824,31 +804,14 @@ def build_parser() -> argparse.ArgumentParser:
         "dst",
         nargs="?",
         default=None,
-        help="migration destination (migrate only): directory or store "
-        "file; its suffix picks the target backend",
+        help="migration destination (migrate only): a store file, "
+        "whose suffix picks the target format, or a directory (its "
+        "existing store, else a new JSONL one)",
     )
     store.add_argument(
         "--json",
         action="store_true",
         help="machine-readable audit JSON (verify only; same exit codes)",
-    )
-    store.add_argument(
-        "--backend",
-        choices=STORE_BACKENDS,
-        default=None,
-        help="force the backend of PATH instead of inferring it",
-    )
-    store.add_argument(
-        "--src-backend",
-        choices=STORE_BACKENDS,
-        default=None,
-        help="force the source backend for migrate (alias of --backend)",
-    )
-    store.add_argument(
-        "--dst-backend",
-        choices=STORE_BACKENDS,
-        default=None,
-        help="force the destination backend for migrate",
     )
     store.set_defaults(func=_cmd_store)
 

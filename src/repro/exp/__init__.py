@@ -48,16 +48,14 @@ from repro.exp.spec import (
 from repro.exp.specfile import load_spec_file
 from repro.exp.store import (
     STORE_BACKENDS,
-    LoadReport,
     MigrationReport,
     ResultStore,
     StoreAudit,
     audit_store,
     compact_store,
     describe_store,
+    locate_store,
     migrate_store,
-    resolve_backend,
-    resolve_store_path,
     result_from_dict,
     result_to_dict,
     result_to_json,
@@ -73,7 +71,6 @@ __all__ = [
     "Figure",
     "FigureRow",
     "LeaseHeartbeat",
-    "LoadReport",
     "MigrationReport",
     "QueueStatus",
     "ResultStore",
@@ -89,8 +86,8 @@ __all__ = [
     "compact_store",
     "describe_store",
     "drain",
+    "locate_store",
     "migrate_store",
-    "resolve_backend",
     "figure_names",
     "get_figure",
     "grid",
@@ -100,7 +97,6 @@ __all__ = [
     "select_figures",
     "product",
     "resolve_queue_path",
-    "resolve_store_path",
     "result_from_dict",
     "result_to_dict",
     "result_to_json",

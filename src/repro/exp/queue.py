@@ -64,16 +64,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-try:  # Advisory locking is POSIX-only; the queue degrades gracefully.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
-
 from repro.errors import ConfigurationError, ReproError, SweepFailure
 from repro.exp import faults
 from repro.exp.pool import _backoff_delay
 from repro.exp.spec import ExperimentSpec, spec_from_dict
-from repro.exp.store import _resolve_jsonl, tail_torn
+from repro.exp.store import append_lines, flocked
 
 __all__ = [
     "ClaimedSpec",
@@ -104,11 +99,19 @@ _TEARABLE_EVENTS = frozenset(("claimed", "renewed"))
 def resolve_queue_path(path: Union[str, Path]) -> Path:
     """Normalise a queue argument to its backing ``queue.jsonl`` file.
 
-    Same rules as the store's: a directory maps to ``<dir>/queue.jsonl``
-    (so queue and store naturally share a campaign directory), an
-    explicit ``*.jsonl`` path is taken as-is.
+    A directory maps to ``<dir>/queue.jsonl`` (so queue and store share
+    a campaign directory) and a ``*.jsonl`` path is taken as-is; any
+    other file-looking path is rejected rather than made a directory.
     """
-    return _resolve_jsonl(path, "queue.jsonl")
+    path = Path(path)
+    if path.is_dir() or not path.suffix:
+        return path / "queue.jsonl"
+    if path.suffix != ".jsonl":
+        raise ConfigurationError(
+            f"queue path {path} looks like a file but is not *.jsonl; "
+            "pass a directory or a .jsonl file"
+        )
+    return path
 
 
 def default_worker_id() -> str:
@@ -272,16 +275,8 @@ class WorkQueue:
     @contextmanager
     def _locked(self):
         """Process mutex + advisory file lock (in that order, always)."""
-        with self._mutex:
-            if fcntl is None:
-                yield
-                return
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                yield
-            finally:
-                os.close(fd)  # closing the descriptor releases the flock
+        with self._mutex, flocked(self.lock_path):
+            yield
 
     def _refresh_locked(self) -> None:
         """Fold events appended since the last refresh (lock held).
@@ -355,10 +350,8 @@ class WorkQueue:
                 entry.error = event.get("error")
 
     def _append_locked(self, event: dict) -> None:
-        """Crash-safe single-line event append (lock held).
-
-        Mirrors the store's append: heal a torn tail with a newline,
-        write the whole line with one ``os.write``, fsync. The
+        """Crash-safe single-line event append (lock held), through the
+        store's :func:`~repro.exp.store.append_lines`. The
         ``torn_queue`` fault kind may tear claim/renewal events — the
         two whose loss the protocol absorbs without operator action.
         """
@@ -371,19 +364,24 @@ class WorkQueue:
                 f"{event['key']}:{event['event']}", kind="torn_queue"
             )
         )
-        fd = os.open(self._path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            if tail_torn(fd):
-                os.write(fd, b"\n")
-            if torn:
-                # Injected torn write: half the line, no newline, no
-                # fsync — what a power loss mid-append leaves behind.
-                os.write(fd, line[: max(1, len(line) // 2)])
-                return
-            os.write(fd, line)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        append_lines(self._path, line, torn)
+
+    def _fail_exhausted(self, entry: _Entry, now: float) -> None:
+        """Append the terminal ``failed`` event of an expired lease whose
+        claim budget is spent (lock held)."""
+        self._append_locked(
+            {
+                "event": "failed",
+                "key": entry.key,
+                "t": now,
+                "worker": self.worker_id,
+                "kind": "lease-expired",
+                "error": (
+                    f"lease expired under worker {entry.worker!r} and the "
+                    f"claim budget ({self.max_claims}) is exhausted"
+                ),
+            }
+        )
 
     def _ordered(self) -> list[_Entry]:
         return sorted(self._entries.values(), key=lambda e: e.seq)
@@ -468,20 +466,7 @@ class WorkQueue:
                 if entry.status != LEASED or now < entry.deadline:
                     continue
                 if entry.claims >= self.max_claims:
-                    self._append_locked(
-                        {
-                            "event": "failed",
-                            "key": entry.key,
-                            "t": now,
-                            "worker": self.worker_id,
-                            "kind": "lease-expired",
-                            "error": (
-                                f"lease expired under worker "
-                                f"{entry.worker!r} and the claim budget "
-                                f"({self.max_claims}) is exhausted"
-                            ),
-                        }
-                    )
+                    self._fail_exhausted(entry, now)
                     continue
                 stagger = _backoff_delay(
                     self.backoff,
@@ -647,20 +632,7 @@ class WorkQueue:
                 if entry.status != LEASED or now < entry.deadline:
                     continue
                 if entry.claims >= self.max_claims:
-                    self._append_locked(
-                        {
-                            "event": "failed",
-                            "key": entry.key,
-                            "t": now,
-                            "worker": self.worker_id,
-                            "kind": "lease-expired",
-                            "error": (
-                                f"lease expired under worker "
-                                f"{entry.worker!r} and the claim budget "
-                                f"({self.max_claims}) is exhausted"
-                            ),
-                        }
-                    )
+                    self._fail_exhausted(entry, now)
                     exhausted.append(entry.key)
                 else:
                     self._append_locked(

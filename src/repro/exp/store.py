@@ -1,45 +1,38 @@
-"""Content-addressed result persistence with pluggable backends.
+"""Content-addressed result persistence in one of two file formats.
 
 A :class:`ResultStore` maps :meth:`ExperimentSpec.key` hashes to
-:class:`~repro.sim.results.SimulationResult` rows. Persistence is
-delegated to a :class:`StoreBackend`; two are built in:
+:class:`~repro.sim.results.SimulationResult` rows, in one of two
+formats:
 
 ``jsonl``
-    The original append-only JSONL file. One locked fsync'd ``os.write``
-    per row (``O_APPEND`` + ``flock`` on a ``.lock`` sidecar), a
-    self-healing torn tail, corruption quarantined to a ``.quarantine``
-    sidecar on load, last-wins per key. Loading reads the whole file —
-    right for hundreds of rows, linear for millions.
+    An append-only JSONL file, folded into memory at open. Every write
+    is one locked, fsync'd ``os.write`` (``O_APPEND`` + ``flock`` on a
+    ``.lock`` sidecar) that first heals a torn tail; corrupt lines are
+    quarantined to a ``.quarantine`` sidecar at open. Opening reads the
+    whole file — right for hundreds of rows, linear for millions.
 ``sqlite``
-    A WAL-mode SQLite database with a ``results`` table and a UNIQUE
-    index on the canonical key, so the last-result-per-key invariant is
-    structural and dedup/resume lookups are O(log n) point queries
-    instead of whole-file folds. Failure rows keep their ``kind`` /
-    ``error`` / ``attempts`` as real columns. Torn-write faults do not
-    apply: SQLite's WAL makes every commit atomic (see
-    :mod:`repro.exp.store_sqlite`).
+    A WAL-mode SQLite database with a UNIQUE index on the canonical key
+    (see :mod:`repro.exp.store_sqlite`): every write is an upsert, every
+    lookup an O(log n) point query, and opening is O(1).
 
-**Backend selection** (first match wins):
+**Locating a store** (:func:`locate_store`). A file path's suffix names
+the format (``.jsonl``; ``.sqlite`` / ``.sqlite3`` / ``.db``). A
+directory uses the store already in it, else the ``backend`` argument
+(the ``--backend`` flag), else JSONL. A ``backend`` that contradicts the
+suffix, or the store already in the directory, is a configuration
+error: a flag never forks a campaign into a second store.
 
-1. an explicit ``backend=`` argument / ``--backend`` flag;
-2. the path suffix (``*.jsonl`` vs ``*.sqlite`` / ``*.db`` /
-   ``*.sqlite3``);
-3. for directory paths, a store file already present in the directory
-   (an existing campaign keeps its format regardless of environment);
-4. the ``REPRO_STORE_BACKEND`` environment variable;
-5. the default, ``jsonl``.
+Both formats keep one contract, and :func:`migrate_store` converts
+either way with byte-identical rows, quarantined lines included:
 
-:func:`migrate_store` converts a store either way with byte-identical
-result rows (the canonical JSON of every row survives a round trip),
-including quarantined lines. Both backends share the store's contract:
-
-* **Results outrank failures.** ``get`` never serves a failure row, and
-  a successful ``put`` clears the key's failure record — failures are
-  provenance, not cache entries, so a resumed campaign retries them.
+* **Results outrank failures.** ``get`` never serves a failure row; a
+  ``put`` clears the key's failure record, and a failure written after
+  a result for the same key is ignored. Failures are provenance, not
+  cache entries, so a resumed campaign retries them.
 * **A corrupt row never bricks the store.** It is quarantined (sidecar
-  file or ``quarantine`` table) and the row is re-derivable by rerunning
-  its spec. ``repro store verify`` reports health, ``repro store
-  compact`` rewrites/garbage-collects.
+  file or ``quarantine`` table) and re-derivable by rerunning its spec.
+  ``repro store verify`` reports health, ``repro store compact``
+  rewrites and garbage-collects.
 """
 
 from __future__ import annotations
@@ -61,19 +54,13 @@ from repro.errors import ConfigurationError
 from repro.exp import faults
 from repro.sim.results import SimulationResult
 
-#: Environment variable naming the default backend for paths that do not
-#: pin one themselves (directories without an existing store file).
-BACKEND_ENV = "REPRO_STORE_BACKEND"
-
 #: Known backend kinds, in documentation order.
 STORE_BACKENDS = ("jsonl", "sqlite")
-
-DEFAULT_BACKEND = "jsonl"
 
 #: Store filename created inside a directory path, per backend.
 DEFAULT_BASENAMES = {"jsonl": "results.jsonl", "sqlite": "results.sqlite"}
 
-#: Path suffixes that pin a backend.
+#: Path suffixes that name a backend.
 SUFFIX_BACKENDS = {
     ".jsonl": "jsonl",
     ".sqlite": "sqlite",
@@ -106,135 +93,74 @@ def result_to_json(result: SimulationResult) -> str:
 
 
 # ----------------------------------------------------------------------
-# Backend + path resolution
+# Locating a store
 # ----------------------------------------------------------------------
 
 
-def _env_backend() -> Optional[str]:
-    value = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if not value:
-        return None
-    if value not in STORE_BACKENDS:
-        raise ConfigurationError(
-            f"{BACKEND_ENV}={value!r} is not a known store backend; "
-            f"known: {list(STORE_BACKENDS)}"
-        )
-    return value
+def locate_store(
+    path: Union[str, Path], backend: Optional[str] = None
+) -> tuple[str, Path]:
+    """The ``(backend kind, store file)`` a store argument names.
 
+    A file path's suffix names the format; any other suffix is rejected
+    (a near-miss like ``results.json`` would otherwise silently become a
+    *directory* of that name — dotted names that already exist as
+    directories are fine). A directory, existing or not, uses the store
+    already in it, else ``backend``, else JSONL.
 
-def _detect_existing(directory: Path) -> Optional[str]:
-    """Backend of the store file already present in a directory.
-
-    ``None`` when the directory holds no store — or, ambiguously, one
-    per backend (a half-migrated campaign); selection then falls
-    through to the environment/default so the caller's intent decides.
-    """
-    present = [
-        kind
-        for kind, name in DEFAULT_BASENAMES.items()
-        if (directory / name).exists()
-    ]
-    if len(present) == 1:
-        return present[0]
-    return None
-
-
-def resolve_backend(
-    path: Union[str, Path, None] = None, backend: Optional[str] = None
-) -> str:
-    """Resolve the backend kind for a store path.
-
-    Precedence: explicit ``backend`` argument > path suffix > existing
-    store file in a directory path > ``REPRO_STORE_BACKEND`` > jsonl.
-    An explicit argument that contradicts the path suffix is a
-    configuration error, not a silent override.
+    Raises:
+        ConfigurationError: for an unknown ``backend``, a ``backend``
+            that contradicts the suffix or the directory's store, or a
+            directory holding both stores with no ``backend`` to pick
+            one.
     """
     if backend is not None and backend not in STORE_BACKENDS:
         raise ConfigurationError(
             f"unknown store backend {backend!r}; known: "
             f"{list(STORE_BACKENDS)}"
         )
-    suffix_kind = detected = None
-    if path is not None:
-        p = Path(path)
-        if p.is_dir():
-            detected = _detect_existing(p)
-        elif p.suffix:
-            suffix_kind = SUFFIX_BACKENDS.get(p.suffix)
-        else:
-            detected = _detect_existing(p)
-    if backend is not None:
-        if suffix_kind is not None and suffix_kind != backend:
+    path = Path(path)
+    if path.suffix and not path.is_dir():
+        kind = SUFFIX_BACKENDS.get(path.suffix)
+        if kind is None:
             raise ConfigurationError(
-                f"backend {backend!r} contradicts the {Path(path).suffix} "
+                f"store path {path} looks like a file but is not a store "
+                "file (*.jsonl, *.sqlite, *.sqlite3, *.db); pass a "
+                "directory or a store file"
+            )
+        if backend not in (None, kind):
+            raise ConfigurationError(
+                f"backend {backend!r} contradicts the {path.suffix} "
                 f"suffix of {path}; drop one of the two"
             )
-        return backend
-    if suffix_kind is not None:
-        return suffix_kind
-    if detected is not None:
-        return detected
-    return _env_backend() or DEFAULT_BACKEND
-
-
-def _resolve_jsonl(path: Union[str, Path], default_name: str) -> Path:
-    """Normalise a JSONL-file argument to its backing ``*.jsonl`` file.
-
-    A directory (existing or not) maps to ``<dir>/<default_name>``; an
-    explicit ``*.jsonl`` path is taken as-is; other file-looking paths
-    are rejected — a near-miss like ``results.json`` would otherwise
-    silently become a *directory* of that name (dotted names that
-    already exist as directories are fine). Shared by the result store
-    (``results.jsonl``) and the work queue (``queue.jsonl``), so one
-    campaign directory can hold both side by side.
-    """
-    path = Path(path)
-    if path.is_dir():
-        return path / default_name
-    if path.suffix and path.suffix != ".jsonl":
+        return kind, path
+    present = [
+        kind
+        for kind, name in DEFAULT_BASENAMES.items()
+        if (path / name).exists()
+    ]
+    if backend is None:
+        if len(present) > 1:
+            raise ConfigurationError(
+                f"{path} holds both a results.jsonl and a results.sqlite "
+                "store; pass the store file itself, or --backend, to pick "
+                "one"
+            )
+        backend = present[0] if present else "jsonl"
+    elif present and backend not in present:
         raise ConfigurationError(
-            f"store path {path} looks like a file but is not "
-            "*.jsonl; pass a directory or a .jsonl file"
+            f"{path} already holds a {present[0]} store; backend "
+            f"{backend!r} would fork the campaign into a second store — "
+            "drop it, or convert with `repro store migrate`"
         )
-    if path.suffix != ".jsonl":
-        return path / default_name
-    return path
+    return backend, path / DEFAULT_BASENAMES[backend]
 
 
-def _resolve_sqlite(path: Union[str, Path]) -> Path:
-    """Normalise a SQLite-store argument to its backing database file."""
-    path = Path(path)
-    if path.is_dir():
-        return path / DEFAULT_BASENAMES["sqlite"]
-    if path.suffix and SUFFIX_BACKENDS.get(path.suffix) != "sqlite":
-        raise ConfigurationError(
-            f"store path {path} looks like a file but is not a SQLite "
-            "database (*.sqlite / *.sqlite3 / *.db); pass a directory "
-            "or a database file"
-        )
-    if not path.suffix:
-        return path / DEFAULT_BASENAMES["sqlite"]
-    return path
-
-
-def resolve_store_path(
-    path: Union[str, Path], backend: Optional[str] = None
-) -> Path:
-    """Normalise a store argument to its backing file for its backend."""
-    kind = resolve_backend(path, backend)
-    if kind == "sqlite":
-        return _resolve_sqlite(path)
-    return _resolve_jsonl(path, DEFAULT_BASENAMES["jsonl"])
-
-
-def describe_store(
-    path: Union[str, Path], backend: Optional[str] = None
-) -> Optional[dict]:
+def describe_store(path: Union[str, Path]) -> Optional[dict]:
     """Backend/schema facts about the store at ``path``, or ``None``
     when no store file exists there yet. Powers the backend fields of
     ``repro queue status --json``."""
-    kind = resolve_backend(path, backend)
-    file = resolve_store_path(path, kind)
+    kind, file = locate_store(path)
     if not file.exists():
         return None
     if kind == "sqlite":
@@ -243,147 +169,93 @@ def describe_store(
         version = SQLITE_SCHEMA_VERSION
     else:
         version = JSONL_SCHEMA_VERSION
-    return {
-        "backend": kind,
-        "schema_version": version,
-        "path": str(file),
-    }
-
-
-@dataclass
-class LoadReport:
-    """What opening a persistent store found in its backing file."""
-
-    lines: int = 0
-    #: Blank lines (skipped silently; an editor artefact, not corruption).
-    blank: int = 0
-    #: Rows that parsed and loaded (results + failures).
-    rows: int = 0
-    #: Malformed/truncated lines, copied to the ``.quarantine`` sidecar.
-    corrupt: int = 0
-    #: Parsed rows whose key a later line superseded.
-    superseded: int = 0
-    #: Structured failure rows currently live (no later result row).
-    failures: int = 0
+    return {"backend": kind, "schema_version": version, "path": str(file)}
 
 
 # ----------------------------------------------------------------------
-# Backends
+# The durable append (shared with the work queue)
 # ----------------------------------------------------------------------
 
 
-def tail_torn(fd: int) -> bool:
-    """Does the file end in a partial line (crashed writer)?
+@contextmanager
+def flocked(lock_path: Path):
+    """Hold an exclusive advisory ``flock`` on a sidecar lockfile (a
+    no-op where ``fcntl`` is unavailable)."""
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # closing the descriptor releases the flock
 
-    Reading moves the shared offset, which is harmless: callers open
-    the fd ``O_APPEND``, so writes go to end-of-file regardless. Shared
-    with the work queue's event log, which uses the same torn-tail
-    healing rule.
+
+def append_lines(path: Path, data: bytes, torn: bool = False) -> None:
+    """Crash-safe append of whole lines; the caller holds the lock.
+
+    If the file ends in a partial line (a crashed writer), a newline is
+    written first so the fragment stays isolated on its own line. Then
+    ``data`` goes out in one ``os.write`` and is fsync'd: a concurrent
+    writer can never interleave, and a crash loses at most this write.
+    ``torn`` injects the fault a power loss mid-append leaves behind:
+    half of ``data``, no newline, no fsync.
     """
-    size = os.fstat(fd).st_size
-    if size == 0:
-        return False
-    os.lseek(fd, size - 1, os.SEEK_SET)
-    return os.read(fd, 1) != b"\n"
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        size = os.fstat(fd).st_size
+        if size:
+            # Reading moves the offset, which is harmless: O_APPEND
+            # writes go to end-of-file regardless.
+            os.lseek(fd, size - 1, os.SEEK_SET)
+            if os.read(fd, 1) != b"\n":
+                os.write(fd, b"\n")
+        if torn:
+            os.write(fd, data[: max(1, len(data) // 2)])
+            return
+        os.write(fd, data)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
-class StoreBackend:
-    """Persistence strategy behind a :class:`ResultStore`.
-
-    A backend owns one store file and implements keyed access plus the
-    bulk import/export surface migration and benchmarks use. Rows cross
-    the boundary in the canonical JSONL row shape — ``{"key", "spec",
-    "result"}`` for results, ``{"key", "spec", "failure"}`` for
-    failures — so every backend round-trips through the same dicts and
-    migrated rows stay byte-identical under canonical JSON.
-    """
-
-    #: Backend kind string (``jsonl`` / ``sqlite``).
-    kind: str = "?"
-    #: Version of the on-disk schema this implementation writes.
-    schema_version: int = 0
-
-    path: Optional[Path] = None
-
-    # Keyed access ----------------------------------------------------
-    def load(self) -> LoadReport:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def spec_info(self, key: str) -> Optional[dict]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def failure_info(self, key: str) -> Optional[dict]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def failures(self) -> dict[str, dict]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def put(self, key, result, spec_payload) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def put_failure(self, key, failure, spec_payload) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def contains(self, key: str) -> bool:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def count(self) -> int:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def keys(self) -> Iterator[str]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def results(self) -> Iterator[SimulationResult]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    # Bulk import/export (migration, benchmarks) ----------------------
-    def export_rows(self) -> Iterator[dict]:
-        """Live rows in first-insertion order, canonical row shape.
-
-        Results outrank failure provenance: a failure row whose key
-        also holds a result is not exported (mirroring the queue's
-        ``done``-supersedes-``failed`` fold rule).
-        """
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def bulk_load(self, rows: Iterable[dict]) -> tuple[int, int]:
-        """Apply rows in order with normal fold semantics, batched for
-        throughput. Returns ``(result rows, failure rows)`` applied."""
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def quarantine_lines(self) -> list[str]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def add_quarantine(self, lines: Iterable[str]) -> int:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def close(self) -> None:
-        """Release file handles (no-op for file-per-write backends)."""
+# ----------------------------------------------------------------------
+# The JSONL backend
+# ----------------------------------------------------------------------
 
 
-class JsonlBackend(StoreBackend):
-    """The original append-only JSONL store file, behavior-identical.
+class JsonlBackend:
+    """The append-only JSONL store file, folded into memory at open.
 
-    Keeps the whole store in memory (loaded once at open); durability
-    comes from atomic locked fsync'd appends with a self-healing torn
-    tail, and corruption is quarantined to a sidecar on load. With
-    ``path=None`` this is the purely in-memory store (no file I/O at
-    all).
+    With ``path=None`` this is the purely in-memory store (no file I/O
+    at all).
     """
 
     kind = "jsonl"
-    schema_version = JSONL_SCHEMA_VERSION
 
     def __init__(self, path: Optional[Path]) -> None:
         self._results: dict[str, SimulationResult] = {}
         self._specs: dict[str, dict] = {}
         self._failures: dict[str, dict] = {}
         self.path = path
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
+        if path is None:
+            return
+        path.parent.mkdir(parents=True, exist_ok=True)
+        corrupt: list[str] = []
+        for row in _scan_jsonl(path, StoreAudit(path=path), corrupt):
+            self._fold(row)
+        if corrupt:
+            # Open never rewrites the main file: corrupt lines are
+            # copied to the sidecar, and `repro store compact` is the
+            # explicit operation that removes them.
+            self.add_quarantine(corrupt)
+            warnings.warn(
+                f"{path}: skipped {len(corrupt)} corrupt line(s) "
+                f"(quarantined to {self.quarantine_path.name}); run `repro "
+                f"store compact {path}` to rewrite the store",
+                stacklevel=3,
+            )
 
     @property
     def quarantine_path(self) -> Optional[Path]:
@@ -393,78 +265,45 @@ class JsonlBackend(StoreBackend):
         return self.path.with_name(self.path.name + ".quarantine")
 
     @property
-    def lock_path(self) -> Optional[Path]:
+    def lock_path(self) -> Path:
         """Sidecar lockfile serialising appends and compaction."""
-        if self.path is None:
-            return None
         return self.path.with_name(self.path.name + ".lock")
 
-    @contextmanager
-    def _locked(self):
-        """Hold the advisory writer lock (no-op without fcntl/a path)."""
-        if fcntl is None or self.path is None:
-            yield
-            return
-        fd = os.open(self.lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            os.close(fd)  # closing the descriptor releases the flock
+    def _fold(self, row: dict) -> None:
+        """Apply one canonical row: the last result per key wins, a
+        result clears the key's failure, and a failure for a key that
+        holds a result is ignored (results outrank failures)."""
+        key = row["key"]
+        if "result" in row:
+            self._results[key] = result_from_dict(row["result"])
+            self._specs[key] = row.get("spec") or {}
+            self._failures.pop(key, None)
+        elif key not in self._results:
+            self._failures[key] = row["failure"]
 
-    def load(self) -> LoadReport:
-        report = LoadReport()
-        if self.path is None or not self.path.exists():
-            return report
-        corrupt_lines: list[str] = []
-        with self.path.open("r", encoding="utf-8") as fh:
-            for raw in fh:
-                report.lines += 1
-                line = raw.strip()
-                if not line:
-                    report.blank += 1
-                    continue
-                row = _parse_row(line)
-                if row is None:
-                    # Truncated trailing line from a crash, a torn
-                    # mid-file append, or a row from an incompatible
-                    # older schema: re-derivable by rerunning the spec,
-                    # so quarantine rather than refuse to open the store.
-                    report.corrupt += 1
-                    corrupt_lines.append(line)
-                    continue
-                report.rows += 1
-                key = row["key"]
-                if "result" in row:
-                    if key in self._results:
-                        report.superseded += 1
-                    self._results[key] = result_from_dict(row["result"])
-                    self._specs[key] = row.get("spec") or {}
-                    # A fresh result supersedes any earlier failure.
-                    self._failures.pop(key, None)
-                else:
-                    if key in self._failures:
-                        report.superseded += 1
-                    self._failures[key] = row["failure"]
-        report.failures = len(self._failures)
-        if corrupt_lines:
-            self._quarantine(corrupt_lines)
-        return report
-
-    def _quarantine(self, lines: list[str]) -> None:
-        """Copy corrupt lines to the sidecar (deduplicated) and warn.
-
-        The main file is left untouched — load is read-only; ``repro
-        store compact`` is the explicit operation that removes the
-        corruption from the main file.
-        """
-        self.add_quarantine(lines)
-        warnings.warn(
-            f"{self.path}: skipped {len(lines)} corrupt line(s) "
-            f"(quarantined to {self.quarantine_path.name}); run `repro "
-            f"store compact {self.path}` to rewrite the store",
-            stacklevel=2,
-        )
+    def write(
+        self, rows: Iterable[dict], tearable: bool = False
+    ) -> tuple[int, int]:
+        """Fold rows into memory, then append them in one locked,
+        fsync'd write. ``tearable`` rolls the ``torn_write`` fault for
+        the (single) row of a ``put``/``put_failure``; imports never
+        tear. Returns ``(result rows, failure rows)`` written."""
+        n_results = 0
+        lines = []
+        for row in rows:
+            self._fold(row)
+            n_results += "result" in row
+            lines.append((json.dumps(row, sort_keys=True) + "\n").encode())
+        if self.path is not None and lines:
+            plan = faults.active_plan()
+            torn = (
+                tearable
+                and plan is not None
+                and plan.should_tear(row["key"])
+            )
+            with flocked(self.lock_path):
+                append_lines(self.path, b"".join(lines), torn)
+        return n_results, len(lines) - n_results
 
     def add_quarantine(self, lines: Iterable[str]) -> int:
         sidecar = self.quarantine_path
@@ -496,57 +335,6 @@ class JsonlBackend(StoreBackend):
     def failures(self) -> dict[str, dict]:
         return dict(self._failures)
 
-    def put(self, key, result, spec_payload) -> None:
-        self._results[key] = result
-        self._specs[key] = spec_payload or {}
-        self._failures.pop(key, None)
-        self._append(
-            key,
-            {
-                "key": key,
-                "spec": spec_payload,
-                "result": result_to_dict(result),
-            },
-        )
-
-    def put_failure(self, key, failure, spec_payload) -> None:
-        self._failures[key] = failure
-        self._append(
-            key,
-            {"key": key, "spec": spec_payload, "failure": failure},
-        )
-
-    def _append(self, key: str, row: dict) -> None:
-        """Crash-safe single-line append (no-op for in-memory stores).
-
-        One locked ``os.write`` of the whole line plus ``fsync``: a
-        concurrent writer can never interleave, and a crash loses at
-        most this row. If the existing tail is torn (no trailing
-        newline), a newline is written first so the fragment stays
-        isolated on its own line.
-        """
-        if self.path is None:
-            return
-        line = (json.dumps(row, sort_keys=True) + "\n").encode("utf-8")
-        plan = faults.active_plan()
-        torn = plan is not None and plan.should_tear(key)
-        with self._locked():
-            fd = os.open(
-                self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                if tail_torn(fd):
-                    os.write(fd, b"\n")
-                if torn:
-                    # Injected torn write: half the line, no newline, no
-                    # fsync — what a power loss mid-append leaves behind.
-                    os.write(fd, line[: max(1, len(line) // 2)])
-                    return
-                os.write(fd, line)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-
     def contains(self, key: str) -> bool:
         return key in self._results
 
@@ -559,7 +347,7 @@ class JsonlBackend(StoreBackend):
     def results(self) -> Iterator[SimulationResult]:
         return iter(self._results.values())
 
-    def export_rows(self, shadowed_failures: bool = False) -> Iterator[dict]:
+    def export_rows(self) -> Iterator[dict]:
         for key, result in self._results.items():
             yield {
                 "key": key,
@@ -567,48 +355,19 @@ class JsonlBackend(StoreBackend):
                 "result": result_to_dict(result),
             }
         for key, failure in self._failures.items():
-            if not shadowed_failures and key in self._results:
-                continue
             yield {"key": key, "spec": None, "failure": failure}
 
-    def bulk_load(self, rows: Iterable[dict]) -> tuple[int, int]:
-        """Batched append: every row in one locked write pass with a
-        single trailing fsync — the per-row fsync of :meth:`put` priced
-        once for imports that land thousands of rows at a time."""
-        n_results = n_failures = 0
-        lines: list[bytes] = []
-        for row in rows:
-            key = row["key"]
-            if "result" in row:
-                self._results[key] = result_from_dict(row["result"])
-                self._specs[key] = row.get("spec") or {}
-                self._failures.pop(key, None)
-                n_results += 1
-            else:
-                self._failures[key] = row["failure"]
-                n_failures += 1
-            lines.append(
-                (json.dumps(row, sort_keys=True) + "\n").encode("utf-8")
-            )
-        if self.path is None or not lines:
-            return n_results, n_failures
-        with self._locked():
-            fd = os.open(
-                self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                if tail_torn(fd):
-                    os.write(fd, b"\n")
-                os.write(fd, b"".join(lines))
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        return n_results, n_failures
+    def close(self) -> None:
+        """Nothing to release: every write opens and closes the file."""
 
 
 # ----------------------------------------------------------------------
-# The facade
+# The store
 # ----------------------------------------------------------------------
+
+
+def _spec_payload(spec) -> Optional[dict]:
+    return spec.to_dict() if hasattr(spec, "to_dict") else spec
 
 
 class ResultStore:
@@ -618,10 +377,9 @@ class ResultStore:
         path: ``None`` for a purely in-memory store; otherwise a
             directory (a store file is created inside, named for the
             backend) or an explicit store-file path.
-        backend: force a backend kind (``jsonl`` / ``sqlite``); by
-            default the path suffix, an existing store file in the
-            directory, or ``REPRO_STORE_BACKEND`` decides (see
-            :func:`resolve_backend`).
+        backend: format (``jsonl`` / ``sqlite``) of a store this call
+            creates; see :func:`locate_store` for how an existing store
+            or a path suffix decides instead.
     """
 
     def __init__(
@@ -635,18 +393,15 @@ class ResultStore:
                     "an in-memory store (path=None) is dict-backed; "
                     "backend selection needs a persistent path"
                 )
-            self._impl: StoreBackend = JsonlBackend(None)
-        else:
-            kind = resolve_backend(path, backend)
-            file = resolve_store_path(path, kind)
-            if kind == "sqlite":
-                from repro.exp.store_sqlite import SqliteBackend
+            self._impl = JsonlBackend(None)
+            return
+        kind, file = locate_store(path, backend)
+        if kind == "sqlite":
+            from repro.exp.store_sqlite import SqliteBackend
 
-                self._impl = SqliteBackend(file)
-            else:
-                self._impl = JsonlBackend(file)
-        #: Populated by the initial load of a persistent store.
-        self.load_report = self._impl.load()
+            self._impl = SqliteBackend(file)
+        else:
+            self._impl = JsonlBackend(file)
 
     @property
     def path(self) -> Optional[Path]:
@@ -661,21 +416,10 @@ class ResultStore:
         return self._impl.kind
 
     @property
-    def schema_version(self) -> int:
-        """On-disk schema version of the active backend."""
-        return self._impl.schema_version
-
-    @property
     def quarantine_path(self) -> Optional[Path]:
         """Sidecar file corrupt lines are quarantined to (JSONL only;
         the SQLite backend quarantines into its own table)."""
         return getattr(self._impl, "quarantine_path", None)
-
-    @property
-    def lock_path(self) -> Optional[Path]:
-        """Sidecar lockfile serialising appends (JSONL only; SQLite
-        uses the database's own locking)."""
-        return getattr(self._impl, "lock_path", None)
 
     def get(self, key: str) -> Optional[SimulationResult]:
         """The stored result for a spec key, or ``None``."""
@@ -688,8 +432,8 @@ class ResultStore:
     def failure_info(self, key: str) -> Optional[dict]:
         """The live failure record for a spec key, if any.
 
-        Cleared by a later successful ``put`` for the same key. Never
-        served as a cache hit — a resumed campaign retries failed specs.
+        ``None`` once the key holds a result. Never served as a cache
+        hit — a resumed campaign retries failed specs.
         """
         return self._impl.failure_info(key)
 
@@ -704,27 +448,34 @@ class ResultStore:
         dict) is stored alongside purely for human inspection of the
         store — lookups only ever use ``key``.
         """
-        spec_payload = spec.to_dict() if hasattr(spec, "to_dict") else spec
-        self._impl.put(key, result, spec_payload)
+        row = {
+            "key": key,
+            "spec": _spec_payload(spec),
+            "result": result_to_dict(result),
+        }
+        self._impl.write([row], tearable=True)
 
     def put_failure(self, key: str, failure: dict, spec=None) -> None:
         """Record a structured failure row (spec exhausted its retries).
 
         ``failure`` should carry at least ``kind`` (``error`` /
         ``worker-death`` / ``timeout``), ``error`` and ``attempts`` —
-        the :class:`~repro.exp.runner.Runner` builds these.
+        the :class:`~repro.exp.runner.Runner` builds these. Ignored when
+        the key already holds a result.
         """
-        spec_payload = spec.to_dict() if hasattr(spec, "to_dict") else spec
-        self._impl.put_failure(key, failure, spec_payload)
-
-    def export_rows(self) -> Iterator[dict]:
-        """Live rows in first-insertion order (canonical row dicts)."""
-        return self._impl.export_rows()
+        row = {"key": key, "spec": _spec_payload(spec), "failure": failure}
+        self._impl.write([row], tearable=True)
 
     def bulk_load(self, rows: Iterable[dict]) -> tuple[int, int]:
-        """Batched import of canonical row dicts; the write path behind
-        :func:`migrate_store` and the store benchmark harness."""
-        return self._impl.bulk_load(rows)
+        """Import canonical row dicts in one write (one fsync); the path
+        behind :func:`migrate_store` and the store benchmark. Returns
+        ``(result rows, failure rows)`` written."""
+        return self._impl.write(rows)
+
+    def export_rows(self) -> Iterator[dict]:
+        """Live rows as canonical ``{"key", "spec", "result"}`` /
+        ``{"key", "spec", "failure"}`` dicts, in insertion order."""
+        return self._impl.export_rows()
 
     def quarantine_lines(self) -> list[str]:
         """Quarantined raw lines (sidecar file or ``quarantine`` table)."""
@@ -735,8 +486,7 @@ class ResultStore:
         return self._impl.add_quarantine(lines)
 
     def close(self) -> None:
-        """Release backend handles (needed for SQLite on Windows; a
-        no-op for JSONL)."""
+        """Release the SQLite connection (a no-op for JSONL)."""
         self._impl.close()
 
     def __contains__(self, key: str) -> bool:
@@ -756,6 +506,11 @@ class ResultStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = str(self.path) if self.path else "memory"
         return f"ResultStore({len(self)} results, {self.backend}, {where})"
+
+
+# ----------------------------------------------------------------------
+# Reading a JSONL file: one scan for open, verify and compact
+# ----------------------------------------------------------------------
 
 
 def _parse_row(line: str) -> Optional[dict]:
@@ -781,6 +536,38 @@ def _parse_row(line: str) -> Optional[dict]:
     return None
 
 
+def _scan_jsonl(
+    path: Path, audit: StoreAudit, corrupt: list[str]
+) -> Iterator[dict]:
+    """Yield the valid rows of a JSONL store file, in file order.
+
+    Counts lines, blank lines, corrupt lines and result/failure rows
+    into ``audit`` and collects the corrupt lines into ``corrupt``. A
+    corrupt line — a torn tail, a torn mid-file append, junk, or a row
+    of an incompatible older schema — is re-derivable by rerunning its
+    spec, so it is skipped, never fatal.
+    """
+    if not path.exists():
+        return
+    with path.open("r", encoding="utf-8") as fh:
+        for raw in fh:
+            audit.lines += 1
+            line = raw.strip()
+            if not line:
+                audit.blank += 1
+                continue
+            row = _parse_row(line)
+            if row is None:
+                audit.corrupt += 1
+                corrupt.append(line)
+            elif "result" in row:
+                audit.result_rows += 1
+                yield row
+            else:
+                audit.failure_rows += 1
+                yield row
+
+
 # ----------------------------------------------------------------------
 # Store maintenance: verify and compact (the `repro store` CLI)
 # ----------------------------------------------------------------------
@@ -797,13 +584,13 @@ class StoreAudit:
     corrupt: int = 0
     result_rows: int = 0
     failure_rows: int = 0
-    #: Distinct keys with a live result.
+    #: Distinct keys with a result.
     keys: int = 0
-    #: Live failure rows (keys with a failure and no later result).
+    #: Live failures: keys with a failure row and no result row.
     live_failures: int = 0
-    #: Rows (result or failure) a later line supersedes — reclaimable
-    #: by compaction, together with corrupt and blank lines. Always 0
-    #: for SQLite (the UNIQUE key index upserts in place).
+    #: Valid rows beyond one per key — reclaimable by compaction,
+    #: together with corrupt and blank lines. Always 0 for SQLite (the
+    #: UNIQUE key index upserts in place).
     superseded: int = 0
     #: Backend that produced this audit.
     backend: str = "jsonl"
@@ -833,40 +620,21 @@ def audit_store(
     read-only half of ``repro store verify``. For SQLite it validates
     every row payload and runs ``PRAGMA integrity_check``.
     """
-    kind = resolve_backend(path, backend)
+    kind, file = locate_store(path, backend)
     if kind == "sqlite":
         from repro.exp.store_sqlite import audit_sqlite
 
-        return audit_sqlite(_resolve_sqlite(path))
-    path = _resolve_jsonl(path, DEFAULT_BASENAMES["jsonl"])
-    audit = StoreAudit(path=path)
-    last_kind: dict[str, str] = {}  # key -> "result" | "failure"
-    counts: dict[str, int] = {}
-    if not path.exists():
-        return audit
-    with path.open("r", encoding="utf-8") as fh:
-        for raw in fh:
-            audit.lines += 1
-            line = raw.strip()
-            if not line:
-                audit.blank += 1
-                continue
-            row = _parse_row(line)
-            if row is None:
-                audit.corrupt += 1
-                continue
-            key = row["key"]
-            counts[key] = counts.get(key, 0) + 1
-            last_kind[key] = "result" if "result" in row else "failure"
-            if "result" in row:
-                audit.result_rows += 1
-            else:
-                audit.failure_rows += 1
-    audit.keys = sum(1 for kind in last_kind.values() if kind == "result")
-    audit.live_failures = sum(
-        1 for kind in last_kind.values() if kind == "failure"
+        return audit_sqlite(file)
+    audit = StoreAudit(path=file)
+    has_result: dict[str, bool] = {}
+    for row in _scan_jsonl(file, audit, []):
+        key = row["key"]
+        has_result[key] = has_result.get(key, False) or "result" in row
+    audit.keys = sum(has_result.values())
+    audit.live_failures = len(has_result) - audit.keys
+    audit.superseded = (
+        audit.result_rows + audit.failure_rows - len(has_result)
     )
-    audit.superseded = sum(n - 1 for n in counts.values())
     return audit
 
 
@@ -875,12 +643,13 @@ def compact_store(
 ) -> tuple[StoreAudit, int]:
     """Garbage-collect a store, keeping only live rows.
 
-    JSONL: keeps the last result row per key, plus the last failure row
-    for keys that never succeeded; drops superseded history, blank
-    lines, and corrupt lines (corrupt lines are first copied to the
+    JSONL: rewrites the file as the store's own ``export_rows()`` — the
+    last result per key, plus the failure of each key that never
+    succeeded — dropping superseded history, result-shadowed failures,
+    blank lines and corrupt lines (corrupt lines are first copied to the
     ``.quarantine`` sidecar, so compaction never destroys evidence).
     The rewrite goes to a temp file in the same directory, is fsync'd,
-    and replaces the original atomically under the writer lock.
+    and replaces the original atomically, all under the writer lock.
 
     SQLite: re-upserts every valid row (proving idempotence of the
     UNIQUE-key upsert), quarantines rows whose payload no longer
@@ -888,29 +657,23 @@ def compact_store(
 
     Returns ``(audit of the store before compaction, rows kept)``.
     """
-    kind = resolve_backend(path, backend)
+    kind, file = locate_store(path, backend)
     if kind == "sqlite":
         from repro.exp.store_sqlite import compact_sqlite
 
-        return compact_sqlite(_resolve_sqlite(path))
-    path = _resolve_jsonl(path, DEFAULT_BASENAMES["jsonl"])
-    audit = audit_store(path)
-    if not path.exists():
+        return compact_sqlite(file)
+    audit = audit_store(file)
+    if not file.exists():
         return audit, 0
-    # The backend's own load pass quarantines corrupt lines and
-    # resolves last-wins per key; shadowed failure rows (a failure whose
-    # key also has a result) are legal history and are kept.
-    impl = JsonlBackend(path)
-    impl.load()
-    live = list(impl.export_rows(shadowed_failures=True))
-    tmp = path.with_name(path.name + ".compact.tmp")
-    with impl._locked():
+    tmp = file.with_name(file.name + ".compact.tmp")
+    with flocked(file.with_name(file.name + ".lock")):
+        live = list(JsonlBackend(file).export_rows())
         with tmp.open("w", encoding="utf-8") as fh:
             for row in live:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        os.replace(tmp, file)
     return audit, len(live)
 
 
@@ -933,30 +696,25 @@ class MigrationReport:
 
 
 def migrate_store(
-    src: Union[str, Path],
-    dst: Union[str, Path],
-    *,
-    src_backend: Optional[str] = None,
-    dst_backend: Optional[str] = None,
+    src: Union[str, Path], dst: Union[str, Path]
 ) -> MigrationReport:
-    """Copy a store between backends (either direction, or same-kind).
+    """Copy a store between formats (either direction, or same-kind).
 
-    Result rows survive byte-identically: every row crosses as its
-    canonical dict, so re-exporting the destination yields the same
-    canonical JSON lines the source held. Quarantined lines migrate
-    too (sidecar file <-> ``quarantine`` table), so corruption evidence
-    is never lost in a format change. The destination may already
-    exist; rows upsert with the store's normal last-wins semantics, so
-    re-running a migration is idempotent.
+    Each side is located by its suffix or directory (see
+    :func:`locate_store`). Result rows survive byte-identically: every
+    row crosses as its canonical dict, so re-exporting the destination
+    yields the same canonical JSON lines the source held. Quarantined
+    lines migrate too (sidecar file <-> ``quarantine`` table), so
+    corruption evidence is never lost in a format change. The
+    destination may already exist; rows upsert with the store's normal
+    last-wins semantics, so re-running a migration is idempotent.
 
     Raises:
         ConfigurationError: when the source store does not exist, or
             source and destination resolve to the same file.
     """
-    src_kind = resolve_backend(src, src_backend)
-    dst_kind = resolve_backend(dst, dst_backend)
-    src_file = resolve_store_path(src, src_kind)
-    dst_file = resolve_store_path(dst, dst_kind)
+    src_kind, src_file = locate_store(src)
+    dst_kind, dst_file = locate_store(dst)
     if not src_file.exists():
         raise ConfigurationError(f"no store to migrate at {src_file}")
     if src_file.resolve() == dst_file.resolve():
@@ -964,8 +722,8 @@ def migrate_store(
             f"migration source and destination are the same file "
             f"({src_file}); pick a different destination"
         )
-    source = ResultStore(src_file, backend=src_kind)
-    dest = ResultStore(dst_file, backend=dst_kind)
+    source = ResultStore(src_file)
+    dest = ResultStore(dst_file)
     try:
         n_results, n_failures = dest.bulk_load(source.export_rows())
         quarantined = dest.add_quarantine(source.quarantine_lines())

@@ -185,60 +185,24 @@ def _load_result(text: Optional[str], key: str, where: Path):
         return None
 
 
-class _LazyLoadReport:
-    """LoadReport stand-in whose row counts run on first read.
-
-    Counting eagerly at open would put a full-table scan — O(rows) —
-    on the path of every cold point lookup, defeating the indexed
-    backend's whole reason to exist. ``blank`` / ``corrupt`` /
-    ``superseded`` are structurally zero for SQLite: the schema has no
-    lines to be blank or torn and the UNIQUE key upsert leaves nothing
-    superseded on disk.
-    """
-
-    blank = 0
-    corrupt = 0
-    superseded = 0
-
-    def __init__(self, backend: "SqliteBackend") -> None:
-        self._backend = backend
-        self._counts: Optional[tuple[int, int]] = None
-
-    def _count(self) -> tuple[int, int]:
-        if self._counts is None:
-            self._counts = self._backend._count_rows()
-        return self._counts
-
-    @property
-    def lines(self) -> int:
-        return self._count()[0]
-
-    @property
-    def rows(self) -> int:
-        return self._count()[0]
-
-    @property
-    def failures(self) -> int:
-        return self._count()[1]
-
-
 class SqliteBackend:
-    """Store backend over one WAL-mode SQLite database file.
+    """The SQLite store behind a :class:`repro.exp.store.ResultStore`.
 
-    Implements the :class:`repro.exp.store.StoreBackend` interface.
-    The connection is tracked per-PID: a forked pool worker that
-    inherited the parent's handle transparently reopens its own — a
-    SQLite connection must never cross a fork.
+    Opening validates the database eagerly (a wrong schema version or a
+    non-database file fails here, not on some later query) and does no
+    O(rows) work. The connection is tracked per-PID: a forked pool
+    worker that inherited the parent's handle transparently reopens its
+    own — a SQLite connection must never cross a fork.
     """
 
     kind = "sqlite"
-    schema_version = SQLITE_SCHEMA_VERSION
 
     def __init__(self, path: Path) -> None:
         self.path = path
         path.parent.mkdir(parents=True, exist_ok=True)
         self._conn: Optional[sqlite3.Connection] = None
         self._conn_pid: Optional[int] = None
+        self.conn  # connect now: a bad file fails at open
 
     @property
     def conn(self) -> sqlite3.Connection:
@@ -256,20 +220,6 @@ class SqliteBackend:
             self._conn.close()
         self._conn = None
         self._conn_pid = None
-
-    def load(self):
-        # Touching the connection keeps open-time validation eager (a
-        # wrong schema version or a non-database file fails here, not
-        # on some later query); only the O(rows) counting is deferred.
-        self.conn
-        return _LazyLoadReport(self)
-
-    def _count_rows(self) -> tuple[int, int]:
-        row = self.conn.execute(
-            "SELECT COUNT(*), "
-            "COALESCE(SUM(kind = 'failure'), 0) FROM results"
-        ).fetchone()
-        return int(row[0]), int(row[1])
 
     # Keyed access ----------------------------------------------------
     def get(self, key: str) -> Optional[SimulationResult]:
@@ -310,20 +260,42 @@ class SqliteBackend:
             )
         }
 
-    def put(self, key, result, spec_payload) -> None:
-        from repro.exp.store import result_to_dict
-
-        self.conn.execute(
-            _PUT_RESULT,
-            {
-                "key": key,
-                "spec": _dump(spec_payload),
-                "result": json.dumps(result_to_dict(result), sort_keys=True),
-            },
-        )
-
-    def put_failure(self, key, failure, spec_payload) -> None:
-        self.conn.execute(_PUT_FAILURE, self._failure_params(key, failure))
+    def write(
+        self, rows: Iterable[dict], tearable: bool = False
+    ) -> tuple[int, int]:
+        """Upsert rows in one IMMEDIATE transaction — one fsync for the
+        whole batch. ``tearable`` is ignored: a WAL commit cannot tear.
+        Returns ``(result rows, failure rows)`` written."""
+        n_results = n_failures = 0
+        conn = self.conn
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            for row in rows:
+                key = row["key"]
+                if "result" in row:
+                    payload = row["result"]
+                    # A malformed row fails here, not at some later read.
+                    SimulationResult(**payload)
+                    conn.execute(
+                        _PUT_RESULT,
+                        {
+                            "key": key,
+                            "spec": _dump(row.get("spec")),
+                            "result": json.dumps(payload, sort_keys=True),
+                        },
+                    )
+                    n_results += 1
+                else:
+                    conn.execute(
+                        _PUT_FAILURE,
+                        self._failure_params(key, row["failure"]),
+                    )
+                    n_failures += 1
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        conn.execute("COMMIT")
+        return n_results, n_failures
 
     @staticmethod
     def _failure_params(key: str, failure: dict) -> dict:
@@ -397,42 +369,6 @@ class SqliteBackend:
                     stacklevel=2,
                 )
 
-    def bulk_load(self, rows: Iterable[dict]) -> tuple[int, int]:
-        """Apply rows in one IMMEDIATE transaction — one fsync for the
-        whole batch instead of one per row."""
-        from repro.exp.store import result_from_dict, result_to_dict
-
-        n_results = n_failures = 0
-        conn = self.conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            for row in rows:
-                key = row["key"]
-                if "result" in row:
-                    # Round-trip through the dataclass so a malformed
-                    # row fails here, not at some later read.
-                    payload = result_to_dict(result_from_dict(row["result"]))
-                    conn.execute(
-                        _PUT_RESULT,
-                        {
-                            "key": key,
-                            "spec": _dump(row.get("spec")),
-                            "result": json.dumps(payload, sort_keys=True),
-                        },
-                    )
-                    n_results += 1
-                else:
-                    conn.execute(
-                        _PUT_FAILURE,
-                        self._failure_params(key, row["failure"]),
-                    )
-                    n_failures += 1
-        except Exception:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
-        return n_results, n_failures
-
     def quarantine_lines(self) -> list[str]:
         if not self.path.exists():
             return []
@@ -466,6 +402,19 @@ class SqliteBackend:
 # ----------------------------------------------------------------------
 
 
+def _payload_ok(kind: str, payload: Optional[str]) -> bool:
+    """Does a row's stored payload still parse (a loadable result, or a
+    failure dict)?"""
+    try:
+        parsed = json.loads(payload)
+        if kind == "result":
+            SimulationResult(**parsed)
+            return True
+    except (json.JSONDecodeError, TypeError):
+        return False
+    return isinstance(parsed, dict)
+
+
 def audit_sqlite(path: Path):
     """Row-level health scan plus ``PRAGMA integrity_check``.
 
@@ -492,17 +441,9 @@ def audit_sqlite(path: Path):
             "SELECT key, kind, result, failure FROM results ORDER BY seq"
         ):
             audit.lines += 1
-            payload = result if kind == "result" else failure
-            try:
-                parsed = json.loads(payload)
-                if kind == "result":
-                    SimulationResult(**parsed)
-                elif not isinstance(parsed, dict):
-                    raise TypeError("failure payload is not a dict")
-            except (json.JSONDecodeError, TypeError):
+            if not _payload_ok(kind, result if kind == "result" else failure):
                 audit.corrupt += 1
-                continue
-            if kind == "result":
+            elif kind == "result":
                 audit.result_rows += 1
                 audit.keys += 1
             else:
@@ -520,15 +461,9 @@ def compact_sqlite(path: Path):
     table (evidence preserved, store usable again), mirroring the JSONL
     sidecar. Returns ``(audit before compaction, rows kept)``.
     """
-    from repro.exp.store import StoreAudit
-
-    if not path.exists():
-        return StoreAudit(
-            path=path,
-            backend="sqlite",
-            schema_version=SQLITE_SCHEMA_VERSION,
-        ), 0
     audit = audit_sqlite(path)
+    if not path.exists():
+        return audit, 0
     conn = _connect(path, create=False)
     try:
         conn.execute("BEGIN IMMEDIATE")
@@ -538,14 +473,7 @@ def compact_sqlite(path: Path):
             "SELECT seq, key, kind, spec, result, failure FROM results "
             "ORDER BY seq"
         ).fetchall():
-            payload = result if kind == "result" else failure
-            try:
-                parsed = json.loads(payload)
-                if kind == "result":
-                    SimulationResult(**parsed)
-                elif not isinstance(parsed, dict):
-                    raise TypeError("failure payload is not a dict")
-            except (json.JSONDecodeError, TypeError):
+            if not _payload_ok(kind, result if kind == "result" else failure):
                 row = {
                     "key": key,
                     "kind": kind,

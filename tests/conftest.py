@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exp import STORE_BACKENDS
 from repro.params import CacheParams, ScalePreset, SliccParams, SystemParams
 from repro.workloads import standard_trace
 
@@ -39,3 +40,9 @@ def default_system():
 @pytest.fixture
 def default_slicc():
     return SliccParams()
+
+
+@pytest.fixture(params=STORE_BACKENDS)
+def store_backend(request):
+    """Each result-store format in turn (``jsonl``, ``sqlite``)."""
+    return request.param

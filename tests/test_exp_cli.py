@@ -31,14 +31,21 @@ class TestExpCommand:
         assert "dilution_t=5" in out and "dilution_t=10" in out
         assert "speedup" in out
 
-    def test_exp_store_makes_rerun_incremental(self, tmp_path, capsys):
+    def test_exp_store_makes_rerun_incremental(
+        self, tmp_path, capsys, backend="jsonl"
+    ):
         specfile = write_specfile(tmp_path, SMOKE_EXP)
         store = str(tmp_path / "results")
-        assert main(["exp", specfile, "--store", store]) == 0
+        argv = ["exp", specfile, "--store", store, "--backend", backend]
+        assert main(argv) == 0
         capsys.readouterr()
+        # A rerun without the flag finds the store the first run made.
         assert main(["exp", specfile, "--store", store]) == 0
         out = capsys.readouterr().out
         assert "[0 simulated, 3 cached]" in out
+
+    def test_exp_store_makes_rerun_incremental_sqlite(self, tmp_path, capsys):
+        self.test_exp_store_makes_rerun_incremental(tmp_path, capsys, "sqlite")
 
     def test_exp_parallel_jobs(self, tmp_path, capsys):
         rc = main(["exp", write_specfile(tmp_path, SMOKE_EXP), "--jobs", "2"])
@@ -85,14 +92,17 @@ class TestExpCommand:
         assert "exit code is 3" in out.lower() or "exit codes" in out.lower()
 
     def test_failed_specs_exit_3_with_failure_table(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, backend="jsonl"
     ):
         """Under an always-crash fault plan every spec exhausts its
         retries: the run exits 3 and tabulates the losses on stderr."""
         monkeypatch.setenv("REPRO_FAULT", "crash:1")
         specfile = write_specfile(tmp_path, SMOKE_EXP)
         store = str(tmp_path / "results")
-        rc = main(["exp", specfile, "--store", store, "--retries", "0"])
+        rc = main(
+            ["exp", specfile, "--store", store, "--retries", "0"]
+            + ["--backend", backend]
+        )
         assert rc == 3
         captured = capsys.readouterr()
         assert "3 spec(s) failed after retries" in captured.err
@@ -103,6 +113,13 @@ class TestExpCommand:
         monkeypatch.delenv("REPRO_FAULT")
         assert main(["exp", specfile, "--store", store]) == 0
         assert "[3 simulated" in capsys.readouterr().out
+
+    def test_failed_specs_exit_3_with_failure_table_sqlite(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self.test_failed_specs_exit_3_with_failure_table(
+            tmp_path, monkeypatch, capsys, "sqlite"
+        )
 
 
 class TestStoreCommand:
@@ -189,7 +206,7 @@ class TestJobsFlag:
         out = capsys.readouterr().out
         assert "base" in out and "nextline" in out
 
-    def test_sweep_with_store_and_jobs(self, tmp_path, capsys):
+    def test_sweep_with_store_and_jobs(self, tmp_path, capsys, backend="jsonl"):
         argv = [
             "sweep",
             "tpcc-1",
@@ -203,11 +220,16 @@ class TestJobsFlag:
             "2",
             "--store",
             str(tmp_path / "sweepstore"),
+            "--backend",
+            backend,
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "dilution_t" in out
         capsys.readouterr()
-        # Rerun: everything cached from the JSONL store.
+        # Rerun: everything cached from the store.
         assert main(argv) == 0
         assert "[0 simulated, 16 cached]" in capsys.readouterr().out
+
+    def test_sweep_with_store_and_jobs_sqlite(self, tmp_path, capsys):
+        self.test_sweep_with_store_and_jobs(tmp_path, capsys, "sqlite")

@@ -126,13 +126,23 @@ class TestRunnerBasics:
         assert second.last_stats.cached == 1
         assert a == b
 
-    def test_persistent_store_across_processes_shape(self, smoke_tpcc, tmp_path):
+    def test_persistent_store_across_processes_shape(
+        self, smoke_tpcc, tmp_path, backend="jsonl"
+    ):
         spec = spec_for(smoke_tpcc, variant="base")
-        Runner(store=ResultStore(tmp_path)).run([spec], trace=smoke_tpcc)
+        store = ResultStore(tmp_path, backend=backend)
+        Runner(store=store).run([spec], trace=smoke_tpcc)
         rerun = Runner(store=ResultStore(tmp_path))
         (result,) = rerun.run([spec])
         assert rerun.last_stats.simulated == 0
         assert result.variant == "base"
+
+    def test_persistent_store_across_processes_shape_sqlite(
+        self, smoke_tpcc, tmp_path
+    ):
+        self.test_persistent_store_across_processes_shape(
+            smoke_tpcc, tmp_path, "sqlite"
+        )
 
     @pytest.mark.skipif(
         sys.platform != "linux", reason="the pre-fork pass needs fork"
@@ -238,7 +248,7 @@ class TestDeterminism:
             assert result_to_json(a) == result_to_json(b)
 
     def test_poison_spec_fails_alone_and_rest_persist(
-        self, tmp_path, monkeypatch, smoke_tpcc
+        self, tmp_path, monkeypatch, smoke_tpcc, backend="jsonl"
     ):
         """A spec that keeps raising fails only its own row: the rest of
         the sweep completes, persists, and the loss is reported as a
@@ -255,7 +265,7 @@ class TestDeterminism:
             return real(spec, attempt)
 
         monkeypatch.setattr(runner_mod, "_run_spec", flaky)
-        store = ResultStore(tmp_path)
+        store = ResultStore(tmp_path, backend=backend)
         specs = [
             spec_for(smoke_tpcc, variant=v)
             for v in ("base", "slicc", "steps")
@@ -286,6 +296,13 @@ class TestDeterminism:
         assert rerun.last_stats.cached == 2
         assert results[1].variant == "slicc"
         assert reloaded.failure_info(failed_key) is None
+
+    def test_poison_spec_fails_alone_and_rest_persist_sqlite(
+        self, tmp_path, monkeypatch, smoke_tpcc
+    ):
+        self.test_poison_spec_fails_alone_and_rest_persist(
+            tmp_path, monkeypatch, smoke_tpcc, "sqlite"
+        )
 
     def test_parent_process_does_not_hoard_traces(self):
         """Declarative traces are resolved into a run-local dict and

@@ -17,15 +17,6 @@ from repro.exp import (
 from repro.sim.results import SimulationResult
 
 
-@pytest.fixture(autouse=True)
-def _pin_jsonl_backend(monkeypatch):
-    """This module tests the JSONL backend's on-disk format (line
-    layout, sidecars, torn tails), so the CI sqlite matrix leg must not
-    redirect its directory-path stores. Cross-backend behavior lives in
-    test_store_backends.py."""
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "jsonl")
-
-
 def make_result(variant="base", cycles=1000):
     return SimulationResult(
         variant=variant,
@@ -132,10 +123,10 @@ class TestPersistentStore:
         assert len(reloaded) == 1
 
 
-class TestLoadReport:
+class TestScanCounts:
     def test_counts_blank_and_torn_lines(self, tmp_path):
-        """Regression: blank lines and a torn final line are skipped AND
-        counted, not silently swallowed."""
+        """Regression: blank lines and a torn final line are skipped by
+        open AND counted by the audit, not silently swallowed."""
         store = ResultStore(tmp_path)
         store.put("a", make_result(cycles=1))
         store.put("a", make_result(cycles=2))  # supersedes
@@ -145,20 +136,20 @@ class TestLoadReport:
             fh.write('{"key": "c", "result": {"cyc')  # crash mid-append
         with pytest.warns(UserWarning, match="quarantined"):
             reloaded = ResultStore(tmp_path)
-        report = reloaded.load_report
-        assert report.lines == 6
-        assert report.blank == 2
-        assert report.corrupt == 1
-        assert report.rows == 3
-        assert report.superseded == 1
         assert len(reloaded) == 2
+        audit = audit_store(tmp_path)
+        assert audit.lines == 6
+        assert audit.blank == 2
+        assert audit.corrupt == 1
+        assert audit.result_rows + audit.failure_rows == 3
+        assert audit.superseded == 1
 
     def test_clean_store_reports_clean(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("a", make_result())
-        report = ResultStore(tmp_path).load_report
-        assert report.corrupt == 0 and report.blank == 0
-        assert report.rows == 1 and report.superseded == 0
+        audit = audit_store(tmp_path)
+        assert audit.corrupt == 0 and audit.blank == 0
+        assert audit.result_rows == 1 and audit.superseded == 0
 
 
 class TestQuarantine:
@@ -207,7 +198,7 @@ class TestHealingAppend:
             final = ResultStore(tmp_path)
         assert final.get("good").cycles == 1
         assert final.get("next").cycles == 2
-        assert final.load_report.corrupt == 1
+        assert audit_store(tmp_path).corrupt == 1
 
 
 class TestFailureRows:
@@ -221,7 +212,7 @@ class TestFailureRows:
         assert reloaded.get("k") is None
         assert reloaded.failure_info("k") == failure
         assert reloaded.failures() == {"k": failure}
-        assert reloaded.load_report.failures == 1
+        assert audit_store(tmp_path).live_failures == 1
 
     def test_later_result_supersedes_failure(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -231,7 +222,7 @@ class TestFailureRows:
         reloaded = ResultStore(tmp_path)
         assert reloaded.get("k") == make_result()
         assert reloaded.failure_info("k") is None
-        assert reloaded.load_report.failures == 0
+        assert audit_store(tmp_path).live_failures == 0
 
 
 class TestAuditAndCompact:
@@ -281,6 +272,20 @@ class TestAuditAndCompact:
         assert reloaded.failure_info("c")["kind"] == "error"
         assert path.read_text().endswith("\n")
 
+    def test_compact_drops_failures_after_a_result(self, tmp_path):
+        """A failure row after a result for the same key is history the
+        store already ignores; compaction rewrites only live rows."""
+        store = ResultStore(tmp_path)
+        store.put("a", make_result())
+        store.put_failure("a", {"kind": "error", "error": "late"})
+        assert audit_store(tmp_path).superseded == 1
+        before, written = compact_store(tmp_path)
+        assert before.keys == 1 and before.live_failures == 0
+        assert written == 1
+        after = audit_store(tmp_path)
+        assert after.failure_rows == 0 and after.reclaimable == 0
+        assert ResultStore(tmp_path).get("a") == make_result()
+
 
 def _hammer_store(path, writer, n_rows):
     store = ResultStore(path)
@@ -309,5 +314,5 @@ class TestConcurrentWriters:
             json.loads(line)
         store = ResultStore(tmp_path)
         assert len(store) == 100
-        assert store.load_report.corrupt == 0
+        assert audit_store(tmp_path).corrupt == 0
         assert store.get("w3-r24").cycles == 3024

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.errors import SweepFailure
+from repro.errors import ConfigurationError, SweepFailure
 from repro.exp import (
     ResultStore,
     Runner,
@@ -39,6 +39,15 @@ def specs_for(trace, variants=("base", "slicc", "steps")):
     return [spec_for(trace, variant=v) for v in variants]
 
 
+def persisted_results(store) -> int:
+    """Result rows another process has persisted to ``store`` so far
+    (0 while it is still creating the file)."""
+    try:
+        return audit_store(store).result_rows
+    except ConfigurationError:  # a SQLite file without its schema yet
+        return 0
+
+
 class TestCrashRecovery:
     def test_crash_then_retry_succeeds(self, monkeypatch, smoke_tpcc):
         """crash:1@1 kills every first attempt; the respawned worker's
@@ -57,7 +66,9 @@ class TestCrashRecovery:
             direct = simulate(smoke_tpcc, config=spec.config)
             assert result_to_json(result) == result_to_json(direct)
 
-    def test_doomed_specs_fail_alone(self, tmp_path, monkeypatch, smoke_tpcc):
+    def test_doomed_specs_fail_alone(
+        self, tmp_path, monkeypatch, smoke_tpcc, backend="jsonl"
+    ):
         """Under a partial crash schedule, exactly the specs whose every
         attempt is scheduled to crash fail — the rest complete and
         persist, and a fault-free rerun heals the failures."""
@@ -84,7 +95,7 @@ class TestCrashRecovery:
             pytest.fail("no seed with a mixed crash schedule")
         monkeypatch.setenv("REPRO_FAULT", "crash:0.6")
         monkeypatch.setenv("REPRO_FAULT_SEED", str(seed))
-        store = ResultStore(tmp_path)
+        store = ResultStore(tmp_path, backend=backend)
         runner = Runner(store=store, jobs=2, retries=retries, backoff=0.01)
         with pytest.raises(SweepFailure) as excinfo:
             runner.run(specs, trace=smoke_tpcc)
@@ -107,16 +118,23 @@ class TestCrashRecovery:
         assert rerun.last_stats.cached == len(keys) - len(doomed)
         assert ResultStore(tmp_path).failures() == {}
 
+    def test_doomed_specs_fail_alone_sqlite(
+        self, tmp_path, monkeypatch, smoke_tpcc
+    ):
+        self.test_doomed_specs_fail_alone(
+            tmp_path, monkeypatch, smoke_tpcc, "sqlite"
+        )
+
 
 class TestTimeout:
     def test_hung_spec_is_killed_and_marked_timed_out(
-        self, tmp_path, monkeypatch, smoke_tpcc
+        self, tmp_path, monkeypatch, smoke_tpcc, backend="jsonl"
     ):
         """hang:1 parks the worker in a long sleep; the per-spec timeout
         kills it and the spec is terminal ``timed_out`` — no retry, so
         the sweep does not stall for another full timeout."""
         monkeypatch.setenv("REPRO_FAULT", "hang:1")
-        store = ResultStore(tmp_path)
+        store = ResultStore(tmp_path, backend=backend)
         runner = Runner(store=store, retries=2, timeout=0.5, backoff=0.01)
         (spec,) = specs_for(smoke_tpcc, variants=("base",))
         t0 = time.monotonic()
@@ -130,6 +148,13 @@ class TestTimeout:
         assert runner.last_stats.failed == 1
         assert store.failure_info(spec.key())["kind"] == "timeout"
         assert elapsed < 10  # killed promptly, not after the 1h sleep
+
+    def test_hung_spec_is_killed_and_marked_timed_out_sqlite(
+        self, tmp_path, monkeypatch, smoke_tpcc
+    ):
+        self.test_hung_spec_is_killed_and_marked_timed_out(
+            tmp_path, monkeypatch, smoke_tpcc, "sqlite"
+        )
 
     def test_fast_specs_unaffected_by_generous_timeout(self, smoke_tpcc):
         runner = Runner(timeout=120, jobs=2)
@@ -147,10 +172,9 @@ class TestTornWrites:
         open quarantines the fragments; a fault-free rerun re-derives
         the rows around the healed tail; compaction scrubs the file.
 
-        Pinned to the jsonl backend: a torn append is physically
-        impossible under the sqlite backend's WAL (commits are atomic),
-        so the fault kind only applies here."""
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "jsonl")
+        JSONL only (a directory store's default format): a torn append
+        is physically impossible under the sqlite backend's WAL (commits
+        are atomic), so the fault kind only applies here."""
         monkeypatch.setenv("REPRO_FAULT", "torn_write:1@1")
         specs = specs_for(smoke_tpcc)
         runner = Runner(store=ResultStore(tmp_path), jobs=2, backoff=0.01)
@@ -161,7 +185,7 @@ class TestTornWrites:
         with pytest.warns(UserWarning, match="corrupt line"):
             reloaded = ResultStore(tmp_path)
         assert len(reloaded) == 0  # every append was torn
-        assert reloaded.load_report.corrupt == 3
+        assert audit_store(tmp_path).corrupt == 3
         assert reloaded.quarantine_path.exists()
 
         rerun = Runner(store=reloaded, jobs=2)
@@ -182,11 +206,16 @@ class TestTornWrites:
         }
 
 
+both_signals = pytest.mark.parametrize(
+    "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+)
+
+
 class TestGracefulInterrupt:
-    @pytest.mark.parametrize(
-        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
-    )
-    def test_signal_drains_and_resume_skips_completed(self, tmp_path, signum):
+    @both_signals
+    def test_signal_drains_and_resume_skips_completed(
+        self, tmp_path, signum, backend="jsonl"
+    ):
         """SIGINT or SIGTERM mid-sweep: the run exits 130, the store
         holds exactly the completed rows (parseable, no torn tail), and
         a resumed run serves them from cache."""
@@ -203,7 +232,7 @@ class TestGracefulInterrupt:
                 }
             )
         )
-        store = tmp_path / "results.jsonl"
+        store = tmp_path / f"results.{backend}"
         env = dict(
             os.environ,
             PYTHONPATH=os.path.join(REPO_ROOT, "src"),
@@ -234,7 +263,7 @@ class TestGracefulInterrupt:
         try:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
-                if store.exists() and store.read_text().count("\n") >= 1:
+                if persisted_results(store) >= 1:
                     break
                 if proc.poll() is not None:  # pragma: no cover
                     pytest.fail(
@@ -251,14 +280,13 @@ class TestGracefulInterrupt:
         assert proc.returncode == 130, stderr
         assert "interrupted" in stderr
 
-        # Every persisted line is complete and parseable — the drain
+        # Every persisted row is complete and parseable — the drain
         # flushed whole rows only.
-        lines = store.read_text().splitlines()
-        assert 1 <= len(lines) < 7
-        for line in lines:
-            row = json.loads(line)
-            assert "result" in row
-        completed = len(lines)
+        audit = audit_store(store)
+        assert audit.clean and audit.blank == 0 and audit.failure_rows == 0
+        assert audit.lines == audit.result_rows
+        completed = audit.result_rows
+        assert 1 <= completed < 7
 
         # Resume without faults: completed rows come from the store.
         env.pop("REPRO_FAULT")
@@ -275,7 +303,15 @@ class TestGracefulInterrupt:
         assert f"{completed} cached" in done.stdout
         assert len(ResultStore(store)) == 7
 
-    def test_second_signal_aborts_immediately(self, tmp_path):
+    @both_signals
+    def test_signal_drains_and_resume_skips_completed_sqlite(
+        self, tmp_path, signum
+    ):
+        self.test_signal_drains_and_resume_skips_completed(
+            tmp_path, signum, "sqlite"
+        )
+
+    def test_second_signal_aborts_immediately(self, tmp_path, backend="jsonl"):
         """First SIGINT starts the graceful drain; with every in-flight
         spec hung for 60s the drain would block for the rest of the
         hour. A second signal escalates: workers are killed, nothing
@@ -293,7 +329,7 @@ class TestGracefulInterrupt:
                 }
             )
         )
-        store = tmp_path / "results.jsonl"
+        store = tmp_path / f"results.{backend}"
         env = dict(
             os.environ,
             PYTHONPATH=os.path.join(REPO_ROOT, "src"),
@@ -357,4 +393,7 @@ class TestGracefulInterrupt:
         assert "interrupted" in stderr
         # Nothing was persisted: every spec was hung when the abort
         # landed, and the abort promises no further writes.
-        assert not store.exists() or store.read_text() == ""
+        assert audit_store(store).lines == 0
+
+    def test_second_signal_aborts_immediately_sqlite(self, tmp_path):
+        self.test_second_signal_aborts_immediately(tmp_path, "sqlite")

@@ -15,8 +15,8 @@ from repro.exp import (
     Runner,
     figure_names,
     get_figure,
+    locate_store,
     register_figure,
-    resolve_store_path,
     select_figures,
 )
 from repro.exp.figures import FIGURE_WORKLOADS
@@ -158,25 +158,26 @@ class TestReport:
 
 
 class TestPaperCommand:
-    def test_run_then_resume(self, tmp_path, capsys):
+    def test_run_then_resume(self, tmp_path, capsys, backend="jsonl"):
         out = str(tmp_path / "report")
         argv = ["paper", "--figures", "fig8-dilution", "--out", out]
-        assert main(argv) == 0
+        assert main(argv + ["--backend", backend]) == 0
         first = capsys.readouterr().out
         assert "7 to simulate" in first
         assert (tmp_path / "report" / "fig8-dilution.md").exists()
         assert (tmp_path / "report" / "fig8-dilution.csv").exists()
         assert (tmp_path / "report" / "index.md").exists()
-        # The store file is named for whichever backend is active
-        # (results.jsonl by default, results.sqlite under the CI
-        # sqlite matrix leg).
-        assert resolve_store_path(tmp_path / "report").exists()
+        kind, store = locate_store(tmp_path / "report")
+        assert kind == backend and store.exists()
 
         # Second invocation: everything served from the store.
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert "7 already stored (skipped), 0 to simulate" in second
         assert "0 simulated" in second
+
+    def test_run_then_resume_sqlite(self, tmp_path, capsys):
+        self.test_run_then_resume(tmp_path, capsys, "sqlite")
 
     def test_scale_must_be_known(self, tmp_path):
         with pytest.raises(SystemExit):

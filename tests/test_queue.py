@@ -253,11 +253,11 @@ class TestQueueProtocol:
 
 
 class TestDrain:
-    def test_drain_completes_a_queue(self, tmp_path):
+    def test_drain_completes_a_queue(self, tmp_path, backend="jsonl"):
         specs = smoke_specs()
         queue = WorkQueue(tmp_path, worker_id="solo")
         queue.enqueue(specs)
-        runner = Runner(store=ResultStore(tmp_path), jobs=1)
+        runner = Runner(store=ResultStore(tmp_path, backend=backend), jobs=1)
         report = drain(queue, runner, poll_seconds=0.05)
         assert report.completed == 3 and report.failed == 0
         assert report.claimed == 3 and report.reclaimed == 0
@@ -268,14 +268,19 @@ class TestDrain:
         again = drain(queue, Runner(store=ResultStore(tmp_path)), poll_seconds=0.05)
         assert again.claimed == 0
 
-    def test_drain_reclaims_a_dead_workers_leases(self, tmp_path):
+    def test_drain_completes_a_queue_sqlite(self, tmp_path):
+        self.test_drain_completes_a_queue(tmp_path, "sqlite")
+
+    def test_drain_reclaims_a_dead_workers_leases(
+        self, tmp_path, backend="jsonl"
+    ):
         specs = smoke_specs()
         dead = WorkQueue(tmp_path, worker_id="dead", lease_seconds=0.05)
         dead.enqueue(specs)
         assert len(dead.claim(limit=3)) == 3  # then "SIGKILL": no beats
         time.sleep(0.2)
         queue = WorkQueue(tmp_path, worker_id="live", backoff=0.001)
-        runner = Runner(store=ResultStore(tmp_path), jobs=1)
+        runner = Runner(store=ResultStore(tmp_path, backend=backend), jobs=1)
         report = drain(queue, runner, poll_seconds=0.05)
         assert report.completed == 3
         assert report.reclaimed == 3
@@ -283,7 +288,12 @@ class TestDrain:
         status = queue.snapshot()
         assert status.drained and status.done == 3 and not status.stale
 
-    def test_drain_fails_bad_payload_entries_terminally(self, tmp_path):
+    def test_drain_reclaims_a_dead_workers_leases_sqlite(self, tmp_path):
+        self.test_drain_reclaims_a_dead_workers_leases(tmp_path, "sqlite")
+
+    def test_drain_fails_bad_payload_entries_terminally(
+        self, tmp_path, backend="jsonl"
+    ):
         queue = WorkQueue(tmp_path, worker_id="w")
         queue.enqueue(smoke_specs(variants=("base",)))
         # A hand-edited / truncated queue can reference keys with no
@@ -291,7 +301,7 @@ class TestDrain:
         queue._append_locked(
             {"event": "enqueued", "key": "deadbeef" * 8, "t": 0.0}
         )
-        runner = Runner(store=ResultStore(tmp_path), jobs=1)
+        runner = Runner(store=ResultStore(tmp_path, backend=backend), jobs=1)
         report = drain(queue, runner, poll_seconds=0.05)
         assert report.completed == 1
         status = queue.snapshot()
@@ -299,6 +309,9 @@ class TestDrain:
         events = queue_events(tmp_path)
         (failure,) = [e for e in events if e["event"] == "failed"]
         assert failure["kind"] == "bad-spec"
+
+    def test_drain_fails_bad_payload_entries_terminally_sqlite(self, tmp_path):
+        self.test_drain_fails_bad_payload_entries_terminally(tmp_path, "sqlite")
 
     def test_drain_maps_retired_kernel_names(self, tmp_path):
         """A queue written before the replay kernels collapsed to
@@ -340,19 +353,22 @@ class TestDrain:
 
 
 class TestDoubleCompletion:
-    def test_double_finish_is_byte_identical_and_collapses(self, tmp_path):
+    def test_double_finish_is_byte_identical_and_collapses(
+        self, tmp_path, backend="jsonl"
+    ):
         """ACCEPTANCE: two workers race the same spec to completion; the
-        store gains two byte-identical rows, loads one canonical result,
-        and ``store verify`` stays clean."""
+        store gains two byte-identical rows (JSONL) or upserts one
+        (SQLite), loads one canonical result, and ``store verify`` stays
+        clean."""
         (spec,) = smoke_specs(variants=("slicc-sw",))
-        store_path = tmp_path / "results.jsonl"
         a = WorkQueue(tmp_path, worker_id="a", lease_seconds=0.05)
         a.enqueue([spec])
         # Both workers open the store before either has written: the
         # in-memory views are the pre-race snapshot, as they would be in
         # two processes.
-        store_a = ResultStore(store_path)
-        store_b = ResultStore(store_path)
+        store_a = ResultStore(tmp_path, backend=backend)
+        store_b = ResultStore(tmp_path, backend=backend)
+        store_path = store_a.path
         (claim_a,) = a.claim()
         time.sleep(0.2)  # a's lease expires (its heartbeats "stopped")
         b = WorkQueue(tmp_path, worker_id="b", backoff=0.001)
@@ -371,16 +387,25 @@ class TestDoubleCompletion:
         Runner(store=store_a, jobs=1).run([spec])
         assert a.mark_done(claim_a.key) is False  # late half: no-op
 
-        lines = store_path.read_bytes().splitlines()
-        assert len(lines) == 2
-        assert lines[0] == lines[1]  # byte-identical duplicate row
+        if backend == "jsonl":
+            lines = store_path.read_bytes().splitlines()
+            assert len(lines) == 2
+            assert lines[0] == lines[1]  # byte-identical duplicate row
         final = ResultStore(store_path)
         assert list(final.keys()) == [spec.key()]
         audit = audit_store(store_path)
-        assert audit.clean and audit.superseded == 1
+        assert audit.clean and audit.keys == 1
+        assert audit.superseded == (1 if backend == "jsonl" else 0)
         assert main(["store", "verify", str(store_path)]) == 0
         status = b.snapshot()
         assert status.done == 1 and status.drained
+
+    def test_double_finish_is_byte_identical_and_collapses_sqlite(
+        self, tmp_path
+    ):
+        self.test_double_finish_is_byte_identical_and_collapses(
+            tmp_path, "sqlite"
+        )
 
 
 class TestQueueCLI:
@@ -398,12 +423,15 @@ class TestQueueCLI:
         assert payload["pending"] == 3 and payload["drained"] is False
         assert payload["stale_leases"] == 0
 
-    def test_work_drains_and_store_verifies(self, tmp_path, capsys):
+    def test_work_drains_and_store_verifies(
+        self, tmp_path, capsys, backend="jsonl"
+    ):
         specfile = write_specfile(tmp_path)
         qdir = tmp_path / "campaign"
         assert main(["queue", "enqueue", specfile, str(qdir)]) == 0
         capsys.readouterr()
-        assert main(["queue", "work", str(qdir), "--poll", "0.05"]) == 0
+        argv = ["queue", "work", str(qdir), "--poll", "0.05"]
+        assert main(argv + ["--backend", backend]) == 0
         out = capsys.readouterr().out
         assert "3 claimed (0 reclaimed)" in out
         assert "3 simulated" in out
@@ -411,10 +439,14 @@ class TestQueueCLI:
         assert main(["queue", "status", str(qdir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["done"] == 3 and payload["drained"] is True
+        assert payload["store_backend"] == backend
         # The store lands next to the queue and verifies clean.
         assert main(["store", "verify", str(qdir), "--json"]) == 0
         audit = json.loads(capsys.readouterr().out)
         assert audit["clean"] is True and audit["keys"] == 3
+
+    def test_work_drains_and_store_verifies_sqlite(self, tmp_path, capsys):
+        self.test_work_drains_and_store_verifies(tmp_path, capsys, "sqlite")
 
     def test_work_reports_terminal_failures_as_exit_3(self, tmp_path, capsys):
         specfile = write_specfile(tmp_path, axes={"slicc.dilution_t": [5]})
@@ -469,7 +501,7 @@ class TestQueueCLI:
 @linux_only
 class TestMultiProcessChaos:
     def test_three_workers_one_sigkilled_recover_byte_identical(
-        self, tmp_path
+        self, tmp_path, backend="jsonl"
     ):
         """ACCEPTANCE: three concurrent ``repro queue work`` processes
         drain one campaign; the one holding leases is SIGKILL'd
@@ -522,6 +554,8 @@ class TestMultiProcessChaos:
                     "0.1",
                     "--worker-id",
                     worker_id,
+                    "--backend",
+                    backend,
                 ],
                 env=env,
                 cwd=REPO_ROOT,
@@ -585,9 +619,17 @@ class TestMultiProcessChaos:
 
         # No row lost, every row byte-identical to the reference.
         final = ResultStore(campaign)
+        assert final.backend == backend
         assert set(final.keys()) == keys
         for key in keys:
             assert result_to_json(final.get(key)) == result_to_json(
                 ref.get(key)
             )
         assert audit_store(campaign).clean
+
+    def test_three_workers_one_sigkilled_recover_byte_identical_sqlite(
+        self, tmp_path
+    ):
+        self.test_three_workers_one_sigkilled_recover_byte_identical(
+            tmp_path, "sqlite"
+        )

@@ -1,4 +1,4 @@
-"""Cross-backend store tests: resolution, behavior parity, migration.
+"""Cross-backend store tests: locating, behavior parity, migration.
 
 ``test_exp_store.py`` pins the JSONL on-disk format; this module covers
 what must hold for *any* backend (the behavior contract, parameterized
@@ -22,19 +22,11 @@ from repro.exp import (
     audit_store,
     compact_store,
     describe_store,
+    locate_store,
     migrate_store,
-    resolve_backend,
-    resolve_store_path,
     result_to_json,
 )
 from repro.sim.results import SimulationResult
-
-
-@pytest.fixture(autouse=True)
-def _no_env_backend(monkeypatch):
-    """Resolution tests need a clean slate; parameterized tests pass
-    the backend explicitly, so the CI sqlite leg adds nothing here."""
-    monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
 
 
 def make_result(variant="base", cycles=1000):
@@ -58,46 +50,62 @@ both_backends = pytest.mark.parametrize("backend", list(STORE_BACKENDS))
 
 class TestResolution:
     def test_suffix_selects_backend(self, tmp_path):
-        assert resolve_backend(tmp_path / "r.jsonl") == "jsonl"
-        assert resolve_backend(tmp_path / "r.sqlite") == "sqlite"
-        assert resolve_backend(tmp_path / "r.sqlite3") == "sqlite"
-        assert resolve_backend(tmp_path / "r.db") == "sqlite"
+        for name, kind in (
+            ("r.jsonl", "jsonl"),
+            ("r.sqlite", "sqlite"),
+            ("r.sqlite3", "sqlite"),
+            ("r.db", "sqlite"),
+        ):
+            assert locate_store(tmp_path / name) == (kind, tmp_path / name)
 
     def test_directory_defaults_to_jsonl(self, tmp_path):
-        assert resolve_backend(tmp_path) == "jsonl"
-        assert resolve_store_path(tmp_path) == tmp_path / "results.jsonl"
-
-    def test_env_overrides_directory_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        assert resolve_backend(tmp_path) == "sqlite"
-        assert resolve_store_path(tmp_path) == tmp_path / "results.sqlite"
-
-    def test_unknown_env_backend_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "parquet")
-        with pytest.raises(ConfigurationError, match="parquet"):
-            resolve_backend(tmp_path)
-
-    def test_explicit_backend_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        assert resolve_backend(tmp_path, "jsonl") == "jsonl"
-
-    def test_suffix_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        assert resolve_backend(tmp_path / "r.jsonl") == "jsonl"
+        assert locate_store(tmp_path) == ("jsonl", tmp_path / "results.jsonl")
+        assert locate_store(tmp_path, "sqlite") == (
+            "sqlite",
+            tmp_path / "results.sqlite",
+        )
 
     def test_explicit_conflicting_with_suffix_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            resolve_backend(tmp_path / "r.jsonl", "sqlite")
+            locate_store(tmp_path / "r.jsonl", "sqlite")
 
-    def test_existing_store_detected(self, tmp_path, monkeypatch):
+    def test_near_miss_suffix_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="results.json"):
+            locate_store(tmp_path / "results.json")
+
+    def test_unknown_backend_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="parquet"):
+            locate_store(tmp_path, "parquet")
+        with pytest.raises(ConfigurationError, match="parquet"):
+            ResultStore(tmp_path, backend="parquet")
+
+    def test_existing_store_detected(self, tmp_path):
         """A directory already holding a sqlite store keeps resolving
-        to it even without the env var — reopening a campaign must not
-        silently fork a second store in the other format."""
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        ResultStore(tmp_path).put("k", make_result())
-        monkeypatch.delenv("REPRO_STORE_BACKEND")
-        assert resolve_backend(tmp_path) == "sqlite"
+        to it without a flag — reopening a campaign must not silently
+        fork a second store in the other format."""
+        ResultStore(tmp_path, backend="sqlite").put("k", make_result())
+        assert locate_store(tmp_path)[0] == "sqlite"
         assert ResultStore(tmp_path).get("k") == make_result()
+
+    def test_flag_contradicting_directory_store_rejected(
+        self, tmp_path, store_backend
+    ):
+        """Naming the other format for a directory that already holds a
+        store raises instead of creating a second store beside it."""
+        other = "sqlite" if store_backend == "jsonl" else "jsonl"
+        ResultStore(tmp_path, backend=store_backend).put("k", make_result())
+        with pytest.raises(ConfigurationError, match="fork"):
+            ResultStore(tmp_path, backend=other)
+        assert not (tmp_path / f"results.{other}").exists()
+        assert ResultStore(tmp_path, backend=store_backend).get("k")
+
+    def test_directory_with_both_stores_needs_a_flag(self, tmp_path):
+        ResultStore(tmp_path / "results.jsonl").put("k", make_result(cycles=1))
+        ResultStore(tmp_path / "results.sqlite").put("k", make_result(cycles=2))
+        with pytest.raises(ConfigurationError, match="both"):
+            locate_store(tmp_path)
+        assert ResultStore(tmp_path, backend="jsonl").get("k").cycles == 1
+        assert ResultStore(tmp_path, backend="sqlite").get("k").cycles == 2
 
     def test_describe_store(self, tmp_path):
         assert describe_store(tmp_path) is None
@@ -145,7 +153,7 @@ class TestBehaviorParity:
         assert reloaded.get("k") is None
         assert reloaded.failure_info("k") == failure
         assert reloaded.failures() == {"k": failure}
-        assert reloaded.load_report.failures == 1
+        assert audit_store(tmp_path, backend=backend).live_failures == 1
 
     @both_backends
     def test_result_supersedes_failure(self, tmp_path, backend):
@@ -158,7 +166,25 @@ class TestBehaviorParity:
         reloaded = ResultStore(tmp_path, backend=backend)
         assert reloaded.get("k") == make_result()
         assert reloaded.failure_info("k") is None
-        assert reloaded.load_report.failures == 0
+        assert audit_store(tmp_path, backend=backend).live_failures == 0
+
+    @both_backends
+    def test_later_failure_never_displaces_result(self, tmp_path, backend):
+        """A failure written after a result for the same key (two queue
+        workers finishing one spec) is ignored — in memory, after a
+        reopen and by the audit. SQLite's failure upsert carries
+        ``WHERE kind != 'result'``; the JSONL fold skips the row."""
+        store = ResultStore(tmp_path, backend=backend)
+        store.put("k", make_result())
+        store.put_failure("k", {"kind": "error", "error": "late"})
+        assert store.failure_info("k") is None
+        store.close()
+        reloaded = ResultStore(tmp_path, backend=backend)
+        assert reloaded.get("k") == make_result()
+        assert reloaded.failure_info("k") is None
+        assert reloaded.failures() == {}
+        audit = audit_store(tmp_path, backend=backend)
+        assert audit.keys == 1 and audit.live_failures == 0
 
     @both_backends
     def test_keys_preserve_insertion_order(self, tmp_path, backend):
@@ -185,20 +211,6 @@ class TestBehaviorParity:
 
 
 class TestSqliteSpecifics:
-    def test_later_failure_never_displaces_result(self, tmp_path):
-        """The failure upsert carries ``WHERE kind != 'result'``: a
-        stored result always outranks failure provenance, matching what
-        export/migration keeps of the equivalent JSONL history (a
-        result-shadowed failure never crosses a backend boundary)."""
-        store = ResultStore(tmp_path, backend="sqlite")
-        store.put("k", make_result())
-        store.put_failure("k", {"kind": "error", "error": "late"})
-        store.close()
-        reloaded = ResultStore(tmp_path, backend="sqlite")
-        assert reloaded.get("k") == make_result()
-        assert reloaded.failure_info("k") is None
-        assert reloaded.failures() == {}
-
     def test_overwrite_is_single_row(self, tmp_path):
         """The UNIQUE upsert rewrites in place — no append-and-fold."""
         store = ResultStore(tmp_path, backend="sqlite")
@@ -376,14 +388,7 @@ class TestMigration:
                 dst.get(key)
             )
             assert src.spec_info(key) == dst.spec_info(key)
-        # Result-shadowed failures are export-dropped by design, so the
-        # round trip preserves exactly the unshadowed ones.
-        live = {
-            key: failure
-            for key, failure in src.failures().items()
-            if key not in src
-        }
-        assert dst.failures() == live
+        assert dst.failures() == src.failures()
 
 
 class TestCli:
@@ -409,6 +414,18 @@ class TestCli:
         assert (store / "results.sqlite").exists()
         assert not (store / "results.jsonl").exists()
         assert len(ResultStore(store)) == 2
+
+    def test_contradicting_backend_flag_exits_2(
+        self, tmp_path, store_backend, capsys
+    ):
+        store = self.run_sweep(tmp_path, backend=store_backend)
+        other = "sqlite" if store_backend == "jsonl" else "jsonl"
+        specfile = str(tmp_path / "exp.json")
+        capsys.readouterr()
+        argv = ["exp", specfile, "--store", str(store), "--backend", other]
+        assert main(argv) == 2
+        assert "fork" in capsys.readouterr().err
+        assert not (store / f"results.{other}").exists()
 
     def test_store_migrate_cli_round_trip(self, tmp_path, capsys):
         store = self.run_sweep(tmp_path)
