@@ -487,12 +487,7 @@ def _cmd_queue_enqueue(args: argparse.Namespace) -> int:
 def _cmd_queue_work(args: argparse.Namespace) -> int:
     queue = _require_queue(args, worker_id=args.worker_id)
     runner = _make_runner(args, default_store=queue.path.parent)
-    report = drain(
-        queue,
-        runner,
-        batch=args.batch,
-        poll_seconds=args.poll,
-    )
+    report = drain(queue, runner, poll_seconds=args.poll)
     stats = runner.stats
     print(
         f"[{queue.worker_id}] {report.claimed} claimed "
@@ -704,7 +699,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="drain a queue as one worker process",
         description="Claim, simulate and complete queued specs until "
         "the queue is drained. Run any number of these concurrently — "
-        "on one machine or many sharing the filesystem. Exit codes: "
+        "on one machine or many sharing the filesystem. Each worker "
+        "keeps one pool of --jobs processes for its whole drain and "
+        "claims one spec whenever a slot frees; each spec's lease is "
+        "settled (done or failed) from that spec's own outcome. "
+        "--retries covers a pool process that dies or raises, which "
+        "this worker sees at once; --max-claims covers a whole worker "
+        "that dies, which only its expired lease reveals. Exit codes: "
         "0 = queue drained, all specs done; 2 = usage/configuration "
         "error; 3 = queue drained but some specs failed terminally; "
         "130 = interrupted — the first SIGINT/SIGTERM finishes "
@@ -735,14 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         metavar="N",
         help="total claims allowed per spec before an expired lease "
-        "fails terminally instead of being reclaimed (default: 3)",
-    )
-    q_work.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="specs claimed per cycle (default: --jobs)",
+        "fails terminally instead of being reclaimed — the budget for "
+        "whole workers dying on a spec, apart from --retries "
+        "(default: 3)",
     )
     q_work.add_argument(
         "--poll",

@@ -40,10 +40,9 @@ import os
 import signal
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from repro.exp.spec import ExperimentSpec
 
@@ -94,7 +93,7 @@ class _Task:
 
 
 def _worker_main(conn, explicit, parent_pid) -> None:
-    """Worker loop: receive ``(key, spec, attempt)``, simulate, reply.
+    """Worker loop: receive ``(spec, attempt)``, simulate, reply.
 
     SIGINT is ignored (the parent coordinates draining); SIGTERM keeps
     its default fatal disposition so the parent's timeout kill works.
@@ -119,7 +118,7 @@ def _worker_main(conn, explicit, parent_pid) -> None:
     # import cost in the child.
     from repro.exp import runner as runner_mod
 
-    runner_mod._init_worker(explicit)
+    runner_mod._EXPLICIT = explicit
     while True:
         try:
             while not conn.poll(1.0):
@@ -131,12 +130,11 @@ def _worker_main(conn, explicit, parent_pid) -> None:
             break
         if task is None:
             break
-        key, spec, attempt = task
+        spec, attempt = task
         try:
-            _, payload, seconds = runner_mod._run_spec(spec, attempt)
-            reply = ("done", key, payload, seconds)
+            reply = ("done", *runner_mod._run_spec(spec, attempt))
         except Exception as exc:
-            reply = ("error", key, f"{type(exc).__name__}: {exc}", 0.0)
+            reply = ("error", f"{type(exc).__name__}: {exc}", 0.0)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -220,8 +218,6 @@ class FaultTolerantPool:
         self.retries = max(0, int(retries))
         self.timeout = timeout
         self.backoff = backoff
-        #: Retry dispatches performed (for RunnerStats.retried).
-        self.retried = 0
         #: Drain requested (first SIGINT/SIGTERM): finish in-flight
         #: tasks, drop undispatched ones, then stop.
         self.draining = False
@@ -229,8 +225,8 @@ class FaultTolerantPool:
         self.aborted = False
         #: Which signal triggered the drain, for the caller's re-raise.
         self.interrupted: Optional[int] = None
-        self._queue: deque[_Task] = deque()
-        self._waiting: list[_Task] = []  # backing off until not_before
+        self._waiting: list[_Task] = []  # retries, due at not_before
+        self._source: Optional[Iterator] = None  # None once exhausted
         self._next_wid = 0
         self._workers: list[_Worker] = [
             self._spawn() for _ in range(max(1, n_workers))
@@ -267,35 +263,56 @@ class FaultTolerantPool:
     # -- the scheduler loop ---------------------------------------------
 
     def run(
-        self, tasks: Sequence[tuple[str, ExperimentSpec]]
+        self, specs: Iterable[Optional[ExperimentSpec]]
     ) -> Iterator[SpecOutcome]:
-        """Yield a terminal :class:`SpecOutcome` per task as they finish."""
-        self._queue = deque(_Task(key, spec) for key, spec in tasks)
-        self._waiting = []
+        """Yield a terminal :class:`SpecOutcome` per spec as they finish.
+
+        ``specs`` is pulled lazily, one spec whenever a worker is idle
+        and no retry is due. ``None`` means "nothing yet": the pool asks
+        again next round, at once if no worker is busy, so a source with
+        nothing in flight should wait before answering ``None``.
+        """
+        self._source = iter(specs)
         previous = self._install_signals()
         try:
-            while self._queue or self._waiting or self._busy():
+            while self._source is not None or self._waiting or self._busy():
                 if self.aborted:
                     # Second signal: stop yielding immediately. close()
                     # in the finally kills the still-busy workers, so
                     # their in-flight results are never persisted.
                     break
                 if self.draining:
-                    self._queue.clear()
+                    self._source = None
                     self._waiting.clear()
                     if not self._busy():
                         break
                 now = time.monotonic()
-                self._waiting.sort(key=lambda t: t.not_before)
-                while self._waiting and self._waiting[0].not_before <= now:
-                    self._queue.append(self._waiting.pop(0))
-                while self._queue and self._idle and not self.draining:
-                    self._dispatch(self._queue.popleft(), now)
+                while self._idle and not self.draining:
+                    task = self._next_task(now)
+                    if task is None:
+                        break
+                    self._dispatch(task, now)
                 yield from self._collect(self._wait_budget(now))
                 yield from self._expire_deadlines()
         finally:
             self._restore_signals(previous)
             self.close()
+
+    def _next_task(self, now: float) -> Optional[_Task]:
+        """A due retry, else the source's next spec, else ``None``."""
+        self._waiting.sort(key=lambda t: t.not_before)
+        if self._waiting and self._waiting[0].not_before <= now:
+            return self._waiting.pop(0)
+        if self._source is None:
+            return None
+        try:
+            spec = next(self._source)
+        except StopIteration:
+            self._source = None
+            return None
+        if spec is None or self.draining:  # a signal landed mid-pull
+            return None
+        return _Task(spec.key(), spec)
 
     def _busy(self) -> list[_Worker]:
         return [w for w in self._workers if w.task is not None]
@@ -306,21 +323,23 @@ class FaultTolerantPool:
         for worker in self._busy():
             if worker.deadline is not None:
                 budget = min(budget, worker.deadline - now)
-        if self._waiting:
-            budget = min(budget, self._waiting[0].not_before - now)
+        for task in self._waiting:  # due ones wait on a free worker
+            if task.not_before > now:
+                budget = min(budget, task.not_before - now)
         return max(0.0, budget)
 
     def _dispatch(self, task: _Task, now: float) -> None:
         worker = self._idle.pop()
         try:
-            worker.conn.send((task.key, task.spec, task.attempts))
+            worker.conn.send((task.spec, task.attempts))
         except (BrokenPipeError, OSError):
             # The idle worker died behind our back (e.g. OOM killer):
-            # replace it and put the task back; the next loop iteration
-            # re-dispatches. Does not count as one of the task's
-            # attempts — the spec never started running.
+            # replace it and put the task back, due at once. Does not
+            # count as one of the task's attempts — the spec never
+            # started running.
             self._replace(worker)
-            self._queue.appendleft(task)
+            task.not_before = now
+            self._waiting.append(task)
             return
         worker.task = task
         worker.deadline = (
@@ -349,7 +368,7 @@ class FaultTolerantPool:
             yield from self._on_message(worker, message)
 
     def _on_message(self, worker: _Worker, message) -> Iterator[SpecOutcome]:
-        status, _key, payload, seconds = message
+        status, payload, seconds = message
         task = worker.task
         worker.task, worker.deadline = None, None
         self._idle.append(worker)
@@ -398,7 +417,6 @@ class FaultTolerantPool:
                 error=error,
             )
             return
-        self.retried += 1
         task.not_before = time.monotonic() + _backoff_delay(
             self.backoff, task.key, task.attempts
         )

@@ -62,9 +62,9 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from repro.errors import ConfigurationError, ReproError, SweepFailure
+from repro.errors import ConfigurationError, ReproError
 from repro.exp import faults
 from repro.exp.pool import _backoff_delay
 from repro.exp.spec import ExperimentSpec, spec_from_dict
@@ -366,21 +366,26 @@ class WorkQueue:
         )
         append_lines(self._path, line, torn)
 
+    def _emit(self, event: str, key: str, now: float, **fields) -> None:
+        """Append ``event`` for ``key`` at ``now`` by this worker (lock
+        held); ``fields`` add to the record or override its worker."""
+        self._append_locked(
+            {"event": event, "key": key, "t": now, "worker": self.worker_id}
+            | fields
+        )
+
     def _fail_exhausted(self, entry: _Entry, now: float) -> None:
         """Append the terminal ``failed`` event of an expired lease whose
         claim budget is spent (lock held)."""
-        self._append_locked(
-            {
-                "event": "failed",
-                "key": entry.key,
-                "t": now,
-                "worker": self.worker_id,
-                "kind": "lease-expired",
-                "error": (
-                    f"lease expired under worker {entry.worker!r} and the "
-                    f"claim budget ({self.max_claims}) is exhausted"
-                ),
-            }
+        self._emit(
+            "failed",
+            entry.key,
+            now,
+            kind="lease-expired",
+            error=(
+                f"lease expired under worker {entry.worker!r} and the "
+                f"claim budget ({self.max_claims}) is exhausted"
+            ),
         )
 
     def _ordered(self) -> list[_Entry]:
@@ -448,15 +453,12 @@ class WorkQueue:
                 if entry.status != PENDING:
                     continue
                 if not entry.payload:
-                    self._append_locked(
-                        {
-                            "event": "failed",
-                            "key": entry.key,
-                            "t": now,
-                            "worker": self.worker_id,
-                            "kind": "bad-spec",
-                            "error": "queue entry has no spec payload",
-                        }
+                    self._emit(
+                        "failed",
+                        entry.key,
+                        now,
+                        kind="bad-spec",
+                        error="queue entry has no spec payload",
                     )
                     continue
                 picks.append((entry, False))
@@ -475,28 +477,23 @@ class WorkQueue:
                 )
                 if now < entry.deadline + stagger:
                     continue
-                self._append_locked(
-                    {
-                        "event": "abandoned",
-                        "key": entry.key,
-                        "t": now,
-                        "worker": entry.worker,
-                        "by": self.worker_id,
-                        "reason": "lease-expired",
-                    }
+                self._emit(
+                    "abandoned",
+                    entry.key,
+                    now,
+                    worker=entry.worker,
+                    by=self.worker_id,
+                    reason="lease-expired",
                 )
                 picks.append((entry, True))
             deadline = now + self.lease_seconds
             for entry, _ in picks:
-                self._append_locked(
-                    {
-                        "event": "claimed",
-                        "key": entry.key,
-                        "t": now,
-                        "worker": self.worker_id,
-                        "deadline": deadline,
-                        "attempt": entry.claims + 1,
-                    }
+                self._emit(
+                    "claimed",
+                    entry.key,
+                    now,
+                    deadline=deadline,
+                    attempt=entry.claims + 1,
                 )
             self._refresh_locked()
             # Only claims that survived the append (torn claim events
@@ -535,14 +532,8 @@ class WorkQueue:
                 ):
                     lost.append(key)
                     continue
-                self._append_locked(
-                    {
-                        "event": "renewed",
-                        "key": key,
-                        "t": now,
-                        "worker": self.worker_id,
-                        "deadline": now + self.lease_seconds,
-                    }
+                self._emit(
+                    "renewed", key, now, deadline=now + self.lease_seconds
                 )
             self._refresh_locked()
         return lost
@@ -561,60 +552,37 @@ class WorkQueue:
                     and entry.status == LEASED
                     and entry.worker == self.worker_id
                 ):
-                    self._append_locked(
-                        {
-                            "event": "abandoned",
-                            "key": key,
-                            "t": now,
-                            "worker": self.worker_id,
-                            "by": self.worker_id,
-                            "reason": "released",
-                        }
+                    self._emit(
+                        "abandoned",
+                        key,
+                        now,
+                        by=self.worker_id,
+                        reason="released",
                     )
             self._refresh_locked()
 
     def mark_done(self, key: str) -> bool:
         """Record terminal success. Returns ``False`` (a no-op) when the
         entry is already done — the late half of a double finish."""
-        now = time.time()
-        with self._locked():
-            self._refresh_locked()
-            entry = self._entries.get(key)
-            if entry is not None and entry.status == DONE:
-                return False
-            self._append_locked(
-                {
-                    "event": "done",
-                    "key": key,
-                    "t": now,
-                    "worker": self.worker_id,
-                }
-            )
-            self._refresh_locked()
-            entry = self._entries.get(key)
-            return entry is not None and entry.status == DONE
+        return self._settle(key, DONE)
 
     def mark_failed(self, key: str, error: str, kind: str = "error") -> bool:
         """Record terminal failure (unless the entry already succeeded,
         in which case the result wins and this is a no-op)."""
+        return self._settle(key, FAILED, kind=kind, error=error)
+
+    def _settle(self, key: str, status: str, **fields) -> bool:
+        """Append the terminal event named after ``status`` unless the
+        entry is already done; whether the entry now has ``status``."""
         now = time.time()
         with self._locked():
             self._refresh_locked()
             entry = self._entries.get(key)
             if entry is not None and entry.status == DONE:
                 return False
-            self._append_locked(
-                {
-                    "event": "failed",
-                    "key": key,
-                    "t": now,
-                    "worker": self.worker_id,
-                    "kind": kind,
-                    "error": error,
-                }
-            )
+            self._emit(status, key, now, **fields)
             self._refresh_locked()
-            return True
+            return self._entries[key].status == status
 
     def reclaim_expired(self) -> tuple[list[str], list[str]]:
         """Operator-initiated reclaim (``repro queue reclaim``): every
@@ -635,15 +603,13 @@ class WorkQueue:
                     self._fail_exhausted(entry, now)
                     exhausted.append(entry.key)
                 else:
-                    self._append_locked(
-                        {
-                            "event": "abandoned",
-                            "key": entry.key,
-                            "t": now,
-                            "worker": entry.worker,
-                            "by": self.worker_id,
-                            "reason": "reclaimed",
-                        }
+                    self._emit(
+                        "abandoned",
+                        entry.key,
+                        now,
+                        worker=entry.worker,
+                        by=self.worker_id,
+                        reason="reclaimed",
                     )
                     released.append(entry.key)
             self._refresh_locked()
@@ -702,39 +668,40 @@ def _parse_event(line: bytes) -> Optional[dict]:
 
 
 class LeaseHeartbeat(threading.Thread):
-    """Daemon thread renewing held leases at ``lease_seconds / 4``.
+    """Daemon thread renewing held leases every ``lease_seconds / 4``.
 
-    The work loop hands it the claimed keys for the duration of each
-    batch; renewal failures are swallowed (a missed beat costs at worst
-    an early reclaim, which at-least-once semantics absorb).
+    It is also the drain's record of its unsettled claims: a key is
+    held from the moment its spec is handed to the runner until its
+    outcome is settled. Renewal failures are swallowed (a missed beat
+    costs at worst an early reclaim, which at-least-once semantics
+    absorb).
     """
 
-    def __init__(
-        self, queue: WorkQueue, interval: Optional[float] = None
-    ) -> None:
+    def __init__(self, queue: WorkQueue) -> None:
         super().__init__(name=f"lease-heartbeat-{queue.worker_id}", daemon=True)
         self._queue = queue
-        self.interval = (
-            interval
-            if interval is not None
-            else max(0.05, queue.lease_seconds / 4.0)
-        )
+        self.interval = max(0.05, queue.lease_seconds / 4.0)
         self._held: set[str] = set()
         self._held_lock = threading.Lock()
         self._stopped = threading.Event()
 
-    def hold(self, keys: Iterable[str]) -> None:
+    @property
+    def held(self) -> list[str]:
+        """The keys currently held, sorted."""
         with self._held_lock:
-            self._held.update(keys)
+            return sorted(self._held)
 
-    def drop(self, keys: Iterable[str]) -> None:
+    def hold(self, key: str) -> None:
         with self._held_lock:
-            self._held.difference_update(keys)
+            self._held.add(key)
+
+    def drop(self, key: str) -> None:
+        with self._held_lock:
+            self._held.discard(key)
 
     def run(self) -> None:
         while not self._stopped.wait(self.interval):
-            with self._held_lock:
-                keys = sorted(self._held)
+            keys = self.held
             if not keys:
                 continue
             try:
@@ -757,8 +724,12 @@ class DrainReport:
     failed: int = 0
     #: Claims taken over from expired (dead) workers.
     reclaimed: int = 0
-    #: Claim cycles executed.
-    cycles: int = 0
+
+    @property
+    def cycles(self) -> int:
+        """Claim cycles run; each claims one spec, so equal to
+        ``claimed``."""
+        return self.claimed
 
 
 def _load_claimed_spec(claim: ClaimedSpec):
@@ -787,92 +758,83 @@ def drain(
     *,
     batch: Optional[int] = None,
     poll_seconds: float = 0.5,
-    heartbeat_interval: Optional[float] = None,
 ) -> DrainReport:
     """Work loop of one ``repro queue work`` process.
 
-    Repeatedly claims up to ``batch`` specs (default: the runner's job
-    count), runs them through ``runner.run`` — which keeps all the PR-7
-    in-process retry/timeout/fault semantics — and marks each entry
-    ``done`` or ``failed`` from what actually landed in the runner's
-    store. Returns once the queue is drained (no pending entries, no
-    live leases anywhere); while other workers still hold leases it
-    polls, ready to reclaim if they die.
+    One pool of ``runner.jobs`` workers serves the whole drain
+    (:meth:`Runner.stream`). Each time a slot frees, the drain claims
+    one spec (pending first, then expired leases of dead workers), so
+    the heartbeat renews exactly the specs running or awaiting a retry.
+    Each claim is settled from its own outcome, which the runner has
+    already persisted: ``done``, or ``failed`` once ``--retries`` are
+    spent. A claim already in the store is done without simulating.
+    Returns once the queue is drained (no pending entries, no live
+    leases anywhere); while other workers hold leases it polls every
+    ``poll_seconds``, ready to reclaim if they die. ``batch`` is
+    ignored, accepted for callers of the batch-claiming drain.
 
-    On KeyboardInterrupt (the runner's drain raises it after persisting
-    in-flight results) entries whose result made it to the store are
-    marked done, the rest are released for other workers, and the
-    interrupt is re-raised so the CLI exits 130.
+    On KeyboardInterrupt (raised after the pool's graceful drain, whose
+    outcomes were settled as they arrived) the leases still held are
+    released for other workers and the interrupt is re-raised, so the
+    CLI exits 130.
     """
-    if batch is None:
-        batch = max(1, int(getattr(runner, "jobs", 1) or 1))
     report = DrainReport(worker_id=queue.worker_id)
-    heartbeat = LeaseHeartbeat(queue, interval=heartbeat_interval)
-    heartbeat.start()
-    held: list[ClaimedSpec] = []
-    settled: set[str] = set()
-    try:
+    heartbeat = LeaseHeartbeat(queue)
+
+    def claims() -> Iterator[Optional[ExperimentSpec]]:
+        """One claimed spec per pull; ``None`` while nothing is
+        claimable, after which the queue is polled every
+        ``poll_seconds``. With none of this worker's specs in flight
+        the pool asks again at once, so the wait happens here."""
+        next_poll = 0.0
         while True:
-            claims = queue.claim(limit=batch)
-            if not claims:
-                if queue.snapshot().drained:
-                    break
-                time.sleep(poll_seconds)
+            if heartbeat.held and time.monotonic() < next_poll:
+                yield None
                 continue
+            got = queue.claim(limit=1)
+            if not got:
+                if not heartbeat.held:
+                    if queue.snapshot().drained:
+                        return
+                    time.sleep(poll_seconds)
+                next_poll = time.monotonic() + poll_seconds
+                yield None
+                continue
+            (claim,) = got
             # Process-level chaos hook: a seeded `die` kills this whole
-            # worker *here*, holding fresh unserved leases — the orphan
+            # worker *here*, holding a fresh unserved lease — the orphan
             # case surviving workers must reclaim.
-            faults.inject_process_faults(queue.worker_id, report.cycles)
-            report.cycles += 1
-            held, settled = claims, set()
-            heartbeat.hold([c.key for c in claims])
-            report.claimed += len(claims)
-            took_over = sum(1 for c in claims if c.reclaimed)
-            report.reclaimed += took_over
-            runner.stats.reclaimed += took_over
-            runnable = []
-            for c in claims:
-                spec, why = _load_claimed_spec(c)
-                if spec is None:
-                    queue.mark_failed(c.key, error=why, kind="bad-spec")
-                    settled.add(c.key)
-                    report.failed += 1
-                else:
-                    runnable.append(spec)
-            if runnable:
-                try:
-                    runner.run(runnable)
-                except SweepFailure:
-                    pass  # per-spec outcomes are read from the store
-            for c in claims:
-                if c.key in settled:
-                    continue
-                if runner.store.get(c.key) is not None:
-                    queue.mark_done(c.key)
-                    report.completed += 1
-                else:
-                    info = runner.store.failure_info(c.key) or {}
-                    queue.mark_failed(
-                        c.key,
-                        error=info.get("error") or "spec produced no result",
-                        kind=info.get("kind") or "error",
-                    )
-                    report.failed += 1
-                settled.add(c.key)
-            heartbeat.drop([c.key for c in claims])
-            held = []
-    except KeyboardInterrupt:
-        unfinished = []
-        for c in held:
-            if c.key in settled:
-                continue
-            if runner.store.get(c.key) is not None:
-                queue.mark_done(c.key)
+            faults.inject_process_faults(queue.worker_id, report.claimed)
+            report.claimed += 1
+            if claim.reclaimed:
+                report.reclaimed += 1
+                runner.stats.reclaimed += 1
+            spec, why = _load_claimed_spec(claim)
+            if spec is None:
+                queue.mark_failed(claim.key, error=why, kind="bad-spec")
+                report.failed += 1
+            elif claim.key in runner.store:
+                runner.stats.cached += 1
+                queue.mark_done(claim.key)
                 report.completed += 1
             else:
-                unfinished.append(c.key)
-        if unfinished:
-            queue.release(unfinished)
+                heartbeat.hold(claim.key)
+                yield spec
+
+    heartbeat.start()
+    try:
+        for outcome in runner.stream(claims()):
+            heartbeat.drop(outcome.key)
+            if outcome.ok:
+                queue.mark_done(outcome.key)
+                report.completed += 1
+            else:
+                queue.mark_failed(
+                    outcome.key, error=outcome.error, kind=outcome.kind
+                )
+                report.failed += 1
+    except KeyboardInterrupt:
+        queue.release(heartbeat.held)
         raise
     finally:
         heartbeat.stop()

@@ -16,14 +16,17 @@ which :class:`~repro.errors.SweepFailure` reports what was lost.
 ``SIGINT``/``SIGTERM`` drain gracefully: in-flight simulations finish
 and persist before the run stops.
 
-Each worker process builds every distinct trace at most once: declarative
-specs regenerate it from ``(workload, scale, n_threads, seed)`` via the
-deterministic generators (once per ``run()`` in the parent, reusing the
-previous call's traces where they overlap), while explicit traces (specs
-built with :func:`~repro.exp.spec.spec_for`) are shipped to the workers
-once at pool start. On Linux the pool forks, so the parent materialises
-every trace's replay tables and compiles every spec's replay kernel
-first, and workers inherit both zero-copy.
+``run()`` builds every distinct trace once: declarative specs regenerate
+it from ``(workload, scale, n_threads, seed)`` via the deterministic
+generators (once per call in the parent, reusing the previous call's
+traces where they overlap), and it ships those and any explicit traces
+(specs built with :func:`~repro.exp.spec.spec_for`) to the workers at
+pool start. On Linux the pool forks, so ``run()`` first materialises
+the replay tables of every trace its pending specs replay and compiles
+their replay kernels, and workers inherit both zero-copy.
+:meth:`Runner.stream` (the queue drain) learns its specs one at a time,
+so its workers build traces themselves, keeping the last few in a
+bounded cache.
 Simulation itself is deterministic given the trace and config, so
 results are identical whatever the job count — the test suite pins that
 with a byte-identical-JSON guard.
@@ -35,7 +38,7 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError, SweepFailure
 from repro.exp import faults
@@ -46,20 +49,27 @@ from repro.params import ScalePreset
 from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
 from repro.sim.specialize import kernel_for, kernel_spec
+from repro.sim.tlb import PAGE_SHIFT
 from repro.workloads import standard_trace
 from repro.workloads.trace import Trace
 
+#: Fork the pool on Linux: workers inherit traces, replay tables and
+#: compiled kernels zero-copy. Elsewhere (macOS/Windows) fork is unsafe
+#: or absent, so the platform's default start method is kept.
+_FORK = sys.platform == "linux"
+
+#: Most declarative traces one process keeps that it was not shipped.
+#: A drain's specs arrive one at a time, in queue order, which groups
+#: them by trace. A paper-scale tpcc-1 trace with its replay tables
+#: takes about 230 MB and 0.7 s to rebuild (2-core Xeon VM).
+_TRACE_CACHE_SIZE = 2
+
 # Per-process trace state. ``_EXPLICIT`` holds traces shipped by the
-# parent (fingerprint -> Trace); ``_TRACE_CACHE`` memoises declaratively
-# rebuilt traces so a worker generates each one once however many specs
-# share it.
+# parent (fingerprint -> Trace); ``_TRACE_CACHE`` holds the most
+# recently used declarative traces a process built itself, oldest
+# first.
 _EXPLICIT: dict[str, Trace] = {}
 _TRACE_CACHE: dict[str, Trace] = {}
-
-
-def _init_worker(explicit: dict[str, Trace]) -> None:
-    global _EXPLICIT
-    _EXPLICIT = explicit
 
 
 def _build_trace(spec: ExperimentSpec) -> Trace:
@@ -81,18 +91,21 @@ def _trace_for(spec: ExperimentSpec) -> Trace:
             f"spec {spec.display_label()!r} references an explicit "
             "trace that was not passed to Runner.run(..., trace=...)"
         )
-    # Fallback for a worker handed a declarative spec whose trace was
-    # not shipped; memoised so one worker builds each trace at most once.
-    trace = _TRACE_CACHE.get(key)
+    # A declarative spec whose trace was not shipped (a queue drain):
+    # reuse a recent build, else evict the oldest *before* building, so
+    # the process never holds more than _TRACE_CACHE_SIZE of them.
+    trace = _TRACE_CACHE.pop(key, None)
     if trace is None:
+        while len(_TRACE_CACHE) >= _TRACE_CACHE_SIZE:
+            del _TRACE_CACHE[next(iter(_TRACE_CACHE))]
         trace = _build_trace(spec)
-        _TRACE_CACHE[key] = trace
+    _TRACE_CACHE[key] = trace
     return trace
 
 
-def _run_spec(spec: ExperimentSpec, attempt: int = 0) -> tuple[str, dict, float]:
+def _run_spec(spec: ExperimentSpec, attempt: int = 0) -> tuple[dict, float]:
     """Worker entry point: simulate one spec, return
-    ``(key, result dict, seconds)``.
+    ``(result dict, seconds)``.
 
     Results cross the process boundary as plain dicts so fresh and
     store-loaded rows take the identical deserialisation path; the
@@ -101,16 +114,16 @@ def _run_spec(spec: ExperimentSpec, attempt: int = 0) -> tuple[str, dict, float]
     deterministic crash/hang schedule on (spec key, attempt) so a retry
     can be scheduled to succeed where the first attempt was killed.
     """
-    key = spec.key()
-    faults.inject_worker_faults(key, attempt)
+    faults.inject_worker_faults(spec.key(), attempt)
     t0 = time.perf_counter()
     result = simulate(_trace_for(spec), config=spec.config)
-    return key, result_to_dict(result), time.perf_counter() - t0
+    return result_to_dict(result), time.perf_counter() - t0
 
 
 @dataclass
 class RunnerStats:
-    """How a ``run()`` call was served.
+    """How a ``run()`` call was served (``Runner.stats`` also sums every
+    ``stream()``).
 
     ``cached`` counts input specs answered without simulating (store hits
     plus intra-call duplicates); ``simulated`` counts actual engine runs.
@@ -120,7 +133,7 @@ class RunnerStats:
     ``reclaimed`` counts work-queue leases this runner's process took
     over from expired (dead) workers — the queue drain loop increments
     it, a plain ``run()`` never does. ``wall_seconds`` is the
-    end-to-end duration of the ``run()`` call,
+    end-to-end duration of the call,
     ``sim_seconds`` the summed per-spec simulation time (under parallel
     workers ``sim_seconds`` exceeds ``wall_seconds``; their ratio is the
     effective sweep speed-up), and ``spec_seconds`` maps each simulated
@@ -180,12 +193,10 @@ class Runner:
         self.retries = max(0, int(retries))
         self.timeout = timeout
         self.backoff = backoff
-        #: Cumulative counts across all ``run()`` calls.
+        #: Cumulative counts across all ``run()`` and ``stream()`` calls.
         self.stats = RunnerStats()
         #: Counts for the most recent ``run()`` call.
         self.last_stats = RunnerStats()
-        #: Terminal failures of the most recent ``run()`` call.
-        self.last_failures: list[SpecOutcome] = []
         #: Declarative traces built by the most recent ``run()`` call
         #: (trace key -> Trace), offered to the next call for reuse.
         self._traces: dict[str, Trace] = {}
@@ -258,33 +269,30 @@ class Runner:
                 if built is None:
                     built = self._traces[key] = _build_trace(spec)
                 explicit[key] = built
+        if _FORK:
+            # Zero-copy sharing: build the replay tables (numpy -> plain
+            # lists, page ids) of every trace a pending spec replays, and
+            # each pending spec's replay kernel, here: forked workers
+            # inherit both, read-only, and an inline run needs the same.
+            # Under spawn neither reaches the workers, so neither is built.
+            for key in {spec.trace_key() for spec in pending.values()}:
+                for thread in explicit[key].threads:
+                    thread.replay_tables(PAGE_SHIFT)
+            for spec in pending.values():
+                kernel_for(kernel_spec(spec.config))
 
         # Results persist as they arrive (not after the whole batch), so
         # an interrupted campaign keeps every simulation it finished.
         failures: list[SpecOutcome] = []
-        self.last_failures = failures
         try:
-            for outcome in self._execute(list(pending.values()), explicit):
-                stats.retried += outcome.attempts - 1
-                if outcome.ok:
-                    result = result_from_dict(outcome.payload)
-                    served[outcome.key] = result
-                    self.store.put(
-                        outcome.key, result, spec=pending[outcome.key]
-                    )
-                    stats.simulated += 1
-                    stats.sim_seconds += outcome.seconds
-                    stats.spec_seconds[outcome.key] = outcome.seconds
-                else:
-                    stats.failed += 1
-                    if outcome.kind == "timeout":
-                        stats.timed_out += 1
-                    self.store.put_failure(
-                        outcome.key,
-                        outcome.failure_record(),
-                        spec=pending[outcome.key],
-                    )
-                    failures.append(outcome)
+            if pending:
+                jobs = min(self.jobs, len(pending))
+                for outcome in self._execute(pending.values(), explicit, jobs):
+                    result = self._record(outcome, stats)
+                    if result is None:
+                        failures.append(outcome)
+                    else:
+                        served[outcome.key] = result
         finally:
             stats.wall_seconds = time.perf_counter() - t_start
             self.last_stats = stats
@@ -302,73 +310,80 @@ class Runner:
             )
         return [served[key] for key in keys]
 
-    def _execute(
-        self, pending: list[ExperimentSpec], explicit: dict[str, Trace]
+    def stream(
+        self, specs: Iterable[Optional[ExperimentSpec]]
     ) -> Iterator[SpecOutcome]:
-        """Yield a terminal :class:`SpecOutcome` per pending spec as
-        simulations complete, in arbitrary order — the caller realigns
-        by key and persists incrementally."""
-        if not pending:
-            return
+        """Run specs pulled from ``specs`` whenever a worker is idle, on
+        one pool for the whole iteration (inline at ``jobs=1``), and
+        yield each :class:`SpecOutcome` once it is persisted and counted
+        into ``stats`` as :meth:`run` does. ``None`` means "nothing yet"
+        (see :meth:`FaultTolerantPool.run`). No spec is served from the
+        store and no failure raises: the caller settles every outcome.
+        Raises ``KeyboardInterrupt`` after a graceful SIGINT/SIGTERM
+        drain.
+        """
+        t_start = time.perf_counter()
+        try:
+            for outcome in self._execute(specs, {}, self.jobs):
+                self._record(outcome, self.stats)
+                yield outcome
+        finally:
+            self.stats.wall_seconds += time.perf_counter() - t_start
+
+    def _record(
+        self, outcome: SpecOutcome, stats: RunnerStats
+    ) -> Optional[SimulationResult]:
+        """Persist and count one outcome; its result (``None`` if failed)."""
+        stats.retried += outcome.attempts - 1
+        if not outcome.ok:
+            stats.failed += 1
+            if outcome.kind == "timeout":
+                stats.timed_out += 1
+            self.store.put_failure(
+                outcome.key, outcome.failure_record(), spec=outcome.spec
+            )
+            return None
+        result = result_from_dict(outcome.payload)
+        self.store.put(outcome.key, result, spec=outcome.spec)
+        stats.simulated += 1
+        stats.sim_seconds += outcome.seconds
+        stats.spec_seconds[outcome.key] = outcome.seconds
+        return result
+
+    def _execute(
+        self,
+        specs: Iterable[Optional[ExperimentSpec]],
+        explicit: dict[str, Trace],
+        jobs: int,
+    ) -> Iterator[SpecOutcome]:
+        """Yield a terminal :class:`SpecOutcome` per spec pulled from
+        ``specs`` as simulations complete, in arbitrary order — the
+        caller realigns by key and persists incrementally."""
         # Inline fast path: no pool process when nothing needs one. A
         # timeout needs a killable worker, and an active fault plan
         # needs a worker whose death is survivable, so both route
         # through the pool even at jobs=1.
-        inline = (
-            (self.jobs == 1 or len(pending) == 1)
-            and self.timeout is None
-            and faults.active_plan() is None
-        )
-        if inline:
-            yield from self._execute_inline(pending, explicit)
+        if jobs == 1 and self.timeout is None and faults.active_plan() is None:
+            yield from self._execute_inline(specs, explicit)
             return
-        # Prefer fork on Linux: workers inherit explicit traces for free
-        # instead of re-pickling them. Elsewhere (macOS/Windows) fork is
-        # unsafe or absent, so keep the platform's default start method.
-        use_fork = sys.platform == "linux"
-        if use_fork:
-            ctx = multiprocessing.get_context("fork")
-            # Zero-copy trace sharing: materialise each trace's replay
-            # tables (numpy -> plain-list conversion, page ids) once in
-            # the parent, *before* forking, so every worker inherits the
-            # ready-to-replay tables through the forked address space
-            # instead of rebuilding them per process. The engine treats
-            # the tables as read-only, so sharing is safe. Under spawn
-            # the tables are deliberately not materialised (they are
-            # excluded from pickling; shipping list renderings of the
-            # arrays would only bloat the transfer).
-            from repro.sim.tlb import PAGE_SHIFT
-
-            for trace in explicit.values():
-                for thread in trace.threads:
-                    thread.replay_tables(PAGE_SHIFT)
-            # Likewise compile each distinct replay kernel once here:
-            # workers inherit the populated memo instead of compiling
-            # their own. The spec is a pure function of the config, so
-            # this builds no trace and no engine.
-            for spec in pending:
-                kernel_for(kernel_spec(spec.config))
-        else:
-            ctx = multiprocessing.get_context()
         pool = FaultTolerantPool(
-            ctx,
-            min(self.jobs, len(pending)),
+            multiprocessing.get_context("fork" if _FORK else None),
+            jobs,
             explicit,
             retries=self.retries,
             timeout=self.timeout,
             backoff=self.backoff,
         )
-        try:
-            yield from pool.run([(spec.key(), spec) for spec in pending])
-        finally:
-            pool.close()
+        yield from pool.run(specs)  # which closes the pool however it ends
         if pool.interrupted is not None:
             # Completed outcomes were already yielded (and persisted by
             # the caller); surface the drain as the interrupt it was.
             raise KeyboardInterrupt
 
     def _execute_inline(
-        self, pending: list[ExperimentSpec], explicit: dict[str, Trace]
+        self,
+        specs: Iterable[Optional[ExperimentSpec]],
+        explicit: dict[str, Trace],
     ) -> Iterator[SpecOutcome]:
         """Single-process execution with the same retry semantics.
 
@@ -379,25 +394,17 @@ class Runner:
         previous = _EXPLICIT
         _EXPLICIT = explicit
         try:
-            for spec in pending:
+            for spec in specs:
+                if spec is None:
+                    continue
                 key = spec.key()
-                attempt = 0
-                while True:
-                    try:
-                        _, payload, seconds = _run_spec(spec, attempt)
-                    except Exception as exc:
-                        attempt += 1
-                        if attempt > self.retries:
-                            yield SpecOutcome(
-                                key=key,
-                                spec=spec,
-                                ok=False,
-                                attempts=attempt,
-                                kind="error",
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                            break
+                for attempt in range(self.retries + 1):
+                    if attempt:
                         time.sleep(_backoff_delay(self.backoff, key, attempt))
+                    try:
+                        payload, seconds = _run_spec(spec, attempt)
+                    except Exception as exc:
+                        error = f"{type(exc).__name__}: {exc}"
                         continue
                     yield SpecOutcome(
                         key=key,
@@ -408,5 +415,14 @@ class Runner:
                         attempts=attempt + 1,
                     )
                     break
+                else:
+                    yield SpecOutcome(
+                        key=key,
+                        spec=spec,
+                        ok=False,
+                        attempts=self.retries + 1,
+                        kind="error",
+                        error=error,
+                    )
         finally:
             _EXPLICIT = previous

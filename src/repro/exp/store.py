@@ -180,7 +180,10 @@ def describe_store(path: Union[str, Path]) -> Optional[dict]:
 @contextmanager
 def flocked(lock_path: Path):
     """Hold an exclusive advisory ``flock`` on a sidecar lockfile (a
-    no-op where ``fcntl`` is unavailable)."""
+    no-op where ``fcntl`` is unavailable). Released with ``LOCK_UN``:
+    a child forked while it is held shares the open file description,
+    so closing our descriptor would leave it locked until the child
+    exits."""
     if fcntl is None:
         yield
         return
@@ -189,7 +192,8 @@ def flocked(lock_path: Path):
         fcntl.flock(fd, fcntl.LOCK_EX)
         yield
     finally:
-        os.close(fd)  # closing the descriptor releases the flock
+        fcntl.flock(fd, fcntl.LOCK_UN)
+        os.close(fd)
 
 
 def append_lines(path: Path, data: bytes, torn: bool = False) -> None:

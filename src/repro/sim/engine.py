@@ -124,6 +124,8 @@ class SimConfig:
             )
         if self.quantum <= 0:
             raise ConfigurationError("quantum must be positive")
+        if self.steal_min_depth < 1:
+            raise ConfigurationError("steal_min_depth must be at least 1")
         if self.kernel not in ("auto", "reference"):
             raise ConfigurationError(
                 f"unknown kernel {self.kernel!r}; expected auto or reference"

@@ -19,6 +19,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SimConfig(quantum=0)
 
+    @pytest.mark.parametrize("depth", [0, -5])
+    def test_steal_min_depth_below_one_rejected(self, depth):
+        """Depth 0 lets an idle core steal from an empty queue: the
+        simulation never finishes, so the config must not exist."""
+        with pytest.raises(ConfigurationError, match="steal_min_depth"):
+            SimConfig(variant="slicc", steal_min_depth=depth)
+
     def test_simulate_rejects_config_plus_kwargs(self, smoke_tpcc):
         with pytest.raises(ConfigurationError):
             simulate(smoke_tpcc, config=SimConfig(), variant="base")

@@ -66,6 +66,18 @@ class TestExpCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "dillution_t" in err
 
+    def test_exp_rejects_steal_min_depth_below_one(self, tmp_path, capsys):
+        payload = {
+            "workload": "tpcc-1",
+            "scale": "smoke",
+            "variant": "slicc",
+            "overrides": {"steal_min_depth": 0},
+        }
+        rc = main(["exp", write_specfile(tmp_path, payload)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "steal_min_depth" in err
+
     def test_exp_missing_file_is_a_clean_error(self, tmp_path, capsys):
         rc = main(["exp", str(tmp_path / "absent.json")])
         assert rc == 2

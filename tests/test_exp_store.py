@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.exp import (
     result_to_dict,
     result_to_json,
 )
+from repro.exp.store import flocked
 from repro.sim.results import SimulationResult
 
 
@@ -316,3 +318,34 @@ class TestConcurrentWriters:
         assert len(store) == 100
         assert audit_store(tmp_path).corrupt == 0
         assert store.get("w3-r24").cycles == 3024
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_lock_is_free_after_the_block_though_a_child_forked_in_it(
+        self, tmp_path
+    ):
+        """A ``flock`` belongs to the open file description, which a
+        child forked inside ``flocked`` shares: leaving the block must
+        still free the lock while that child lives (a queue worker's
+        heartbeat renews while its pool forks workers)."""
+        fcntl = pytest.importorskip("fcntl")
+        lock = tmp_path / "queue.jsonl.lock"
+        child_r, parent_w = os.pipe()
+        with flocked(lock):
+            pid = os.fork()
+            if pid == 0:  # the child only waits for the parent's word
+                try:
+                    os.close(parent_w)
+                    os.read(child_r, 1)
+                finally:
+                    os._exit(0)
+        os.close(child_r)
+        try:
+            fd = os.open(lock, os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            finally:
+                os.close(fd)
+        finally:
+            os.write(parent_w, b"x")
+            os.close(parent_w)
+            os.waitpid(pid, 0)

@@ -26,11 +26,14 @@ from repro.exp import (
     audit_store,
     drain,
     grid,
+    load_spec_file,
     resolve_queue_path,
     result_to_json,
     spec_for,
     spec_from_dict,
 )
+from repro.exp import runner as runner_mod
+from repro.exp.pool import FaultTolerantPool
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,6 +69,11 @@ def queue_events(path):
         except json.JSONDecodeError:
             continue  # torn fragment
     return events
+
+
+def campaign_specs(specfile):
+    specs, baseline = load_spec_file(specfile)
+    return list(specs) + ([baseline] if baseline else [])
 
 
 class TestQueueProtocol:
@@ -253,23 +261,100 @@ class TestQueueProtocol:
 
 
 class TestDrain:
-    def test_drain_completes_a_queue(self, tmp_path, backend="jsonl"):
-        specs = smoke_specs()
+    def test_drain_completes_a_queue(
+        self, tmp_path, monkeypatch, backend="jsonl"
+    ):
+        """A two-job drain runs on one pool and claims a spec each time
+        a slot frees, so the worker never holds more than two leases."""
+        pools = []
+        pool_init = FaultTolerantPool.__init__
+
+        def counted(self, *args, **kwargs):
+            pools.append(self)
+            pool_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FaultTolerantPool, "__init__", counted)
+        specs = smoke_specs(variants=("base", "slicc", "steps", "slicc-sw"))
         queue = WorkQueue(tmp_path, worker_id="solo")
         queue.enqueue(specs)
-        runner = Runner(store=ResultStore(tmp_path, backend=backend), jobs=1)
+        runner = Runner(store=ResultStore(tmp_path, backend=backend), jobs=2)
         report = drain(queue, runner, poll_seconds=0.05)
-        assert report.completed == 3 and report.failed == 0
-        assert report.claimed == 3 and report.reclaimed == 0
+        assert len(pools) == 1
+        assert report.completed == 4 and report.failed == 0
+        assert report.claimed == 4 and report.reclaimed == 0
+        assert report.cycles == 4
+        assert runner.stats.simulated == 4 and runner.stats.sim_seconds > 0
+        held = peak = 0
+        for event in queue_events(tmp_path):
+            if event["event"] == "claimed":
+                held += 1
+            elif event["event"] in ("done", "failed", "abandoned"):
+                held -= 1
+            peak = max(peak, held)
+        assert peak == 2
         status = queue.snapshot()
-        assert status.drained and status.done == 3
+        assert status.drained and status.done == 4
         assert set(runner.store.keys()) == {s.key() for s in specs}
         # A second worker arriving late finds nothing to do.
         again = drain(queue, Runner(store=ResultStore(tmp_path)), poll_seconds=0.05)
         assert again.claimed == 0
 
-    def test_drain_completes_a_queue_sqlite(self, tmp_path):
-        self.test_drain_completes_a_queue(tmp_path, "sqlite")
+    def test_drain_completes_a_queue_sqlite(self, tmp_path, monkeypatch):
+        self.test_drain_completes_a_queue(tmp_path, monkeypatch, "sqlite")
+
+    def test_drain_serves_stored_results_without_simulating(self, tmp_path):
+        """A claim whose result is already in the store (an earlier
+        `repro exp`, or a worker that died before marking it done) is
+        marked done as a cache hit."""
+        specs = smoke_specs()
+        runner = Runner(store=ResultStore(tmp_path), jobs=1)
+        runner.run(specs[:2])
+        queue = WorkQueue(tmp_path, worker_id="w")
+        queue.enqueue(specs)
+        report = drain(queue, runner, poll_seconds=0.05)
+        assert report.completed == 3 and report.claimed == 3
+        assert runner.stats.simulated == 3  # two by run(), one drained
+        assert runner.stats.cached == 2
+        assert queue.snapshot().done == 3
+
+    def test_drain_holds_at_most_the_trace_cache_bound(
+        self, tmp_path, monkeypatch
+    ):
+        """A drain learns its specs one claim at a time, so traces are
+        built where the specs run: more distinct traces than the cache
+        bound never leave more than the bound alive, and specs sharing
+        a trace build it once."""
+        import gc
+        import weakref
+
+        bound = runner_mod._TRACE_CACHE_SIZE
+        monkeypatch.setattr(runner_mod, "_TRACE_CACHE", {})
+        built, alive_at_build = [], []
+        real = runner_mod.standard_trace
+
+        def counting(*args, **kwargs):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            trace = real(*args, **kwargs)
+            built.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(runner_mod, "standard_trace", counting)
+        specs = grid(
+            ExperimentSpec("tpcc-1", scale="smoke", seed=1),
+            {"variant": ["base", "slicc"]},
+        ) + [
+            ExperimentSpec("tpcc-1", scale="smoke", seed=seed)
+            for seed in range(2, bound + 2)
+        ]
+        queue = WorkQueue(tmp_path, worker_id="w")
+        queue.enqueue(specs)
+        runner = Runner(store=ResultStore(tmp_path), jobs=1)
+        report = drain(queue, runner, poll_seconds=0.05)
+        assert report.completed == len(specs)
+        assert len(built) == bound + 1
+        assert max(alive_at_build) == bound - 1
+        assert len(runner_mod._TRACE_CACHE) == bound
 
     def test_drain_reclaims_a_dead_workers_leases(
         self, tmp_path, backend="jsonl"
@@ -490,12 +575,132 @@ class TestQueueCLI:
         err = capsys.readouterr().err
         assert "no queue at" in err and "queue enqueue" in err
 
+    def test_enqueue_rejects_steal_min_depth_below_one(self, tmp_path, capsys):
+        """Such a spec never finishes: a worker would renew its lease
+        forever, so it must not reach the queue."""
+        specfile = tmp_path / "exp.json"
+        specfile.write_text(
+            json.dumps(
+                {
+                    "workload": "tpcc-1",
+                    "scale": "smoke",
+                    "variant": "slicc",
+                    "overrides": {"steal_min_depth": -5},
+                }
+            )
+        )
+        qdir = tmp_path / "campaign"
+        rc = main(["queue", "enqueue", str(specfile), str(qdir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "steal_min_depth" in err
+        assert not resolve_queue_path(qdir).exists()
+
     def test_enqueue_bad_specfile_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "exp.json"
         bad.write_text(json.dumps({"workload": "tpcc-1", "axes": {"nope": [1]}}))
         rc = main(["queue", "enqueue", str(bad), str(tmp_path / "q")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+@linux_only
+class TestInterruptedDrain:
+    def test_sigint_settles_finished_specs_and_releases_the_rest(
+        self, tmp_path, backend="jsonl"
+    ):
+        """SIGINT mid-drain on a two-process pool: the worker exits 130
+        with every stored result marked done and no lease of its own
+        left, and a second worker finishes the queue byte-identically
+        to an in-process reference."""
+        specfile = write_specfile(
+            tmp_path, axes={"slicc.dilution_t": [2, 4, 6, 8, 10, 12]}
+        )
+        specs = campaign_specs(specfile)
+        campaign = tmp_path / "campaign"
+        assert main(["queue", "enqueue", specfile, str(campaign)]) == 0
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.join(REPO_ROOT, "src"),
+            # Slow every spec down (sleep, then simulate) so the drain
+            # is reliably mid-flight when the signal lands.
+            REPRO_FAULT="hang:1",
+            REPRO_FAULT_HANG_S="0.5",
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "queue",
+                "work",
+                str(campaign),
+                "--jobs",
+                "2",
+                "--poll",
+                "0.1",
+                "--worker-id",
+                "w1",
+                "--backend",
+                backend,
+            ],
+            env=env,
+            cwd=REPO_ROOT,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                if any(e["event"] == "done" for e in queue_events(campaign)):
+                    break
+                if proc.poll() is not None:  # pragma: no cover
+                    pytest.fail(
+                        "drain finished before the signal: "
+                        + proc.communicate()[1]
+                    )
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - hung child
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, stderr
+        assert "interrupted" in stderr
+
+        stored = set(ResultStore(campaign).keys())
+        assert 1 <= len(stored) < len(specs)
+        done = {e["key"] for e in queue_events(campaign) if e["event"] == "done"}
+        assert done == stored
+        status = WorkQueue(campaign, worker_id="check").snapshot()
+        assert "w1" not in status.workers and status.leased == 0
+        assert status.pending == len(specs) - len(stored)
+
+        runner = Runner(store=ResultStore(campaign), jobs=1)
+        report = drain(
+            WorkQueue(campaign, worker_id="w2"), runner, poll_seconds=0.05
+        )
+        assert report.completed == len(specs) - len(stored)
+        assert runner.stats.simulated == report.completed
+        final = ResultStore(campaign)
+        assert final.backend == backend
+        for spec, result in zip(specs, Runner().run(specs)):
+            assert result_to_json(final.get(spec.key())) == result_to_json(
+                result
+            )
+        assert audit_store(campaign).clean
+        assert WorkQueue(campaign, worker_id="check").snapshot().done == len(
+            specs
+        )
+
+    def test_sigint_settles_finished_specs_and_releases_the_rest_sqlite(
+        self, tmp_path
+    ):
+        self.test_sigint_settles_finished_specs_and_releases_the_rest(
+            tmp_path, "sqlite"
+        )
 
 
 @linux_only
@@ -514,10 +719,7 @@ class TestMultiProcessChaos:
         campaign = tmp_path / "campaign"
 
         # Fault-free reference, entirely in this process.
-        from repro.exp import load_spec_file
-
-        specs, baseline = load_spec_file(specfile)
-        all_specs = list(specs) + ([baseline] if baseline else [])
+        all_specs = campaign_specs(specfile)
         keys = {s.key() for s in all_specs}
         ref = ResultStore(tmp_path / "reference.jsonl")
         Runner(store=ref, jobs=2).run(all_specs)
