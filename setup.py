@@ -15,7 +15,7 @@ setup(
         "SLICC: Self-Assembly of Instruction Cache Collectives for OLTP "
         "Workloads (MICRO 2012) - full trace-driven reproduction"
     ),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
     package_dir={"": "src"},

@@ -12,7 +12,13 @@ True
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure and table.
+
+``simulate`` and ``generate_trace`` load the replay engine and the trace
+generator on first access (PEP 562), so ``import repro`` stays cheap
+for commands that only key specs, read a store or write reports.
 """
+
+import importlib
 
 from repro.exp import (
     ExperimentSpec,
@@ -31,15 +37,21 @@ from repro.params import (
     SliccParams,
     SystemParams,
 )
-from repro.sim import SimConfig, SimulationResult, simulate
-from repro.workloads import (
-    generate_trace,
-    get_workload,
-    standard_trace,
-    workload_names,
-)
+from repro.sim import SimConfig, SimulationResult
+from repro.workloads import get_workload, standard_trace, workload_names
 
 __version__ = "1.0.0"
+
+_LAZY = {"generate_trace": "repro.workloads", "simulate": "repro.sim"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BLOCK_SIZE",

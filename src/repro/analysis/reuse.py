@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.workloads.trace import KIND_INSTR, Trace, ThreadTrace
 
 #: Blocks shared by more than this fraction of threads count as "most".
@@ -44,6 +42,8 @@ class ReuseBreakdown:
 
 def _breakdown(threads: list[ThreadTrace]) -> ReuseBreakdown:
     """Access-weighted sharing breakdown over a set of threads."""
+    import numpy as np
+
     n_threads = len(threads)
     if n_threads == 0:
         return ReuseBreakdown(0.0, 0.0, 0.0)

@@ -23,7 +23,7 @@ from repro.exp.runner import Runner
 from repro.exp.spec import ExperimentSpec, spec_for
 from repro.exp.store import ResultStore
 from repro.params import SliccParams
-from repro.sim.engine import SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
 from repro.workloads.trace import Trace
 

@@ -58,13 +58,12 @@ from repro.exp import (
     STORE_BACKENDS,
     ResultStore,
     Runner,
-    WorkQueue,
     audit_store,
     compact_store,
     describe_store,
-    drain,
     figure_names,
     load_spec_file,
+    locate_store,
     migrate_store,
     select_figures,
     spec_for,
@@ -390,6 +389,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
             f"`store {args.action}` takes one path; a destination only "
             "makes sense for `store migrate`"
         )
+    _, file = locate_store(args.path)
+    if not file.exists():
+        # A mistyped path must not pass as an empty, clean store.
+        raise ConfigurationError(f"no store at {file}")
     if args.action == "verify":
         audit = audit_store(args.path)
         if args.json:
@@ -439,12 +442,15 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_queue(args: argparse.Namespace, worker_id=None) -> WorkQueue:
-    """Open an existing queue, or fail with a usage error (exit 2).
+def _require_queue(args: argparse.Namespace, worker_id=None):
+    """Open an existing :class:`~repro.exp.queue.WorkQueue`, or fail
+    with a usage error (exit 2).
 
     Only ``enqueue`` creates queues — a worker pointed at a queue that
     was never enqueued is a typo'd path, not an empty campaign.
     """
+    from repro.exp.queue import WorkQueue
+
     kwargs = {}
     if worker_id is not None:
         kwargs["worker_id"] = worker_id
@@ -470,6 +476,8 @@ def _print_queue_status(status) -> None:
 
 
 def _cmd_queue_enqueue(args: argparse.Namespace) -> int:
+    from repro.exp.queue import WorkQueue
+
     specs, baseline_spec = load_spec_file(args.specfile)
     all_specs = specs if baseline_spec is None else [baseline_spec] + specs
     queue = WorkQueue(args.queue)
@@ -485,6 +493,8 @@ def _cmd_queue_enqueue(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue_work(args: argparse.Namespace) -> int:
+    from repro.exp.queue import drain
+
     queue = _require_queue(args, worker_id=args.worker_id)
     runner = _make_runner(args, default_store=queue.path.parent)
     report = drain(queue, runner, poll_seconds=args.poll)
@@ -782,7 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify / compact / migrate a result store (jsonl or sqlite)",
         description="Maintain a campaign's result store (JSONL file or "
         "SQLite database: a store file's suffix names the format, a "
-        "directory uses the store in it). `verify` "
+        "directory uses the store in it). `verify` and `compact` exit 2 "
+        "when no store exists at the path. `verify` "
         "audits without modifying anything and exits 1 when corruption "
         "is found (line scan for jsonl; row scan + PRAGMA "
         "integrity_check for sqlite); `compact` garbage-collects "

@@ -12,8 +12,12 @@ The layer every campaign goes through::
     print(summarize(zip(specs, results)))
 
 Specs are frozen and content-hashed; the runner fans out over processes
-and the store makes repeated sweeps incremental.
+and the store makes repeated sweeps incremental. The worker pool and the
+work queue load on first access (PEP 562), so keying specs and reading a
+store import neither ``multiprocessing`` nor the queue.
 """
+
+import importlib
 
 from repro.exp.faults import FaultPlan, active_plan, parse_fault_spec
 from repro.exp.figures import (
@@ -24,18 +28,7 @@ from repro.exp.figures import (
     register_figure,
     select_figures,
 )
-from repro.exp.pool import FaultTolerantPool, SpecOutcome
-from repro.exp.queue import (
-    ClaimedSpec,
-    DrainReport,
-    LeaseHeartbeat,
-    QueueStatus,
-    StaleLease,
-    WorkQueue,
-    drain,
-    resolve_queue_path,
-)
-from repro.exp.runner import Runner, RunnerStats
+from repro.exp.runner import Runner, RunnerStats, SpecOutcome
 from repro.exp.spec import (
     ExperimentSpec,
     grid,
@@ -61,6 +54,32 @@ from repro.exp.store import (
     result_to_json,
 )
 from repro.exp.summarize import summarize
+
+_LAZY = {
+    "FaultTolerantPool": "repro.exp.pool",
+    **dict.fromkeys(
+        (
+            "ClaimedSpec",
+            "DrainReport",
+            "LeaseHeartbeat",
+            "QueueStatus",
+            "StaleLease",
+            "WorkQueue",
+            "drain",
+            "resolve_queue_path",
+        ),
+        "repro.exp.queue",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ClaimedSpec",

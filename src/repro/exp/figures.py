@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.exp.spec import ExperimentSpec, grid
 from repro.params import ScalePreset, SliccParams
 from repro.sched import policy_names
-from repro.sim.engine import SimConfig
+from repro.sim.config import SimConfig
 
 #: Seed every registry figure runs at (matches the golden-pin seed so
 #: smoke-scale figure runs and the golden fixtures describe the same

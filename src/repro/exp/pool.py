@@ -35,7 +35,6 @@ simulation it finished.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import threading
@@ -44,6 +43,8 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Iterable, Iterator, Optional
 
+from repro.exp import runner as runner_mod
+from repro.exp.runner import SpecOutcome, _backoff_delay
 from repro.exp.spec import ExperimentSpec
 
 #: Upper bound on one scheduler wait, so deadline checks and drain
@@ -52,36 +53,6 @@ _TICK_SECONDS = 0.2
 
 #: Grace given to a SIGTERM'd worker before escalating to SIGKILL.
 _TERM_GRACE_SECONDS = 0.5
-
-
-@dataclass
-class SpecOutcome:
-    """Terminal fate of one spec: a result payload or a failure."""
-
-    key: str
-    spec: ExperimentSpec
-    ok: bool
-    #: ``result_to_dict`` payload (successes only).
-    payload: Optional[dict] = None
-    #: Simulation seconds of the successful attempt.
-    seconds: float = 0.0
-    #: Total attempts executed (1 = no retries needed).
-    attempts: int = 1
-    #: Failure classification: ``error`` (exception inside the engine),
-    #: ``worker-death`` (process died mid-task), ``timeout``.
-    kind: Optional[str] = None
-    error: Optional[str] = None
-
-    def failure_record(self) -> dict:
-        """The structured row :meth:`ResultStore.put_failure` persists."""
-        return {
-            "kind": self.kind,
-            "error": self.error,
-            "attempts": self.attempts,
-            "label": self.spec.display_label(),
-            "variant": self.spec.variant,
-            "workload": self.spec.workload,
-        }
 
 
 @dataclass
@@ -113,11 +84,6 @@ def _worker_main(conn, explicit, parent_pid) -> None:
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    # Imported here, not at module top: under fork the worker inherits
-    # the parent's loaded modules anyway, and under spawn this keeps the
-    # import cost in the child.
-    from repro.exp import runner as runner_mod
-
     runner_mod._EXPLICIT = explicit
     while True:
         try:
@@ -173,19 +139,6 @@ class _Worker:
         if self.process.is_alive():  # pragma: no cover - defensive
             self.process.kill()
             self.process.join(_TERM_GRACE_SECONDS)
-
-
-def _backoff_delay(base: float, key: str, attempt: int) -> float:
-    """Exponential backoff with deterministic jitter in [1.0, 1.5)x.
-
-    The jitter decorrelates retry storms across specs (every task that
-    died with one worker would otherwise retry in lockstep) while
-    staying a pure function of (key, attempt) so scheduling is
-    reproducible.
-    """
-    digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
-    jitter = 1.0 + (digest[0] / 256.0) * 0.5
-    return base * (2.0 ** (attempt - 1)) * jitter
 
 
 class FaultTolerantPool:

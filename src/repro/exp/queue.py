@@ -66,7 +66,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ReproError
 from repro.exp import faults
-from repro.exp.pool import _backoff_delay
+from repro.exp.runner import _backoff_delay
 from repro.exp.spec import ExperimentSpec, spec_from_dict
 from repro.exp.store import append_lines, flocked
 
@@ -219,7 +219,8 @@ class WorkQueue:
 
     Args:
         path: queue directory or ``*.jsonl`` file (see
-            :func:`resolve_queue_path`).
+            :func:`resolve_queue_path`); the first :meth:`enqueue`
+            creates it.
         worker_id: identity used for claims; defaults to a
             host-pid-random id. Pass an explicit id for deterministic
             chaos profiles.
@@ -245,7 +246,6 @@ class WorkQueue:
                 f"lease_seconds must be positive, got {lease_seconds}"
             )
         self._path = resolve_queue_path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
         self.worker_id = worker_id or default_worker_id()
         self.lease_seconds = float(lease_seconds)
         self.max_claims = max(1, int(max_claims))
@@ -407,6 +407,9 @@ class WorkQueue:
         """
         now = time.time()
         added = 0
+        # Only enqueue creates a queue, so a command aimed at a mistyped
+        # path leaves nothing behind.
+        self._path.parent.mkdir(parents=True, exist_ok=True)
         with self._locked():
             self._refresh_locked()
             for spec in specs:

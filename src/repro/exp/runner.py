@@ -34,7 +34,7 @@ with a byte-identical-JSON guard.
 
 from __future__ import annotations
 
-import multiprocessing
+import hashlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -42,13 +42,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError, SweepFailure
 from repro.exp import faults
-from repro.exp.pool import FaultTolerantPool, SpecOutcome, _backoff_delay
 from repro.exp.spec import ExperimentSpec, trace_fingerprint
 from repro.exp.store import ResultStore, result_from_dict, result_to_dict
 from repro.params import ScalePreset
-from repro.sim.engine import simulate
 from repro.sim.results import SimulationResult
-from repro.sim.specialize import kernel_for, kernel_spec
 from repro.sim.tlb import PAGE_SHIFT
 from repro.workloads import standard_trace
 from repro.workloads.trace import Trace
@@ -114,10 +111,55 @@ def _run_spec(spec: ExperimentSpec, attempt: int = 0) -> tuple[dict, float]:
     deterministic crash/hang schedule on (spec key, attempt) so a retry
     can be scheduled to succeed where the first attempt was killed.
     """
+    from repro.sim.engine import simulate
+
     faults.inject_worker_faults(spec.key(), attempt)
     t0 = time.perf_counter()
     result = simulate(_trace_for(spec), config=spec.config)
     return result_to_dict(result), time.perf_counter() - t0
+
+
+@dataclass
+class SpecOutcome:
+    """Terminal fate of one spec: a result payload or a failure."""
+
+    key: str
+    spec: ExperimentSpec
+    ok: bool
+    #: ``result_to_dict`` payload (successes only).
+    payload: Optional[dict] = None
+    #: Simulation seconds of the successful attempt.
+    seconds: float = 0.0
+    #: Total attempts executed (1 = no retries needed).
+    attempts: int = 1
+    #: Failure classification: ``error`` (exception inside the engine),
+    #: ``worker-death`` (process died mid-task), ``timeout``.
+    kind: Optional[str] = None
+    error: Optional[str] = None
+
+    def failure_record(self) -> dict:
+        """The structured row :meth:`ResultStore.put_failure` persists."""
+        return {
+            "kind": self.kind,
+            "error": self.error,
+            "attempts": self.attempts,
+            "label": self.spec.display_label(),
+            "variant": self.spec.variant,
+            "workload": self.spec.workload,
+        }
+
+
+def _backoff_delay(base: float, key: str, attempt: int) -> float:
+    """Exponential backoff with deterministic jitter in [1.0, 1.5)x.
+
+    The jitter decorrelates retry storms across specs (every task that
+    died with one worker would otherwise retry in lockstep) while
+    staying a pure function of (key, attempt) so scheduling is
+    reproducible.
+    """
+    digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
+    jitter = 1.0 + (digest[0] / 256.0) * 0.5
+    return base * (2.0 ** (attempt - 1)) * jitter
 
 
 @dataclass
@@ -269,12 +311,14 @@ class Runner:
                 if built is None:
                     built = self._traces[key] = _build_trace(spec)
                 explicit[key] = built
-        if _FORK:
+        if _FORK and pending:
             # Zero-copy sharing: build the replay tables (numpy -> plain
             # lists, page ids) of every trace a pending spec replays, and
             # each pending spec's replay kernel, here: forked workers
             # inherit both, read-only, and an inline run needs the same.
             # Under spawn neither reaches the workers, so neither is built.
+            from repro.sim.specialize import kernel_for, kernel_spec
+
             for key in {spec.trace_key() for spec in pending.values()}:
                 for thread in explicit[key].threads:
                     thread.replay_tables(PAGE_SHIFT)
@@ -366,6 +410,14 @@ class Runner:
         if jobs == 1 and self.timeout is None and faults.active_plan() is None:
             yield from self._execute_inline(specs, explicit)
             return
+        # Import the simulation stack before the pool forks, so every
+        # worker inherits it instead of importing it again.
+        import multiprocessing
+
+        import repro.sim.engine  # noqa: F401
+        import repro.workloads.generator  # noqa: F401
+        from repro.exp.pool import FaultTolerantPool
+
         pool = FaultTolerantPool(
             multiprocessing.get_context("fork" if _FORK else None),
             jobs,

@@ -4,7 +4,7 @@ An :class:`ExperimentSpec` is a frozen, hashable description of one
 simulation: *which trace* (either a declarative workload reference —
 name, scale, thread count, seed — or a fingerprint of an explicit
 in-memory :class:`~repro.workloads.trace.Trace`) replayed under *which*
-:class:`~repro.sim.engine.SimConfig`. Because the trace generators and
+:class:`~repro.sim.config.SimConfig`. Because the trace generators and
 the replay engine are deterministic, the spec fully determines the
 :class:`~repro.sim.results.SimulationResult`; its content hash
 (:meth:`ExperimentSpec.key`) is therefore a safe cache key for the
@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Optional
 from repro.errors import ConfigurationError
 from repro.params import ScalePreset, SliccParams, SystemParams
 from repro.sched import POLICY_GATED_FIELDS, get_policy
-from repro.sim.engine import SimConfig
+from repro.sim.config import SimConfig
 from repro.workloads import workload_names
 from repro.workloads.trace import Trace
 

@@ -27,6 +27,11 @@ BLOCK_SIZE = 64
 #: log2(BLOCK_SIZE); block id = byte address >> BLOCK_SHIFT.
 BLOCK_SHIFT = 6
 
+#: Names of the replacement policies ``CacheParams.policy`` accepts. The
+#: registry in :mod:`repro.cache.policies` defines them; a test keeps
+#: the two in step, so this module need not import the cache package.
+REPLACEMENT_POLICIES = ("lru", "lip", "bip", "dip", "srrip", "brrip", "drrip")
+
 
 class ScalePreset(Enum):
     """Workload scale presets.
@@ -48,10 +53,11 @@ class CacheParams:
     Attributes:
         size_bytes: total capacity in bytes.
         assoc: number of ways per set.
-        block_size: line size in bytes (64 throughout the paper).
+        block_size: line size in bytes; must be :data:`BLOCK_SIZE`,
+            the block every trace record addresses.
         hit_latency: access latency in cycles (load-to-use).
         policy: replacement policy name, one of
-            ``lru, lip, bip, dip, srrip, brrip, drrip``.
+            :data:`REPLACEMENT_POLICIES`.
     """
 
     size_bytes: int = 32 * 1024
@@ -61,9 +67,24 @@ class CacheParams:
     policy: str = "lru"
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0 or self.assoc <= 0 or self.block_size <= 0:
+        if self.size_bytes <= 0 or self.assoc <= 0:
             raise ConfigurationError(
                 f"cache parameters must be positive: {self}"
+            )
+        if self.block_size != BLOCK_SIZE:
+            # Trace records name 64-byte blocks: another line size would
+            # silently model a cache of a different capacity.
+            raise ConfigurationError(
+                f"block_size must be {BLOCK_SIZE}, got {self.block_size}"
+            )
+        if self.hit_latency < 0:
+            raise ConfigurationError(
+                f"hit_latency must not be negative, got {self.hit_latency}"
+            )
+        if self.policy not in REPLACEMENT_POLICIES:
+            raise ConfigurationError(
+                f"unknown replacement policy {self.policy!r}; known: "
+                f"{sorted(REPLACEMENT_POLICIES)}"
             )
         if self.size_bytes % (self.block_size * self.assoc) != 0:
             raise ConfigurationError(
@@ -95,6 +116,20 @@ class CacheParams:
         if hit_latency is None:
             hit_latency = self.hit_latency
         return replace(self, size_bytes=size_bytes, hit_latency=hit_latency)
+
+
+#: The cycle constants of :class:`SystemParams`: zero is legal, a
+#: negative value is not.
+_CYCLE_FIELDS = (
+    "l2_hit_latency",
+    "memory_latency",
+    "base_cycles_per_iblock",
+    "frontend_refill_cycles",
+    "tlb_miss_cycles",
+    "migration_context_cycles",
+    "migration_hop_cycles",
+    "migration_refill_cycles",
+)
 
 
 @dataclass(frozen=True)
@@ -139,13 +174,25 @@ class SystemParams:
     migration_refill_cycles: int = 20
 
     def __post_init__(self) -> None:
+        if self.torus_width < 1:
+            raise ConfigurationError(
+                f"torus_width must be at least 1, got {self.torus_width}"
+            )
         if self.torus_width * self.torus_width != self.n_cores:
             raise ConfigurationError(
                 f"n_cores ({self.n_cores}) must equal torus_width^2 "
                 f"({self.torus_width}^2)"
             )
-        if not (0.0 <= self.load_overlap <= 1.0 and 0.0 <= self.store_overlap <= 1.0):
-            raise ConfigurationError("overlap factors must lie in [0, 1]")
+        if self.instructions_per_iblock < 1:
+            raise ConfigurationError("instructions_per_iblock must be at least 1")
+        for name in _CYCLE_FIELDS:
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must not be negative, got {getattr(self, name)}"
+                )
+        for name in ("load_overlap", "store_overlap", "prefetch_late_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigurationError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

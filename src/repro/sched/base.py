@@ -16,7 +16,7 @@ A :class:`SchedulingPolicy` bundles everything that used to be a
   decisions remain inlined in the loop (gated on the agent objects the
   policy asked for), and new policies decide in :meth:`quantum_end`,
   which the engine calls at most once per quantum.
-* **``relevant_fields``**, the set of :class:`~repro.sim.engine.SimConfig`
+* **``relevant_fields``**, the set of :class:`~repro.sim.config.SimConfig`
   fields that can influence results under this policy. The experiment
   layer's canonical cache keys zero every other policy-gated field, so
   e.g. a ``steal_min_depth`` sweep of a non-stealing policy collapses to
@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING, ClassVar, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.params import CacheParams, SystemParams
-    from repro.sim.engine import ReplayEngine, SimConfig
+    from repro.sim.config import SimConfig
+    from repro.sim.engine import ReplayEngine
     from repro.sim.results import SimulationResult
 
 #: SimConfig fields whose effect is policy-dependent; everything not in a

@@ -1,7 +1,7 @@
 """Name-keyed registry of scheduling policies.
 
 The registry is the single source of truth for which ``variant`` values
-exist: :class:`~repro.sim.engine.SimConfig` validates against it, the CLI
+exist: :class:`~repro.sim.config.SimConfig` validates against it, the CLI
 derives its ``--variants`` choices from it, the experiment layer reads
 per-policy ``relevant_fields`` from it, and the ``policy-comparison``
 figure sweeps it. Registering a new policy module is therefore the whole

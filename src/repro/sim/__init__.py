@@ -1,18 +1,32 @@
 """Simulation engine: machine model, timing, replay loop, results.
 
 The variant list is the scheduling-policy registry —
-``repro.sched.policy_names()``.
+``repro.sched.policy_names()``. The replay engine and the machine load
+on first access (PEP 562), so naming a :class:`SimConfig` or reading a
+:class:`SimulationResult` does not import them.
 """
 
-from repro.sim.engine import (
-    ReplayEngine,
-    SimConfig,
-    simulate,
-)
-from repro.sim.machine import Machine
+import importlib
+
+from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
 from repro.sim.timing import TimingModel
 from repro.sim.tlb import Tlb
+
+_LAZY = {
+    "Machine": "repro.sim.machine",
+    "ReplayEngine": "repro.sim.engine",
+    "simulate": "repro.sim.engine",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Machine",

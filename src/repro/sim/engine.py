@@ -37,7 +37,6 @@ transfer cost (Section 4.4) when it next starts running.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cache.classify import MissClass, MissClassifier
@@ -45,15 +44,13 @@ from repro.core.agent import SliccAgent
 from repro.core.scheduler import ThreadQueues
 from repro.core.txn_types import PreambleTypeDetector
 from repro.errors import ConfigurationError, SimulationError
-from repro.params import SliccParams, SystemParams
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.sched import (
     STEPS_SWITCH_CYCLES,  # noqa: F401  (compat re-export; lives in sched)
     SchedulingPolicy,
     get_policy,
-    has_policy,
-    policy_names,
 )
+from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
 from repro.sim.results import SimulationResult
 from repro.sim.specialize import kernel_for, kernel_spec
@@ -68,68 +65,6 @@ DATA_PREFETCH_CYCLES_PER_BLOCK = 2
 #: One in this many bypassed misses installs anyway (gap self-repair; see
 #: the segment-protection comment in ``_process_instruction``).
 BYPASS_REPAIR_RATE = 8
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Configuration of one simulation run."""
-
-    variant: str = "base"
-    system: SystemParams = field(default_factory=SystemParams)
-    slicc: SliccParams = field(default_factory=SliccParams)
-    quantum: int = 50
-    collect_miss_classes: bool = False
-    #: Cycles between successive thread arrivals. ``None`` derives a
-    #: throughput-matched spacing (mean thread service time / cores) so
-    #: the machine runs at steady state with threads at *different phases*
-    #: of their transactions — the regime of the paper's 1K-task stream.
-    #: 0 makes all threads available at cycle zero (synchronised start).
-    arrival_spacing: Optional[int] = None
-    #: Idle-core work stealing in SLICC variants (see
-    #: :meth:`ReplayEngine._rebalance`). Exposed for the ablation bench.
-    work_stealing: bool = True
-    #: Minimum queue depth a victim core must have before an idle core
-    #: steals from it. Higher values trade utilisation for segment
-    #: stability (a stolen thread replicates its segment at the idle
-    #: core, evicting whatever lived there).
-    steal_min_depth: int = 3
-    #: Reset the stolen-to core's MC so the stolen thread *replicates*
-    #: the hot segment there (spreading queue load over two copies).
-    #: False keeps the idle core's cache frozen: the stolen thread runs
-    #: bypassed until a segment match pulls it back into the collective.
-    #: The default False preserves assembled segments; the ablation bench
-    #: quantifies both policies.
-    steal_resets_mc: bool = False
-    #: Migration data prefetcher (Section 5.5): ship the last n data
-    #: block tags with a migrating thread. 0 disables (the default — the
-    #: paper found the mitigation unhelpful; the bench reproduces that).
-    data_prefetch_n: int = 0
-    #: Model the banked NUCA L2's finite capacity and bank distances
-    #: (Table 2) instead of the infinite-L2 approximation. Slower; only
-    #: changes results when a workload's footprint pressures 16MB.
-    model_l2_capacity: bool = False
-    #: Replay kernel. ``"auto"`` (the default) runs the generated
-    #: per-config kernel (``sim/specialize.py``) for every record;
-    #: ``"reference"`` runs the same generated scheduling loop but hands
-    #: every record to the generic ``_process_instruction`` /
-    #: ``_process_data`` reference implementation. The two are
-    #: byte-identical, so the choice never affects results (and is
-    #: excluded from experiment store keys — see ``exp/spec.py``).
-    kernel: str = "auto"
-
-    def __post_init__(self) -> None:
-        if not has_policy(self.variant):
-            raise ConfigurationError(
-                f"unknown variant {self.variant!r}; known: {policy_names()}"
-            )
-        if self.quantum <= 0:
-            raise ConfigurationError("quantum must be positive")
-        if self.steal_min_depth < 1:
-            raise ConfigurationError("steal_min_depth must be at least 1")
-        if self.kernel not in ("auto", "reference"):
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected auto or reference"
-            )
 
 
 class _ThreadState:

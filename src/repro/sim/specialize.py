@@ -80,7 +80,7 @@ class KernelSpec(NamedTuple):
 
 
 def kernel_spec(config) -> KernelSpec:
-    """The :class:`KernelSpec` of a :class:`~repro.sim.engine.SimConfig`
+    """The :class:`KernelSpec` of a :class:`~repro.sim.config.SimConfig`
     (a pure function of the config: no engine or trace needed)."""
     policy = get_policy(config.variant)
     system = config.system

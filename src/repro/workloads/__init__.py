@@ -7,13 +7,17 @@ The four benchmarks of Table 1 — plus the scenario extensions
 >>> spec = get_workload("tpcc-1")
 >>> spec.name
 'tpcc-1'
+
+The trace generator (and numpy with it) loads on first use: naming a
+workload, or keying a spec for one, does not import it.
 """
 
 from __future__ import annotations
 
+import importlib
+
 from repro.errors import ConfigurationError
 from repro.params import ScalePreset
-from repro.workloads.generator import generate_thread, generate_trace
 from repro.workloads.mapreduce import make_mapreduce
 from repro.workloads.phased import make_phased
 from repro.workloads.spec import (
@@ -82,10 +86,20 @@ def standard_trace(
     seed: int = 1,
 ) -> Trace:
     """Generate the standard trace for a named workload at a scale."""
+    from repro.workloads.generator import generate_trace
+
     spec = get_workload(name, scale)
     if n_threads is None:
         n_threads = DEFAULT_THREADS[scale]
     return generate_trace(spec, n_threads=n_threads, seed=seed)
+
+
+def __getattr__(name):
+    if name not in ("generate_thread", "generate_trace"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("repro.workloads.generator"), name)
+    globals()[name] = value
+    return value
 
 
 __all__ = [

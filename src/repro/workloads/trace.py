@@ -11,10 +11,12 @@ block cannot change any cache state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import TraceError
+
+if TYPE_CHECKING:  # numpy loads with the first trace built, not here
+    import numpy as np
 
 #: Access kinds (values of ``ThreadTrace.kind``).
 KIND_INSTR = 0
@@ -84,6 +86,8 @@ class ThreadTrace:
     @property
     def n_instruction_records(self) -> int:
         """Number of instruction-block records."""
+        import numpy as np
+
         return int(np.count_nonzero(self.kind == KIND_INSTR))
 
     @property
@@ -93,6 +97,8 @@ class ThreadTrace:
 
     def instruction_blocks(self) -> np.ndarray:
         """Distinct instruction block ids this thread touches."""
+        import numpy as np
+
         return np.unique(self.addr[self.kind == KIND_INSTR])
 
 

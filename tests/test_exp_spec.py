@@ -28,6 +28,26 @@ class TestSpecIdentity:
         b = ExperimentSpec("tpcc-1", seed=3, label="second")
         assert a.key() == b.key()
 
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            (
+                None,
+                "073709fea69ddb3c1a43b7f0fa432575abf5eaba5e67ed48837df621c6111201",
+            ),
+            (
+                SimConfig(variant="slicc-sw"),
+                "3cc7ab66769a3b9ce66eb19dd387f666ac76da1eec6e951078d5b07bb4c01d12",
+            ),
+        ],
+    )
+    def test_key_is_pinned(self, config, key):
+        """Literal keys: a refactor of SimConfig or the key function must
+        never re-key (and so orphan) the rows of an existing store."""
+        kwargs = {} if config is None else {"config": config}
+        spec = ExperimentSpec("tpcc-1", scale="smoke", seed=7, **kwargs)
+        assert spec.key() == key
+
     def test_key_varies_with_trace_fields(self):
         a = ExperimentSpec("tpcc-1", seed=3)
         assert a.key() != ExperimentSpec("tpcc-1", seed=4).key()

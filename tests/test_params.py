@@ -1,15 +1,41 @@
 """Tests for parameter validation and the public package surface."""
 
+import json
+
 import pytest
 
 import repro
+from repro.cache.policies import policy_names as replacement_policy_names
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.params import (
+    REPLACEMENT_POLICIES,
     CacheParams,
     ScalePreset,
     SliccParams,
     SystemParams,
 )
+
+#: Machine parameters accepted until construction-time validation: each
+#: silently modelled something else or failed only inside ``simulate``.
+NONSENSE = [
+    ("cache", {"block_size": 32}),
+    ("cache", {"hit_latency": -1}),
+    ("cache", {"policy": "nope"}),
+    ("system", {"memory_latency": -1}),
+    ("system", {"l2_hit_latency": -5}),
+    ("system", {"tlb_miss_cycles": -3}),
+    ("system", {"instructions_per_iblock": 0}),
+    ("system", {"torus_width": 0, "n_cores": 0}),
+    ("system", {"prefetch_late_fraction": 1.5}),
+]
+
+
+NONSENSE_IDS = ["-".join(fields) for _, fields in NONSENSE]
+
+
+def _build(kind, fields):
+    return CacheParams(**fields) if kind == "cache" else SystemParams(**fields)
 
 
 class TestSystemParams:
@@ -29,6 +55,46 @@ class TestSystemParams:
     def test_overlap_bounds_enforced(self):
         with pytest.raises(ConfigurationError):
             SystemParams(load_overlap=1.5)
+
+
+class TestMachineValidation:
+    @pytest.mark.parametrize("kind,fields", NONSENSE, ids=NONSENSE_IDS)
+    def test_nonsense_rejected_at_construction(self, kind, fields):
+        with pytest.raises(ConfigurationError, match=next(iter(fields))):
+            _build(kind, fields)
+
+    @pytest.mark.parametrize(
+        "kind,fields",
+        [
+            ("cache", {"hit_latency": 0}),
+            ("system", {"memory_latency": 0, "l2_hit_latency": 0}),
+            ("system", {"tlb_miss_cycles": 0, "migration_hop_cycles": 0}),
+            ("system", {"n_cores": 1, "torus_width": 1}),
+        ],
+    )
+    def test_zero_cycle_constants_stay_legal(self, kind, fields):
+        params = _build(kind, fields)
+        assert all(getattr(params, k) == v for k, v in fields.items())
+
+    def test_policy_names_match_the_registry(self):
+        assert sorted(REPLACEMENT_POLICIES) == replacement_policy_names()
+
+    @pytest.mark.parametrize("kind,fields", NONSENSE, ids=NONSENSE_IDS)
+    def test_exp_on_such_a_spec_exits_2(self, kind, fields, tmp_path, capsys):
+        override = (
+            {"system.l1i": fields}
+            if kind == "cache"
+            else {f"system.{k}": v for k, v in fields.items()}
+        )
+        specfile = tmp_path / "exp.json"
+        specfile.write_text(
+            json.dumps(
+                {"workload": "tpcc-1", "scale": "smoke", "overrides": override}
+            )
+        )
+        assert main(["exp", str(specfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(fields)) in err
 
 
 class TestSliccParams:

@@ -575,6 +575,13 @@ class TestQueueCLI:
         err = capsys.readouterr().err
         assert "no queue at" in err and "queue enqueue" in err
 
+    @pytest.mark.parametrize("action", ["status", "work", "reclaim"])
+    def test_missing_queue_leaves_no_directory(self, tmp_path, action, capsys):
+        path = tmp_path / "typo" / "campaign"
+        assert main(["queue", action, str(path)]) == 2
+        assert "no queue at" in capsys.readouterr().err
+        assert not path.exists() and not path.parent.exists()
+
     def test_enqueue_rejects_steal_min_depth_below_one(self, tmp_path, capsys):
         """Such a spec never finishes: a worker would renew its lease
         forever, so it must not reach the queue."""

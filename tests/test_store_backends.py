@@ -440,6 +440,16 @@ class TestCli:
         assert main(["store", "migrate", str(hop), str(back)]) == 0
         assert back.read_bytes() == src.read_bytes()
 
+    @pytest.mark.parametrize("action", ["verify", "compact"])
+    def test_missing_store_exits_2(
+        self, tmp_path, store_backend, action, capsys
+    ):
+        """A mistyped path is a usage error, not an empty clean store."""
+        path = tmp_path / f"nowhere.{store_backend}"
+        assert main(["store", action, str(path)]) == 2
+        assert "no store at" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_store_verify_json_names_backend(self, tmp_path, capsys):
         store = self.run_sweep(tmp_path, backend="sqlite")
         capsys.readouterr()
