@@ -43,7 +43,7 @@ def test_fig02_replacement_policies(benchmark, run_sims, workload):
     mpki = dict((r[0], r[1]) for r in rows)
     assert set(POLICIES) <= set(policy_names())
     if workload != "mapreduce":
-        # Shape that holds at this trace scale (see EXPERIMENTS.md): DIP's
+        # Shape that holds at this trace scale: DIP's
         # duel tracks LRU closely, and no policy recovers anywhere near
         # what larger caches or SLICC do — the paper's actual argument.
         # (The paper's ~8% win for B/DRRIP needs longer-period thrash than

@@ -8,7 +8,10 @@ plane with dilution_t = 0.
 
 import pytest
 
-from repro.analysis import format_table, sweep_fillup_matched
+from repro.analysis import format_table
+from repro.exp import grid, spec_for
+from repro.params import SliccParams
+from repro.sim import SimConfig
 
 FILL_VALUES = (128, 256, 384, 512)
 MATCH_VALUES = (2, 4, 6, 8, 10)
@@ -18,20 +21,29 @@ MATCH_VALUES = (2, 4, 6, 8, 10)
 def test_fig07_grid(benchmark, traces, run_sim, exp_runner, workload):
     trace = traces[workload]
     baseline = run_sim(workload, "base")
+    config = SimConfig(variant="slicc-sw", slicc=SliccParams(dilution_t=0))
+    specs = grid(
+        spec_for(trace, config),
+        {"slicc.fill_up_t": FILL_VALUES, "slicc.matched_t": MATCH_VALUES},
+    )
 
-    def run():
-        return sweep_fillup_matched(
-            trace,
-            fill_up_values=FILL_VALUES,
-            matched_values=MATCH_VALUES,
-            baseline=baseline,
-            runner=exp_runner,
-        )
-
-    points = benchmark.pedantic(run, iterations=1, rounds=1)
+    results = benchmark.pedantic(
+        exp_runner.run,
+        args=(specs,),
+        kwargs={"trace": trace},
+        iterations=1,
+        rounds=1,
+    )
     rows = [
-        [p.fill_up_t, p.matched_t, p.i_mpki, p.d_mpki, p.speedup, p.migrations]
-        for p in points
+        [
+            spec.config.slicc.fill_up_t,
+            spec.config.slicc.matched_t,
+            result.i_mpki,
+            result.d_mpki,
+            result.speedup_over(baseline),
+            result.migrations,
+        ]
+        for spec, result in zip(specs, results)
     ]
     print()
     print(
@@ -43,11 +55,10 @@ def test_fig07_grid(benchmark, traces, run_sim, exp_runner, workload):
     )
     # Shape checks: fill-up_t insensitivity (spread of speedups across
     # fill-up at the paper's matched_t=4 stays small)...
-    at_match4 = [p.speedup for p in points if p.matched_t == 4]
+    at_match4 = [row[4] for row in rows if row[1] == 4]
     assert max(at_match4) - min(at_match4) < 0.35
     # ...and larger matched_t migrates less.
     migs_by_match = {
-        m: sum(p.migrations for p in points if p.matched_t == m)
-        for m in MATCH_VALUES
+        m: sum(row[5] for row in rows if row[1] == m) for m in MATCH_VALUES
     }
     assert migs_by_match[10] < migs_by_match[2]

@@ -7,7 +7,9 @@ becomes too restricted; migration counts fall monotonically.
 
 import pytest
 
-from repro.analysis import format_table, sweep_dilution
+from repro.analysis import format_table
+from repro.exp import grid, spec_for
+from repro.sim import SimConfig
 
 DILUTION_VALUES = tuple(range(2, 31, 4))
 
@@ -16,19 +18,27 @@ DILUTION_VALUES = tuple(range(2, 31, 4))
 def test_fig08_dilution_sweep(benchmark, traces, run_sim, exp_runner, workload):
     trace = traces[workload]
     baseline = run_sim(workload, "base")
+    specs = grid(
+        spec_for(trace, SimConfig(variant="slicc-sw")),
+        {"slicc.dilution_t": DILUTION_VALUES},
+    )
 
-    def run():
-        return sweep_dilution(
-            trace,
-            dilution_values=DILUTION_VALUES,
-            baseline=baseline,
-            runner=exp_runner,
-        )
-
-    points = benchmark.pedantic(run, iterations=1, rounds=1)
+    results = benchmark.pedantic(
+        exp_runner.run,
+        args=(specs,),
+        kwargs={"trace": trace},
+        iterations=1,
+        rounds=1,
+    )
     rows = [
-        [p.dilution_t, p.i_mpki, p.d_mpki, p.speedup, p.migrations]
-        for p in points
+        [
+            spec.config.slicc.dilution_t,
+            result.i_mpki,
+            result.d_mpki,
+            result.speedup_over(baseline),
+            result.migrations,
+        ]
+        for spec, result in zip(specs, results)
     ]
     print()
     print(
@@ -39,7 +49,6 @@ def test_fig08_dilution_sweep(benchmark, traces, run_sim, exp_runner, workload):
         )
     )
     # Shape: migrations fall monotonically (allowing small noise).
-    migs = [p.migrations for p in points]
-    assert migs[-1] < migs[0]
+    assert results[-1].migrations < results[0].migrations
     # D-MPKI falls as migration is restricted.
-    assert points[-1].d_mpki <= points[0].d_mpki + 0.5
+    assert results[-1].d_mpki <= results[0].d_mpki + 0.5

@@ -4,7 +4,7 @@
 Builds a single-transaction-type workload (the cleanest regime for
 SLICC), replays it with migration enabled, and then inspects the
 machine: which code segment each core's L1-I ended up holding, how many
-misses each successive thread paid, and the headline I-MPKI cut. This is
+misses each core's L1-I paid, and the headline I-MPKI cut. This is
 the experiment demonstrating the *self-assembly* the paper's title
 promises — later threads ride the collective the first threads built.
 
@@ -73,15 +73,13 @@ def main() -> None:
         )
         print(f"  core {core:2d}: {held or '(scraps)'}")
 
-    print("\nPer-thread instruction misses (arrival order):")
-    misses = [t.i_misses for t in engine.threads]
-    print(" ", misses)
-    early = sum(misses[:4]) / 4
-    late = sum(misses[-4:]) / 4
-    print(
-        f"\nfirst 4 threads avg {early:.0f} misses (assembling the "
-        f"collective); last 4 avg {late:.0f} (riding it)"
-    )
+    print("\nPer-core L1-I misses / accesses:")
+    for core in range(16):
+        stats = engine.machine.l1i[core].stats
+        print(
+            f"  core {core:2d}: {stats.misses:6d} / {stats.accesses:7d} "
+            f"({stats.miss_ratio:.1%})"
+        )
     print(
         f"I-MPKI: {base.i_mpki:.2f} (base) -> {result.i_mpki:.2f} (SLICC), "
         f"a {1 - result.i_mpki / base.i_mpki:.0%} cut; "

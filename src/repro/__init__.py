@@ -10,8 +10,8 @@ Moshovos, MICRO 2012. The public API in one import:
 >>> sw.speedup_over(base) > 0
 True
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure and table.
+See DESIGN.md for the system inventory, and ROADMAP.md item 1 for the
+table of where the reproduced Figures 10 and 11 depart from the paper.
 
 ``simulate`` and ``generate_trace`` load the replay engine and the trace
 generator on first access (PEP 562), so ``import repro`` stays cheap

@@ -1,4 +1,4 @@
-"""Analysis helpers: reuse breakdowns, sweeps, report/figure tables."""
+"""Analysis helpers: reuse breakdowns, report/figure tables."""
 
 from repro.analysis.paper_report import (
     figure_table,
@@ -6,29 +6,20 @@ from repro.analysis.paper_report import (
     write_figure_report,
     write_index,
 )
-from repro.analysis.report import format_table, paper_vs_measured
+from repro.analysis.report import format_table
 from repro.analysis.reuse import (
     ReuseBreakdown,
     global_reuse,
     per_transaction_reuse,
 )
-from repro.analysis.sweeps import (
-    SweepPoint,
-    sweep_dilution,
-    sweep_fillup_matched,
-)
 
 __all__ = [
     "ReuseBreakdown",
-    "SweepPoint",
     "figure_table",
     "format_table",
     "global_reuse",
-    "paper_vs_measured",
     "per_transaction_reuse",
     "render_markdown",
-    "sweep_dilution",
-    "sweep_fillup_matched",
     "write_figure_report",
     "write_index",
 ]

@@ -1,8 +1,8 @@
 """Plain-text table formatting for benchmark reports.
 
 Every benchmark prints the rows/series the corresponding paper figure or
-table reports; these helpers keep the output format uniform so
-EXPERIMENTS.md can quote it directly.
+table reports; this helper keeps that output and the CLI's tables
+(:func:`repro.exp.summarize`) in one format.
 """
 
 from __future__ import annotations
@@ -37,15 +37,3 @@ def format_table(
     for row in str_rows:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
     return "\n".join(lines)
-
-
-def paper_vs_measured(
-    metric: str, paper_value: float, measured: float
-) -> str:
-    """One-line paper-vs-measured comparison used across benches."""
-    return (
-        f"{metric}: paper={paper_value:.3f} measured={measured:.3f} "
-        f"(ratio {measured / paper_value:.2f})"
-        if paper_value
-        else f"{metric}: paper=n/a measured={measured:.3f}"
-    )

@@ -46,13 +46,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis import (
-    format_table,
-    sweep_dilution,
-    sweep_fillup_matched,
-    write_figure_report,
-    write_index,
-)
+from repro.analysis import format_table, write_figure_report, write_index
 from repro.errors import ConfigurationError, ReproError, SweepFailure
 from repro.exp import (
     STORE_BACKENDS,
@@ -66,18 +60,31 @@ from repro.exp import (
     locate_store,
     migrate_store,
     select_figures,
-    spec_for,
+    specs_from_payload,
     summarize,
 )
 from repro.params import ScalePreset
 from repro.sched import policy_names
-from repro.sim import SimConfig
-from repro.workloads import (
-    DEFAULT_THREADS,
-    get_workload,
-    standard_trace,
-    workload_names,
-)
+from repro.workloads import DEFAULT_THREADS, get_workload, workload_names
+
+#: The Section 5.2 threshold studies ``repro sweep --kind`` runs, as
+#: spec-file payload fragments: Figure 8's dilution_t line at the
+#: Figure 7 optimum (the SliccParams defaults), and Figure 7's
+#: fill-up_t x matched_t plane with dilution disabled.
+SWEEPS = {
+    "dilution": {
+        "variant": "slicc-sw",
+        "axes": {"slicc.dilution_t": list(range(2, 31, 2))},
+    },
+    "fillup": {
+        "variant": "slicc-sw",
+        "overrides": {"slicc.dilution_t": 0},
+        "axes": {
+            "slicc.fill_up_t": [128, 256, 384, 512],
+            "slicc.matched_t": [2, 4, 6, 8, 10],
+        },
+    },
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -150,13 +157,6 @@ def _make_runner(args: argparse.Namespace, default_store=None) -> Runner:
     )
 
 
-def _trace_from(args: argparse.Namespace):
-    scale = ScalePreset(args.scale)
-    return standard_trace(
-        args.workload, scale, n_threads=args.threads, seed=args.seed
-    )
-
-
 def _fault_suffix(stats) -> str:
     """Render the failure counters when any recovery machinery fired."""
     parts = []
@@ -197,62 +197,6 @@ def _print_stats(runner: Runner, specs=None) -> None:
         print(f"[{stats.simulated} simulated, {stats.cached} cached]")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    trace = _trace_from(args)
-    variants = args.variants
-    if "base" not in variants:
-        variants = ["base"] + list(variants)
-    specs = [
-        spec_for(trace, SimConfig(variant=variant), label=variant)
-        for variant in variants
-    ]
-    runner = _make_runner(args)
-    results = runner.run(specs, trace=trace)
-    base = results[variants.index("base")]
-    rows = [
-        [
-            spec.variant,
-            result.i_mpki,
-            result.d_mpki,
-            result.speedup_over(base),
-            result.migrations,
-            result.utilization,
-        ]
-        for spec, result in zip(specs, results)
-    ]
-    print(
-        format_table(
-            ["variant", "I-MPKI", "D-MPKI", "speedup", "migrations", "util"],
-            rows,
-            title=f"{args.workload} ({len(trace.threads)} threads)",
-        )
-    )
-    _print_stats(runner)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    trace = _trace_from(args)
-    runner = _make_runner(args)
-    if args.kind == "dilution":
-        points = sweep_dilution(trace, runner=runner)
-        headers = ["dilution_t", "I-MPKI", "D-MPKI", "speedup", "migrations"]
-        rows = [
-            [p.dilution_t, p.i_mpki, p.d_mpki, p.speedup, p.migrations]
-            for p in points
-        ]
-    else:
-        points = sweep_fillup_matched(trace, runner=runner)
-        headers = ["fill-up_t", "matched_t", "I-MPKI", "D-MPKI", "speedup"]
-        rows = [
-            [p.fill_up_t, p.matched_t, p.i_mpki, p.d_mpki, p.speedup]
-            for p in points
-        ]
-    print(format_table(headers, rows, title=f"{args.kind} sweep — {args.workload}"))
-    _print_stats(runner)
-    return 0
-
-
 def _failure_table(failures) -> str:
     """Per-spec failure table for a sweep that lost rows."""
     rows = [
@@ -272,8 +216,11 @@ def _failure_table(failures) -> str:
     )
 
 
-def _cmd_exp(args: argparse.Namespace) -> int:
-    specs, baseline_spec = load_spec_file(args.specfile)
+def _run_family(args: argparse.Namespace, family, title: str) -> int:
+    """Run a ``(specs, baseline spec or None)`` family and print its
+    summary table: the one execution path of ``run``, ``sweep`` and
+    ``exp``."""
+    specs, baseline_spec = family
     runner = _make_runner(args)
     all_specs = specs if baseline_spec is None else [baseline_spec] + specs
     try:
@@ -287,23 +234,47 @@ def _cmd_exp(args: argparse.Namespace) -> int:
             if result is not None
         ]
         if completed:
-            print(
-                summarize(
-                    completed,
-                    title=f"{args.specfile} — completed specs",
-                )
-            )
+            print(summarize(completed, title=f"{title} — completed specs"))
         print(_failure_table(failure.failures), file=sys.stderr)
         _print_stats(runner, specs=all_specs)
         return 3
+    baseline = None
     if baseline_spec is not None:
         baseline, results = results[0], results[1:]
-    else:
-        baseline = None
-    title = f"{args.specfile} — {len(specs)} points"
+    title = f"{title} — {len(specs)} points"
     print(summarize(list(zip(specs, results)), baseline=baseline, title=title))
     _print_stats(runner, specs=all_specs)
     return 0
+
+
+def _payload(args: argparse.Namespace, **fragment) -> dict:
+    """The spec-file payload ``repro exp`` reads, built from the workload
+    arguments of ``run``/``sweep`` plus a grid fragment."""
+    return {
+        "workload": args.workload,
+        "scale": args.scale,
+        "n_threads": args.threads,
+        "seed": args.seed,
+        "baseline": True,
+        **fragment,
+    }
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    variants = list(args.variants)
+    if "base" not in variants:
+        variants.insert(0, "base")
+    family = specs_from_payload(_payload(args, axes={"variant": variants}))
+    return _run_family(args, family, f"run {args.workload}")
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    family = specs_from_payload(_payload(args, **SWEEPS[args.kind]))
+    return _run_family(args, family, f"{args.kind} sweep of {args.workload}")
+
+
+def _cmd_exp(args: argparse.Namespace) -> int:
+    return _run_family(args, load_spec_file(args.specfile), args.specfile)
 
 
 def _cmd_paper(args: argparse.Namespace) -> int:
@@ -609,7 +580,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate a workload under variants")
+    shared_keys = (
+        "The specs are the ones `repro exp` builds from the equivalent "
+        "spec file (with \"baseline\": true), so run, sweep, exp, paper "
+        "and the queue share store keys; rows an older run/sweep wrote "
+        "were keyed by trace fingerprint and are simulated once more."
+    )
+    run = sub.add_parser(
+        "run",
+        help="simulate a workload under variants",
+        description="Simulate one workload under each --variants entry "
+        "plus base, and tabulate them against base. " + shared_keys,
+    )
     _add_common(run)
     run.add_argument(
         "--variants",
@@ -623,11 +605,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec(run)
     run.set_defaults(func=_cmd_run)
 
-    sweep = sub.add_parser("sweep", help="threshold sweeps (Figures 7/8)")
-    _add_common(sweep)
-    sweep.add_argument(
-        "--kind", choices=["dilution", "fillup"], default="dilution"
+    sweep = sub.add_parser(
+        "sweep",
+        help="threshold sweeps (Figures 7/8)",
+        description="SLICC-SW threshold sweeps against base: --kind "
+        "dilution sweeps dilution_t 2..30 (Figure 8); --kind fillup "
+        "sweeps fill-up_t x matched_t with dilution_t=0 (Figure 7). "
+        + shared_keys,
     )
+    _add_common(sweep)
+    sweep.add_argument("--kind", choices=list(SWEEPS), default="dilution")
     _add_exec(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -849,8 +836,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 130
     except SweepFailure as failure:
-        # run/sweep/paper surface sweep failures here (exp renders its
-        # own table alongside the partial summary).
+        # paper surfaces sweep failures here (run/sweep/exp render
+        # their own table alongside the partial summary).
         print(_failure_table(failure.failures), file=sys.stderr)
         print(f"error: {failure}", file=sys.stderr)
         return 3

@@ -3,8 +3,9 @@
 The per-core agent (:class:`SliccAgent`) combines the three tracking
 structures — miss counter, miss shift-vector, missed-tag queue — with the
 bloom-filter cache signature to make the migrate/stay decisions of
-Section 4. Team scheduling (:class:`TeamScheduler`) and the two
-type-assignment mechanisms implement the SLICC-SW / SLICC-Pp variants.
+Section 4. The two type-assignment mechanisms implement the SLICC-SW /
+SLICC-Pp variants; the replay engine realises their teams as a static
+partition of the cores (``ReplayEngine._build_partition``).
 """
 
 from repro.core.agent import (
@@ -19,13 +20,11 @@ from repro.core.miss_shift_vector import MissShiftVector
 from repro.core.missed_tag_queue import MissedTagQueue
 from repro.core.scheduler import ThreadQueues
 from repro.core.signature import BloomSignature
-from repro.core.teams import Dispatch, Team, TeamScheduler
 from repro.core.txn_types import PreambleTypeDetector, SoftwareTypeOracle
 
 __all__ = [
     "AgentStats",
     "BloomSignature",
-    "Dispatch",
     "HardwareCost",
     "MigrationDecision",
     "MigrationReason",
@@ -35,8 +34,6 @@ __all__ = [
     "PreambleTypeDetector",
     "SliccAgent",
     "SoftwareTypeOracle",
-    "Team",
-    "TeamScheduler",
     "ThreadQueues",
     "slicc_hardware_cost",
 ]

@@ -61,7 +61,6 @@ class AgentStats:
     segment_match_migrations: int = 0
     idle_core_migrations: int = 0
     stay_decisions: int = 0
-    mc_resets: int = 0
 
 
 class SliccAgent:
@@ -173,16 +172,5 @@ class SliccAgent:
         MSV and MTQ describe the *current thread's* recent behaviour, so
         they reset; the MC describes the *cache*, so it persists.
         """
-        self.msv.reset()
-        self.mtq.reset()
-
-    def on_queue_empty(self) -> None:
-        """Thread queue drained: allow a new segment to be cached (Q.1)."""
-        self.mc.reset()
-        self.stats.mc_resets += 1
-
-    def full_reset(self) -> None:
-        """Team completed (SLICC-SW/Pp): reset MC, MSV and MTQ."""
-        self.mc.reset()
         self.msv.reset()
         self.mtq.reset()

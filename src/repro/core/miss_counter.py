@@ -40,7 +40,7 @@ class MissCounter:
         return self._count >= self.fill_up_t
 
     def reset(self) -> None:
-        """Reset to empty (thread queue drained; Section 4.1 Q.1)."""
+        """Reset to empty: the core may cache a new segment (Q.1)."""
         self._count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

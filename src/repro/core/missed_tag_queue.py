@@ -67,7 +67,7 @@ class MissedTagQueue:
         return [c for c in range(self.n_cores) if mask & (1 << c)]
 
     def reset(self) -> None:
-        """Drop all recorded misses (on migration / team completion)."""
+        """Drop all recorded misses (on a thread switch or a STAY)."""
         self._entries.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -38,7 +38,7 @@ from repro.exp.spec import (
     trace_fingerprint,
     with_overrides,
 )
-from repro.exp.specfile import load_spec_file
+from repro.exp.specfile import load_spec_file, specs_from_payload
 from repro.exp.store import (
     STORE_BACKENDS,
     MigrationReport,
@@ -121,6 +121,7 @@ __all__ = [
     "result_to_json",
     "spec_for",
     "spec_from_dict",
+    "specs_from_payload",
     "summarize",
     "trace_fingerprint",
     "with_overrides",

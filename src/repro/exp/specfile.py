@@ -15,14 +15,16 @@ A spec file declares a whole experiment grid::
 
 ``overrides`` applies dotted-path edits to every point; ``axes`` expands
 into the cartesian grid; ``baseline: true`` adds the matching ``base``
-run so the table gains a speedup column.
+run so the table gains a speedup column. ``repro run`` and ``repro
+sweep`` build the same payload from their arguments and expand it with
+:func:`specs_from_payload`, so all three commands share spec keys.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.exp.spec import ExperimentSpec, _auto_label, grid, with_overrides
@@ -43,22 +45,37 @@ _TOP_KEYS = {
 def load_spec_file(
     path: Union[str, Path],
 ) -> Tuple[list[ExperimentSpec], Optional[ExperimentSpec]]:
-    """Parse a spec file into (grid specs, optional baseline spec).
+    """Read a spec file and expand it with :func:`specs_from_payload`.
 
     Raises:
-        ConfigurationError: on unknown keys or a missing workload.
+        ConfigurationError: for a payload :func:`specs_from_payload`
+            rejects; the message names the file.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ConfigurationError(f"{path}: spec file must be a JSON object")
+    try:
+        return specs_from_payload(payload)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def specs_from_payload(
+    payload: Mapping,
+) -> Tuple[list[ExperimentSpec], Optional[ExperimentSpec]]:
+    """Expand a spec-file payload into (grid specs, optional baseline spec).
+
+    Raises:
+        ConfigurationError: on unknown keys, a missing workload, or a
+            baseline combined with an axis the baseline run shares.
+    """
+    if not isinstance(payload, Mapping):
+        raise ConfigurationError("spec file must be a JSON object")
     unknown = set(payload) - _TOP_KEYS
     if unknown:
         raise ConfigurationError(
-            f"{path}: unknown spec keys {sorted(unknown)}; "
-            f"known: {sorted(_TOP_KEYS)}"
+            f"unknown spec keys {sorted(unknown)}; known: {sorted(_TOP_KEYS)}"
         )
     if "workload" not in payload:
-        raise ConfigurationError(f"{path}: spec file needs a 'workload'")
+        raise ConfigurationError("spec file needs a 'workload'")
 
     base = ExperimentSpec(
         workload=payload["workload"],
@@ -71,8 +88,7 @@ def load_spec_file(
     if "variant" in payload:
         if overrides.get("variant", payload["variant"]) != payload["variant"]:
             raise ConfigurationError(
-                f"{path}: top-level 'variant' conflicts with "
-                "overrides['variant']"
+                "top-level 'variant' conflicts with overrides['variant']"
             )
         overrides["variant"] = payload["variant"]
     base = with_overrides(base, overrides)
@@ -100,8 +116,8 @@ def load_spec_file(
         }
         if clashes:
             raise ConfigurationError(
-                f"{path}: 'baseline: true' cannot be combined with axes "
-                f"the baseline run shares ({sorted(clashes)}); drop the "
+                "'baseline: true' cannot be combined with axes the "
+                f"baseline run shares ({sorted(clashes)}); drop the "
                 "baseline or split the spec file per configuration"
             )
     if axes:

@@ -45,11 +45,7 @@ from repro.core.scheduler import ThreadQueues
 from repro.core.txn_types import PreambleTypeDetector
 from repro.errors import ConfigurationError, SimulationError
 from repro.prefetch.nextline import NextLinePrefetcher
-from repro.sched import (
-    STEPS_SWITCH_CYCLES,  # noqa: F401  (compat re-export; lives in sched)
-    SchedulingPolicy,
-    get_policy,
-)
+from repro.sched import SchedulingPolicy, get_policy
 from repro.sim.config import SimConfig
 from repro.sim.machine import Machine
 from repro.sim.results import SimulationResult
@@ -277,6 +273,14 @@ class ReplayEngine:
         Types earning fewer than 2 cores pool into a shared region
         (key ``-1``) alongside any leftover cores — their threads are the
         equivalent of the paper's strays.
+
+        The paper forms teams dynamically (Section 4.3.2): a type's
+        waiting threads become a team once they number at least 0.5N
+        for N worker cores. Its 1K-task arrival stream always holds that
+        many same-type threads; below paper scale a 2N-thread window
+        holds few threads of each type, so that rule would make strays
+        of all but the most common types. The static share split keeps
+        type-aware placement engaged at every scale.
         """
         workers = list(self.worker_cores)
         total = max(1, sum(counts.values()))
@@ -460,8 +464,9 @@ class ReplayEngine:
         # the paper's terms, Section 4.2.2) would otherwise be cached
         # nowhere and re-missed by every pass; the occasional install
         # accretes them onto the core where the gap occurs, repairing the
-        # seam. Installs resume fully after the MC resets (queue drained,
-        # STAY decision, or team completion).
+        # seam. Installs resume fully after the MC resets (a STAY
+        # decision, or the core adopting a thread by idle-core migration
+        # or a steal).
         fill = True
         if self.agents is not None and self.agents[core].cache_full:
             self._bypass_tick += 1

@@ -131,9 +131,3 @@ class TestResets:
         agent.on_thread_switch()
         assert agent.cache_full
         assert not agent.migration_enabled
-
-    def test_full_reset_clears_everything(self):
-        agent = make_agent(fill_up_t=1)
-        agent.observe_access(hit=False)
-        agent.full_reset()
-        assert not agent.cache_full

@@ -1,15 +1,9 @@
-"""Tests for the reuse analysis, sweeps and report formatting."""
+"""Tests for the reuse analysis and report formatting."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    format_table,
-    global_reuse,
-    paper_vs_measured,
-    per_transaction_reuse,
-    sweep_dilution,
-)
+from repro.analysis import format_table, global_reuse, per_transaction_reuse
 from repro.params import ScalePreset
 from repro.workloads import standard_trace
 from repro.workloads.trace import KIND_INSTR, Trace, ThreadTrace
@@ -62,21 +56,9 @@ class TestReuse:
         assert per_txn.most > 0.8
 
 
-class TestSweeps:
-    def test_dilution_sweep_rows(self, smoke_tpcc):
-        points = sweep_dilution(smoke_tpcc, dilution_values=[5, 10])
-        assert [p.dilution_t for p in points] == [5, 10]
-        assert all(p.i_mpki >= 0 for p in points)
-        assert all(p.speedup > 0 for p in points)
-
-
 class TestReport:
     def test_format_table_alignment(self):
         out = format_table(["a", "bb"], [[1, 2.5], [10, 3.25]], title="T")
         lines = out.splitlines()
         assert lines[0] == "T"
         assert "2.500" in out and "3.250" in out
-
-    def test_paper_vs_measured_line(self):
-        line = paper_vs_measured("speedup", 1.68, 1.2)
-        assert "paper=1.680" in line and "measured=1.200" in line

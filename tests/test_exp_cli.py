@@ -134,6 +134,63 @@ class TestExpCommand:
         )
 
 
+class TestSharedSpecKeys:
+    """run, sweep, exp and paper expand the same spec payloads, so one
+    store serves all of them."""
+
+    def test_run_is_served_from_a_paper_store(self, tmp_path, capsys):
+        out = str(tmp_path / "report")
+        argv = ["paper", "--figures", "fig10-mpki", "--scale", "smoke"]
+        assert main(argv + ["--out", out]) == 0
+        capsys.readouterr()
+        variants = ["base", "nextline", "pif", "slicc", "slicc-sw"]
+        argv = ["run", "tpcc-1", "--scale", "smoke", "--seed", "7"]
+        assert main(argv + ["--variants", *variants, "--store", out]) == 0
+        assert "[0 simulated, 6 cached]" in capsys.readouterr().out
+
+    def test_exp_is_served_from_a_sweep_store(self, tmp_path, capsys):
+        store = str(tmp_path / "results")
+        argv = ["sweep", "tpcc-1", "--scale", "smoke", "--seed", "7"]
+        assert main(argv + ["--kind", "fillup", "--store", store]) == 0
+        capsys.readouterr()
+        specfile = write_specfile(
+            tmp_path,
+            {
+                "workload": "tpcc-1",
+                "scale": "smoke",
+                "seed": 7,
+                "variant": "slicc-sw",
+                "overrides": {"slicc.dilution_t": 0},
+                "axes": {
+                    "slicc.fill_up_t": [128, 256, 384, 512],
+                    "slicc.matched_t": [2, 4, 6, 8, 10],
+                },
+                "baseline": True,
+            },
+        )
+        assert main(["exp", specfile, "--store", store]) == 0
+        assert "[0 simulated, 21 cached]" in capsys.readouterr().out
+
+    def test_run_tables_completed_rows_and_exits_3(self, monkeypatch, capsys):
+        from repro.exp import runner as runner_mod
+
+        real = runner_mod._run_spec
+
+        def poisoned(spec, attempt=0):
+            if spec.variant == "slicc":
+                raise RuntimeError("poisoned")
+            return real(spec, attempt)
+
+        monkeypatch.setattr(runner_mod, "_run_spec", poisoned)
+        argv = ["run", "tpcc-1", "--scale", "smoke", "--seed", "7"]
+        rc = main(argv + ["--variants", "nextline", "slicc", "--retries", "0"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "completed specs" in captured.out
+        assert "variant=nextline" in captured.out
+        assert "1 spec(s) failed after retries" in captured.err
+
+
 class TestStoreCommand:
     def fill_store(self, tmp_path, torn=False):
         specfile = write_specfile(tmp_path, SMOKE_EXP)

@@ -12,7 +12,6 @@ import sys
 
 import pytest
 
-from repro.analysis.sweeps import SweepPoint, sweep_dilution, sweep_fillup_matched
 from repro.errors import ConfigurationError
 from repro.exp import (
     ExperimentSpec,
@@ -29,32 +28,30 @@ FILL_VALUES = (128, 256, 384, 512)
 MATCH_VALUES = (2, 4, 6, 8, 10)
 
 
-def serial_sweep_fillup_matched(trace, variant="slicc-sw"):
-    """The seed's original hand-rolled serial loop, kept verbatim as the
-    reference the Runner-backed sweep must reproduce."""
-    baseline = simulate(trace, variant="base")
-    points = []
+def fillup_grid(trace):
+    """The Figure 7 plane as grid specs (SLICC-SW, dilution off), its
+    baseline first."""
+    config = SimConfig(variant="slicc-sw", slicc=SliccParams(dilution_t=0))
+    specs = grid(
+        spec_for(trace, config),
+        {"slicc.fill_up_t": FILL_VALUES, "slicc.matched_t": MATCH_VALUES},
+    )
+    return [specs[0].baseline()] + specs
+
+
+def serial_fillup(trace):
+    """The seed's original hand-rolled serial loop, baseline first: the
+    reference the Runner-backed grid must reproduce."""
+    results = [simulate(trace, variant="base")]
     for fill_up in FILL_VALUES:
         for matched in MATCH_VALUES:
             slicc = SliccParams(
                 fill_up_t=fill_up, matched_t=matched, dilution_t=0
             )
-            result = simulate(
-                trace, config=SimConfig(variant=variant, slicc=slicc)
+            results.append(
+                simulate(trace, config=SimConfig(variant="slicc-sw", slicc=slicc))
             )
-            points.append(
-                SweepPoint(
-                    label=f"fill={fill_up},match={matched}",
-                    fill_up_t=fill_up,
-                    matched_t=matched,
-                    dilution_t=0,
-                    i_mpki=result.i_mpki,
-                    d_mpki=result.d_mpki,
-                    speedup=result.speedup_over(baseline),
-                    migrations=result.migrations,
-                )
-            )
-    return points
+    return results
 
 
 class TestRunnerBasics:
@@ -179,45 +176,36 @@ class TestRunnerBasics:
 
 class TestSweepEquivalence:
     """Acceptance: the 20-point Figure 7 grid through the Runner with
-    jobs=4 must produce identical SweepPoint values to the seed's serial
-    implementation, and a repeat must be served entirely from the store."""
+    jobs=4 must be byte-identical to the seed's serial implementation,
+    and a repeat must be served entirely from the store."""
 
     def test_grid_matches_serial_and_caches(self, smoke_tpcc):
-        reference = serial_sweep_fillup_matched(smoke_tpcc)
-        assert len(reference) == 20
+        reference = [result_to_json(r) for r in serial_fillup(smoke_tpcc)]
+        assert len(reference) == 21  # grid + baseline
 
+        specs = fillup_grid(smoke_tpcc)
         runner = Runner(store=ResultStore(), jobs=4)
-        points = sweep_fillup_matched(
-            smoke_tpcc,
-            fill_up_values=FILL_VALUES,
-            matched_values=MATCH_VALUES,
-            runner=runner,
-        )
-        assert points == reference
-        assert runner.last_stats.simulated == 21  # grid + baseline
+        results = runner.run(specs, trace=smoke_tpcc)
+        assert [result_to_json(r) for r in results] == reference
+        assert runner.last_stats.simulated == 21
 
-        again = sweep_fillup_matched(
-            smoke_tpcc,
-            fill_up_values=FILL_VALUES,
-            matched_values=MATCH_VALUES,
-            runner=runner,
-        )
-        assert again == reference
+        again = runner.run(specs, trace=smoke_tpcc)
+        assert [result_to_json(r) for r in again] == reference
         assert runner.last_stats.simulated == 0  # all 21 from the store
         assert runner.last_stats.cached == 21
 
     def test_back_to_back_sweeps_share_one_baseline(self, smoke_tpcc):
-        """Satellite: sweep_fillup_matched + sweep_dilution on the same
+        """Satellite: a fill-up grid and a dilution grid on the same
         trace must run variant='base' exactly once."""
         store = ResultStore()
         runner = Runner(store=store)
-        sweep_fillup_matched(
-            smoke_tpcc,
-            fill_up_values=(128, 256),
-            matched_values=(4,),
-            runner=runner,
-        )
-        sweep_dilution(smoke_tpcc, dilution_values=(5, 10), runner=runner)
+        base = spec_for(smoke_tpcc, variant="slicc-sw")
+        for axes in (
+            {"slicc.fill_up_t": (128, 256), "slicc.dilution_t": (0,)},
+            {"slicc.dilution_t": (5, 10)},
+        ):
+            specs = grid(base, axes)
+            runner.run([base.baseline()] + specs, trace=smoke_tpcc)
         base_runs = [r for r in store.results() if r.variant == "base"]
         assert len(base_runs) == 1
 

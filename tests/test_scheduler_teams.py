@@ -1,8 +1,8 @@
-"""Tests for thread queues and the dynamic team scheduler."""
+"""Tests for the per-core thread queues."""
 
 import pytest
 
-from repro.core import TeamScheduler, ThreadQueues
+from repro.core import ThreadQueues
 from repro.errors import SimulationError
 
 
@@ -66,73 +66,3 @@ class TestThreadQueues:
         q.enqueue(0, 1)
         q.enqueue(1, 2)
         assert q.total_waiting() == 2
-
-
-class TestTeamScheduler:
-    """The dynamic team-formation algorithm of Section 4.3.2.
-
-    The replay engine defaults to the static type-partition (see
-    engine docs); TeamScheduler remains the library's implementation of
-    the paper's dynamic grouping rules and is validated here.
-    """
-
-    def test_large_group_forms_team_on_all_free_cores(self):
-        ts = TeamScheduler(list(range(16)))
-        q = ThreadQueues(16)
-        for i in range(24):  # >= 1.5 * 16
-            ts.thread_arrived(i, type_key=0, arrival=i)
-        dispatches = ts.dispatch(q, idle_cores=list(range(16)))
-        assert len(dispatches) == 24
-        team_cores = {ts.allowed_cores(d.thread_id) for d in dispatches}
-        assert team_cores == {frozenset(range(16))}
-
-    def test_small_groups_are_strays_limited_to_idle(self):
-        ts = TeamScheduler(list(range(16)), small_threshold=8)
-        q = ThreadQueues(16)
-        for i in range(3):
-            ts.thread_arrived(i, type_key=i, arrival=i)
-        dispatches = ts.dispatch(q, idle_cores=[4, 5])
-        assert len(dispatches) == 2  # only as many as idle cores
-        assert all(ts.allowed_cores(d.thread_id) is None for d in dispatches)
-
-    def test_two_medium_teams_get_disjoint_cores(self):
-        ts = TeamScheduler(list(range(16)), small_threshold=5)
-        q = ThreadQueues(16)
-        for i in range(10):
-            ts.thread_arrived(i, type_key=0, arrival=i)
-        for i in range(10, 20):
-            ts.thread_arrived(i, type_key=1, arrival=i)
-        dispatches = ts.dispatch(q, idle_cores=list(range(16)))
-        cores0 = ts.allowed_cores(0)
-        cores1 = ts.allowed_cores(10)
-        assert cores0 and cores1
-        assert not (cores0 & cores1)
-
-    def test_absorption_into_active_team(self):
-        ts = TeamScheduler(list(range(16)), small_threshold=5)
-        q = ThreadQueues(16)
-        for i in range(8):
-            ts.thread_arrived(i, type_key=0, arrival=i)
-        ts.dispatch(q, idle_cores=list(range(16)))
-        ts.thread_arrived(99, type_key=0, arrival=99)
-        dispatches = ts.dispatch(q, idle_cores=[])
-        assert [d.thread_id for d in dispatches] == [99]
-        assert ts.allowed_cores(99) == ts.allowed_cores(0)
-
-    def test_team_completion_detected(self):
-        ts = TeamScheduler(list(range(4)), small_threshold=2)
-        q = ThreadQueues(4)
-        ts.thread_arrived(0, 0, 0)
-        ts.thread_arrived(1, 0, 1)
-        ts.dispatch(q, idle_cores=list(range(4)))
-        assert not ts.thread_completed(0)
-        assert ts.thread_completed(1)
-        assert ts.teams_completed == 1
-
-    def test_stray_completion_returns_false(self):
-        ts = TeamScheduler(list(range(4)))
-        assert not ts.thread_completed(123)
-
-    def test_needs_worker_cores(self):
-        with pytest.raises(SimulationError):
-            TeamScheduler([])
