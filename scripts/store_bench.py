@@ -21,11 +21,10 @@ Two kinds of gate:
   These hold by construction (B-tree point query vs whole-file fold),
   so a failure means the indexed path stopped being used.
 * **Baseline (``--check``):** throughput metrics are compared against a
-  committed JSON baseline and any >``--max-regression`` drop fails,
-  exactly like ``perf_bench.py``. Only averaged-over-many-ops metrics
-  are baseline-gated (populate, full load, resume scan); the
-  single-digit-millisecond cold lookup is covered by the structural
-  gates instead, where noise cannot flake.
+  committed JSON baseline and any >``--max-regression`` drop fails.
+  Only averaged-over-many-ops metrics are baseline-gated (populate,
+  full load, resume scan); the single-digit-millisecond cold lookup is
+  covered by the structural gates instead, where noise cannot flake.
 
 Regenerate the committed baseline on an intentional store-performance
 change with the same command plus
@@ -126,9 +125,9 @@ def resume_scan(store: ResultStore, sample: list[str]) -> float:
 
 
 def host_metadata() -> dict:
-    """CPU model, core count and platform of the measuring machine (the
-    same shape scripts/perf_bench.py records) — store numbers are as
-    machine-dependent as engine numbers."""
+    """CPU model, core count and platform of the measuring machine —
+    store numbers mean nothing without the hardware that produced
+    them."""
     import os
 
     cpu_model = ""
@@ -279,7 +278,7 @@ def check(doc: dict, baseline_path: Path, max_regression: float) -> int:
         return 1
     if compared == 0:
         # A gate that compared nothing passed nothing (wrong baseline
-        # file / renamed metrics); fail loudly, as perf_bench does.
+        # file / renamed metrics); fail loudly.
         print(
             f"FAIL: no metric of this run matched {baseline_path}; "
             "the regression gate compared nothing"

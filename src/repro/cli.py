@@ -148,13 +148,13 @@ def _make_runner(args: argparse.Namespace, default_store=None) -> Runner:
     """The runner for ``--jobs/--store/--backend/--retries/--timeout``;
     ``default_store`` is where results persist without ``--store``
     (in memory when neither is given)."""
+    runner = Runner(jobs=args.jobs, retries=args.retries, timeout=args.timeout)
     path = args.store or default_store
-    return Runner(
-        store=ResultStore(path, backend=args.backend) if path else None,
-        jobs=args.jobs,
-        retries=args.retries,
-        timeout=args.timeout,
-    )
+    if path:
+        # Opened once the runner accepted its flags: a rejected flag
+        # creates no store.
+        runner.store = ResultStore(path, backend=args.backend)
+    return runner
 
 
 def _fault_suffix(stats) -> str:

@@ -245,10 +245,14 @@ class WorkQueue:
             raise ConfigurationError(
                 f"lease_seconds must be positive, got {lease_seconds}"
             )
+        if max_claims < 1:
+            raise ConfigurationError(
+                f"max_claims must be at least 1, got {max_claims}"
+            )
         self._path = resolve_queue_path(path)
         self.worker_id = worker_id or default_worker_id()
         self.lease_seconds = float(lease_seconds)
-        self.max_claims = max(1, int(max_claims))
+        self.max_claims = int(max_claims)
         self.backoff = backoff
         self._mutex = threading.RLock()
         self._entries: dict[str, _Entry] = {}

@@ -220,6 +220,11 @@ class Runner:
             process, so a timeout routes even ``jobs=1`` runs through
             the pool.
         backoff: base seconds of the exponential retry backoff.
+
+    Raises:
+        ConfigurationError: for ``jobs < 1``, ``retries < 0`` or a
+            ``timeout`` that is not positive. A zero timeout would fail
+            every spec, so it is refused before anything runs.
     """
 
     def __init__(
@@ -230,9 +235,15 @@ class Runner:
         timeout: Optional[float] = None,
         backoff: float = 0.25,
     ) -> None:
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+        if retries < 0:
+            raise ConfigurationError(f"retries must be at least 0, got {retries}")
+        if timeout is not None and timeout <= 0:
+            raise ConfigurationError(f"timeout must be positive, got {timeout}")
         self.store = store if store is not None else ResultStore()
-        self.jobs = max(1, int(jobs))
-        self.retries = max(0, int(retries))
+        self.jobs = int(jobs)
+        self.retries = int(retries)
         self.timeout = timeout
         self.backoff = backoff
         #: Cumulative counts across all ``run()`` and ``stream()`` calls.

@@ -58,6 +58,15 @@ def _plain(obj) -> dict:
     return out
 
 
+def _is_int(value, minimum: int) -> bool:
+    """``value`` is an int (not a bool) of at least ``minimum``."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and value >= minimum
+    )
+
+
 def trace_fingerprint(trace: Trace) -> str:
     """Content hash of an in-memory trace (arrays included).
 
@@ -92,8 +101,9 @@ class ExperimentSpec:
             informational when ``trace_id`` is set.
         config: full engine configuration, including the variant.
         scale: :class:`~repro.params.ScalePreset` value string.
-        n_threads: thread count (``None`` = the scale's default).
-        seed: trace-generation seed.
+        n_threads: thread count, at least 1 (``None`` = the scale's
+            default).
+        seed: trace-generation seed, an int of at least 0.
         trace_id: fingerprint of an explicit trace (see
             :func:`spec_for`); when set, the declarative trace fields do
             not participate in the cache key.
@@ -131,6 +141,15 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"unknown workload {self.workload!r}; known: "
                     f"{workload_names()}"
+                )
+            if self.n_threads is not None and not _is_int(self.n_threads, 1):
+                raise ConfigurationError(
+                    "n_threads must be None or an integer >= 1, "
+                    f"got {self.n_threads!r}"
+                )
+            if not _is_int(self.seed, 0):
+                raise ConfigurationError(
+                    f"seed must be an integer >= 0, got {self.seed!r}"
                 )
 
     @property

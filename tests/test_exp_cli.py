@@ -23,6 +23,28 @@ SMOKE_EXP = {
 }
 
 
+#: (field, value) pairs a spec file is refused for with a one-line error
+#: and exit 2. A depth-0 steal never finishes; a float or string thread
+#: count or seed would end in a numpy traceback.
+BAD_SPEC_FIELDS = [
+    ("steal_min_depth", 0),
+    ("n_threads", 1.5),
+    ("n_threads", 0),
+    ("n_threads", True),
+    ("seed", "7"),
+    ("seed", -1),
+    ("seed", 7.0),
+]
+
+
+def bad_spec(field, value) -> dict:
+    """A smoke spec file that gets ``field`` wrong."""
+    payload = {"workload": "tpcc-1", "scale": "smoke"}
+    if field == "steal_min_depth":
+        return {**payload, "variant": "slicc", "overrides": {field: value}}
+    return {**payload, field: value}
+
+
 class TestExpCommand:
     def test_exp_runs_spec_file(self, tmp_path, capsys):
         rc = main(["exp", write_specfile(tmp_path, SMOKE_EXP)])
@@ -66,17 +88,28 @@ class TestExpCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "dillution_t" in err
 
-    def test_exp_rejects_steal_min_depth_below_one(self, tmp_path, capsys):
-        payload = {
-            "workload": "tpcc-1",
-            "scale": "smoke",
-            "variant": "slicc",
-            "overrides": {"steal_min_depth": 0},
-        }
-        rc = main(["exp", write_specfile(tmp_path, payload)])
+    @pytest.mark.parametrize("field,value", BAD_SPEC_FIELDS)
+    def test_exp_rejects_a_bad_spec_field(self, field, value, tmp_path, capsys):
+        rc = main(["exp", write_specfile(tmp_path, bad_spec(field, value))])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "steal_min_depth" in err
+        assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--timeout", "0"), ("--timeout", "-1"), ("--jobs", "0"),
+         ("--retries", "-1")],
+    )
+    def test_exp_rejects_a_bad_runner_flag(self, flag, value, tmp_path, capsys):
+        """A zero timeout would kill every spec and write a failure row
+        for each: no spec may run and no store be created."""
+        store = tmp_path / "store"
+        specfile = write_specfile(tmp_path, SMOKE_EXP)
+        rc = main(["exp", specfile, flag, value, "--store", str(store)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag.lstrip("-") in err
+        assert not store.exists()
 
     def test_exp_missing_file_is_a_clean_error(self, tmp_path, capsys):
         rc = main(["exp", str(tmp_path / "absent.json")])

@@ -582,26 +582,46 @@ class TestQueueCLI:
         assert "no queue at" in capsys.readouterr().err
         assert not path.exists() and not path.parent.exists()
 
-    def test_enqueue_rejects_steal_min_depth_below_one(self, tmp_path, capsys):
-        """Such a spec never finishes: a worker would renew its lease
-        forever, so it must not reach the queue."""
+    @pytest.mark.parametrize(
+        "field,value", [("steal_min_depth", -5), ("n_threads", 0), ("seed", "7")]
+    )
+    def test_enqueue_rejects_a_bad_spec_field(self, field, value, tmp_path, capsys):
+        """No worker can finish such a spec: a steal depth below 1 never
+        ends (its worker renews the lease forever), and a zero thread
+        count or a string seed fails in every worker. It must not reach
+        the queue."""
+        if field == "steal_min_depth":
+            bad = {"variant": "slicc", "overrides": {field: value}}
+        else:
+            bad = {field: value}
         specfile = tmp_path / "exp.json"
         specfile.write_text(
-            json.dumps(
-                {
-                    "workload": "tpcc-1",
-                    "scale": "smoke",
-                    "variant": "slicc",
-                    "overrides": {"steal_min_depth": -5},
-                }
-            )
+            json.dumps({"workload": "tpcc-1", "scale": "smoke", **bad})
         )
         qdir = tmp_path / "campaign"
         rc = main(["queue", "enqueue", str(specfile), str(qdir)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "steal_min_depth" in err
+        assert err.startswith("error:") and field in err
         assert not resolve_queue_path(qdir).exists()
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--timeout", "0"), ("--max-claims", "0")]
+    )
+    def test_work_rejects_a_bad_flag(self, flag, value, tmp_path, capsys):
+        """A zero timeout would fail every claimed spec terminally, and
+        no later worker could run it: the worker must refuse the flag
+        before it claims anything."""
+        qdir = tmp_path / "campaign"
+        assert main(["queue", "enqueue", write_specfile(tmp_path), str(qdir)]) == 0
+        capsys.readouterr()
+        assert main(["queue", "work", str(qdir), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+        assert main(["queue", "status", str(qdir), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pending"] == 3 and payload["failed"] == 0
+        assert payload["store_path"] is None
 
     def test_enqueue_bad_specfile_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "exp.json"
