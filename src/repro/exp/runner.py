@@ -21,9 +21,12 @@ it from ``(workload, scale, n_threads, seed)`` via the deterministic
 generators (once per call in the parent, reusing the previous call's
 traces where they overlap), and it ships those and any explicit traces
 (specs built with :func:`~repro.exp.spec.spec_for`) to the workers at
-pool start. On Linux the pool forks, so ``run()`` first materialises
-the replay tables of every trace its pending specs replay and compiles
-their replay kernels, and workers inherit both zero-copy.
+pool start. On Linux the pool forks, so ``run()`` first builds the
+replay records (:meth:`~repro.workloads.trace.Trace.replay_records`) of
+every trace its pending specs replay and compiles their replay kernels,
+and workers inherit both zero-copy: a worker writes only the reference
+counts of the trace's shared record tuples, so copy-on-write copies
+those pages, not one int per record.
 :meth:`Runner.stream` (the queue drain) learns its specs one at a time,
 so its workers build traces themselves, keeping the last few in a
 bounded cache.
@@ -50,15 +53,17 @@ from repro.sim.tlb import PAGE_SHIFT
 from repro.workloads import standard_trace
 from repro.workloads.trace import Trace
 
-#: Fork the pool on Linux: workers inherit traces, replay tables and
+#: Fork the pool on Linux: workers inherit traces, replay records and
 #: compiled kernels zero-copy. Elsewhere (macOS/Windows) fork is unsafe
 #: or absent, so the platform's default start method is kept.
 _FORK = sys.platform == "linux"
 
 #: Most declarative traces one process keeps that it was not shipped.
 #: A drain's specs arrive one at a time, in queue order, which groups
-#: them by trace. A paper-scale tpcc-1 trace with its replay tables
-#: takes about 230 MB and 0.7 s to rebuild (2-core Xeon VM).
+#: them by trace. A paper-scale tpcc-1 trace with its replay records
+#: takes about 87 MB and 1.0 s to rebuild (2-core Xeon VM), so a bound
+#: of 6, which would spare a smoke drain its rebuilds, would hold about
+#: 520 MB per worker at paper scale.
 _TRACE_CACHE_SIZE = 2
 
 # Per-process trace state. ``_EXPLICIT`` holds traces shipped by the
@@ -305,16 +310,19 @@ class Runner:
         # pickled once per worker under spawn). Traces the previous run()
         # built are carried over when this run needs them again (back-to-
         # back figures share most traces); the rest are released *before*
-        # anything new is built, so the parent holds at most one run's
-        # traces — never every trace a long campaign ever touched.
-        needed = {
-            spec.trace_key()
-            for spec in pending.values()
-            if spec.trace_id is None
-        }
-        self._traces = {
-            key: t for key, t in self._traces.items() if key in needed
-        }
+        # anything new is built, so the parent holds at most one
+        # simulating run's traces — never every trace a long campaign ever
+        # touched. A run that simulates nothing releases none: the carry
+        # is live already, and the next run may need it.
+        if pending:
+            needed = {
+                spec.trace_key()
+                for spec in pending.values()
+                if spec.trace_id is None
+            }
+            self._traces = {
+                key: t for key, t in self._traces.items() if key in needed
+            }
         for spec in pending.values():
             key = spec.trace_key()
             if spec.trace_id is None and key not in explicit:
@@ -323,16 +331,15 @@ class Runner:
                     built = self._traces[key] = _build_trace(spec)
                 explicit[key] = built
         if _FORK and pending:
-            # Zero-copy sharing: build the replay tables (numpy -> plain
-            # lists, page ids) of every trace a pending spec replays, and
-            # each pending spec's replay kernel, here: forked workers
-            # inherit both, read-only, and an inline run needs the same.
-            # Under spawn neither reaches the workers, so neither is built.
+            # Zero-copy sharing: build the replay records of every trace a
+            # pending spec replays, and each pending spec's replay kernel,
+            # here: forked workers inherit both, read-only, and an inline
+            # run needs the same. Under spawn neither reaches the workers,
+            # so neither is built.
             from repro.sim.specialize import kernel_for, kernel_spec
 
             for key in {spec.trace_key() for spec in pending.values()}:
-                for thread in explicit[key].threads:
-                    thread.replay_tables(PAGE_SHIFT)
+                explicit[key].replay_records(PAGE_SHIFT)
             for spec in pending.values():
                 kernel_for(kernel_spec(spec.config))
 

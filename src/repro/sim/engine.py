@@ -66,25 +66,20 @@ BYPASS_REPAIR_RATE = 8
 class _ThreadState:
     """Mutable replay position of one thread.
 
-    ``addr``/``kind``/``page`` are plain-list renderings of the trace
-    arrays (page ids precomputed), bound at admission from the cache on
-    the thread trace (:meth:`ThreadTrace.replay_tables`): indexing a
-    Python list yields cached small ints where indexing a numpy array
-    allocates a numpy scalar that must then be unboxed — a large
-    per-record cost in the replay loop — and the tables are shared
-    read-only across every simulation of the same trace.
+    ``records`` is the thread's row of the trace's shared replay records
+    (:meth:`Trace.replay_records`): one ``(block, kind, page)`` tuple per
+    access, so the replay loop unpacks Python ints instead of boxing a
+    numpy scalar per access, and takes one slice per quantum. The row is
+    read-only and shared by every simulation of the trace.
     """
 
-    __slots__ = ("trace", "pos", "pending_cycles", "done", "addr", "kind", "page")
+    __slots__ = ("records", "pos", "pending_cycles", "done")
 
-    def __init__(self, trace) -> None:
-        self.trace = trace
+    def __init__(self, records: list[tuple[int, int, int]]) -> None:
+        self.records = records
         self.pos = 0
         self.pending_cycles = 0
         self.done = False
-        self.addr: Optional[list[int]] = None
-        self.kind: Optional[list[int]] = None
-        self.page: Optional[list[int]] = None
 
 
 class ReplayEngine:
@@ -199,7 +194,10 @@ class ReplayEngine:
             ]
 
         # Thread / core state.
-        self.threads = [_ThreadState(t) for t in trace.threads]
+        self.threads = [
+            _ThreadState(records)
+            for records in trace.replay_records(PAGE_SHIFT)
+        ]
         self.running: list[Optional[int]] = [None] * n
         self.clock = [0] * n
         self._heap: list[tuple[int, int, int]] = []
@@ -403,16 +401,10 @@ class ReplayEngine:
             thread_id = self._arrival_ptr
             self._arrival_ptr += 1
             self._resident += 1
-            state = self.threads[thread_id]
-            if state.addr is None:
-                # Bind the shared numpy -> list tables (see _ThreadState).
-                state.addr, state.kind, state.page = (
-                    state.trace.replay_tables(PAGE_SHIFT)
-                )
             if isinstance(self.type_source, PreambleTypeDetector):
                 # Scout-core preprocessing: a few tens of instructions on
                 # the dedicated core before the thread starts working.
-                state.pending_cycles += (
+                self.threads[thread_id].pending_cycles += (
                     self.type_source.scout_records * self.timing.ibase
                 )
             core = self._place_core(thread_id)

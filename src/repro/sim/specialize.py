@@ -764,10 +764,8 @@ def generate_source(spec: KernelSpec) -> str:
         "\n"
         "    thread_id = running[core]\n"
         "    state = threads[thread_id]\n"
-        "    addr = state.addr\n"
-        "    kind = state.kind\n"
-        "    pages = state.page\n"
-        "    n_records = len(addr)\n"
+        "    records = state.records\n"
+        "    n_records = len(records)\n"
         "    pos = state.pos",
         1,
     )
@@ -816,7 +814,7 @@ def generate_source(spec: KernelSpec) -> str:
         "end = pos + quantum\n"
         "if end > n_records:\n"
         "    end = n_records\n"
-        "for block, k, page in zip(addr[pos:end], kind[pos:end], pages[pos:end]):\n"
+        "for block, k, page in records[pos:end]:\n"
         "    pos += 1\n"
         "    if k == 0:",  # KIND_INSTR (asserted at import)
         2,

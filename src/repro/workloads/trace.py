@@ -51,38 +51,6 @@ class ThreadTrace:
     def __len__(self) -> int:
         return len(self.addr)
 
-    def replay_tables(self, page_shift: int) -> tuple[list, list, list]:
-        """Cached plain-list ``(addr, kind, page)`` tables for the replay
-        engine's hot loop.
-
-        Indexing a Python list yields cached small ints where indexing a
-        numpy array allocates a numpy scalar that must be unboxed — a
-        large per-record cost — and the page id (``addr >> page_shift``)
-        is a pure function of the address, so both conversions are done
-        once here and memoised on the thread. The tables are read-only
-        by contract: the engine never mutates them, so one materialised
-        copy serves every simulation of this trace in the process (and,
-        under ``fork``-based experiment runners, every worker inherits
-        the parent's copy for free). The cache is dropped on pickling —
-        shipping redundant list renderings of the numpy arrays would
-        bloat ``spawn``-style worker transfers.
-        """
-        cached = getattr(self, "_replay_tables", None)
-        if cached is not None and cached[0] == page_shift:
-            return cached[1]
-        tables = (
-            self.addr.tolist(),
-            self.kind.tolist(),
-            (self.addr >> page_shift).tolist(),
-        )
-        self._replay_tables = (page_shift, tables)
-        return tables
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_replay_tables", None)
-        return state
-
     @property
     def n_instruction_records(self) -> int:
         """Number of instruction-block records."""
@@ -133,6 +101,68 @@ class Trace:
         return sum(
             t.n_instruction_records for t in self.threads
         ) * self.instructions_per_iblock
+
+    def replay_records(self, page_shift: int) -> list[list[tuple[int, int, int]]]:
+        """The replay engine's input: per thread (aligned with
+        ``threads``), one ``(block, kind, page)`` tuple per access
+        record in program order, where ``page = block >> page_shift``.
+
+        Unpacking a tuple taken from a list yields Python ints, where
+        indexing a numpy array boxes a numpy scalar per access that must
+        then be unboxed. Each distinct ``(block, kind)`` of the trace is
+        one tuple, shared by every record and thread that repeats it,
+        and each distinct page is one int. A record so costs one list
+        slot plus its share of the tuples, and a probe of the engine's
+        cache, directory or TLB dicts often finds the very object it
+        looks up, which matches on identity.
+
+        Memoised per ``page_shift``. The records are read-only by
+        contract: every simulation of this trace in the process shares
+        them, and under ``fork``-based runners every worker inherits the
+        parent's copy. Pickling drops them (see :meth:`__getstate__`).
+        """
+        memo = getattr(self, "_replay_records", None)
+        if memo is not None and memo[0] == page_shift:
+            return memo[1]
+        import numpy as np
+
+        # A record's key packs (block, kind) into one int64: kinds take
+        # two bits, which block ids of a 64-bit address space leave free.
+        interned: dict[int, tuple[int, int, int]] = {}
+        pages: dict[int, int] = {}
+        tables = []
+        # Thread by thread, so no temporary spans the whole trace; the
+        # lookups run in C, and only keys new to the trace build tuples.
+        for thread in self.threads:
+            keys = (thread.addr << 2) | thread.kind
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            found = np.fromiter(
+                map(interned.get, distinct.tolist()), object, len(distinct)
+            )
+            new = np.equal(found, None)
+            fresh = distinct[new]
+            page_ids = (fresh >> (2 + page_shift)).tolist()
+            records = np.fromiter(
+                zip(
+                    (fresh >> 2).tolist(),
+                    (fresh & 3).tolist(),
+                    map(pages.setdefault, page_ids, page_ids),
+                ),
+                object,
+                len(fresh),
+            )
+            interned.update(zip(fresh.tolist(), records))
+            found[new] = records
+            tables.append(found[inverse].tolist())
+        self._replay_records = (page_shift, tables)
+        return tables
+
+    def __getstate__(self) -> dict:
+        # The replay records are a pure function of the threads and would
+        # bloat every ``spawn``-style transfer; the receiver rebuilds them.
+        state = dict(self.__dict__)
+        state.pop("_replay_records", None)
+        return state
 
     def types_present(self) -> list[int]:
         """Sorted distinct transaction type ids."""

@@ -340,3 +340,31 @@ class TestDeterminism:
         gc.collect()
         assert tpce_trace() is None
         assert built[0]() is not None
+
+    def test_cached_run_keeps_the_carry(self, monkeypatch):
+        """A run() that simulates nothing releases no carried trace: a
+        run, a fully cached run and a run on the same trace build it
+        once."""
+        from repro.exp import runner as runner_mod
+
+        builds = []
+        real = runner_mod._build_trace
+
+        def counting(spec):
+            builds.append(spec.trace_key())
+            return real(spec)
+
+        monkeypatch.setattr(runner_mod, "_build_trace", counting)
+
+        def spec(variant):
+            return ExperimentSpec(
+                "tpcc-1", scale="smoke", seed=5, config=SimConfig(variant=variant)
+            )
+
+        runner = Runner(jobs=1)
+        runner.run([spec("base")])
+        runner.run([spec("base")])
+        assert runner.last_stats.simulated == 0
+        runner.run([spec("slicc")])
+        assert runner.last_stats.simulated == 1
+        assert len(builds) == 1

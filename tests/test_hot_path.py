@@ -30,6 +30,7 @@ from repro.sim import specialize
 from repro.sim.engine import ReplayEngine, SimConfig
 from repro.sim.machine import Machine
 from repro.sim.specialize import kernel_spec
+from repro.sim.tlb import PAGE_SHIFT
 from repro.workloads import standard_trace
 from repro.workloads.trace import KIND_INSTR, ThreadTrace, Trace
 
@@ -351,25 +352,77 @@ class TestFastPathCoverage:
         assert fast_stats.evictions == ref_stats.evictions
 
 
-class TestReplayTables:
-    def test_tables_cached_and_consistent(self, matrix_trace):
-        thread = matrix_trace.threads[0]
-        addr, kind, page = thread.replay_tables(12)
-        assert addr == thread.addr.tolist()
-        assert kind == thread.kind.tolist()
-        assert page == [a >> 12 for a in addr]
-        # Same object on repeat (memoised), rebuilt for another shift.
-        assert thread.replay_tables(12)[0] is addr
-        assert thread.replay_tables(13)[2] != page or not page
+class TestReplayRecords:
+    """The trace's shared ``(block, kind, page)`` records the kernel
+    replays (``Trace.replay_records``)."""
 
-    def test_tables_not_pickled(self, matrix_trace):
+    def test_records_are_the_arrays(self, matrix_trace):
+        rows = matrix_trace.replay_records(PAGE_SHIFT)
+        assert len(rows) == len(matrix_trace.threads)
+        for thread, row in zip(matrix_trace.threads, rows):
+            assert row == list(
+                zip(
+                    thread.addr.tolist(),
+                    thread.kind.tolist(),
+                    (thread.addr >> PAGE_SHIFT).tolist(),
+                )
+            )
+
+    def test_equal_records_are_one_object(self, matrix_trace):
+        """An equal ``(block, kind)`` is one tuple across threads, and an
+        equal page one int."""
+        first: dict = {}
+        pages: dict = {}
+        shared = set()
+        for thread_id, row in enumerate(matrix_trace.replay_records(PAGE_SHIFT)):
+            for record in row:
+                seen_in, seen = first.setdefault(record[:2], (thread_id, record))
+                assert seen is record
+                assert pages.setdefault(record[2], record[2]) is record[2]
+                if seen_in != thread_id:
+                    shared.add(record)
+        assert shared, "no record repeats across threads: the check is vacuous"
+
+    def test_memoised_per_page_shift(self):
+        trace = standard_trace("tpcc-1", ScalePreset.SMOKE, seed=3)
+        rows = trace.replay_records(12)
+        assert trace.replay_records(12) is rows
+        other = trace.replay_records(13)
+        assert other is not rows
+        thread = trace.threads[0]
+        assert [page for _, _, page in other[0]] == (thread.addr >> 13).tolist()
+
+    def test_not_pickled_and_clone_replays_identically(self):
         import pickle
 
-        thread = matrix_trace.threads[0]
-        thread.replay_tables(12)
-        clone = pickle.loads(pickle.dumps(thread))
-        assert not hasattr(clone, "_replay_tables")
-        assert clone.addr.tolist() == thread.addr.tolist()
+        trace = standard_trace("tpcc-1", ScalePreset.SMOKE, seed=3)
+        trace.replay_records(PAGE_SHIFT)
+        clone = pickle.loads(pickle.dumps(trace))
+        assert "_replay_records" not in vars(clone)
+        kwargs = {"variant": "slicc-sw"}
+        assert _run(clone, kwargs, "auto") == _run(trace, kwargs, "auto")
+
+    def test_bytes_kept_per_record(self):
+        """Smoke tpcc-1's records keep under half the bytes per record of
+        the three per-thread int lists they replaced (57 B): a record is
+        one list slot plus its share of the shared tuples."""
+        import tracemalloc
+
+        # Warm numpy's lazily built state, which a one-off build would
+        # otherwise be charged for.
+        _one_thread(range(8)).replay_records(PAGE_SHIFT)
+        trace = standard_trace("tpcc-1", ScalePreset.SMOKE, seed=1)
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace.replay_records(PAGE_SHIFT)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        assert kept / trace.total_records < 24
 
 
 KERNEL_MATRIX_WORKLOADS = ("tpcc-1", "webserve", "phased")
