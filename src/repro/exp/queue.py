@@ -125,7 +125,6 @@ class _Entry:
 
     key: str
     payload: dict
-    seq: int
     status: str = PENDING
     worker: Optional[str] = None
     deadline: float = 0.0
@@ -255,9 +254,10 @@ class WorkQueue:
         self.max_claims = int(max_claims)
         self.backoff = backoff
         self._mutex = threading.RLock()
+        # Entries are created only by _fold and never removed, so the
+        # dict's insertion order is queue (FIFO) order.
         self._entries: dict[str, _Entry] = {}
         self._offset = 0  # byte offset of the first unfolded event
-        self._next_seq = 0
         self.corrupt_events = 0
 
     @property
@@ -317,11 +317,8 @@ class WorkQueue:
             # Non-enqueued events for unknown keys (hand-truncated log)
             # still synthesize an entry so accounting stays consistent;
             # their empty payload makes claim() fail them, not run them.
-            self._next_seq += 1
             entry = self._entries[key] = _Entry(
-                key=key,
-                payload=dict(event.get("spec") or {}),
-                seq=self._next_seq,
+                key=key, payload=dict(event.get("spec") or {})
             )
             if kind == "enqueued":
                 return
@@ -359,7 +356,7 @@ class WorkQueue:
         ``torn_queue`` fault kind may tear claim/renewal events — the
         two whose loss the protocol absorbs without operator action.
         """
-        line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+        line = _event_line(event)
         plan = faults.active_plan()
         torn = (
             plan is not None
@@ -392,9 +389,6 @@ class WorkQueue:
             ),
         )
 
-    def _ordered(self) -> list[_Entry]:
-        return sorted(self._entries.values(), key=lambda e: e.seq)
-
     # -- the protocol ----------------------------------------------------
 
     def enqueue(self, specs: Iterable[ExperimentSpec]) -> int:
@@ -404,40 +398,56 @@ class WorkQueue:
         batch or against the existing queue) are skipped, so re-running
         an enqueue after adding grid points only adds the new points.
 
+        New entries are grouped by trace
+        (:meth:`~repro.exp.spec.ExperimentSpec.trace_key`): groups in
+        order of first appearance, specs in input order within a group.
+        FIFO claims then walk one trace at a time, so a drain worker
+        builds each trace once rather than once per revisit. All new
+        events go out in one locked, fsync'd append; a crash mid-append
+        leaves a prefix of whole events plus one torn line, which
+        rerunning the same enqueue heals and completes.
+
         Raises:
             ConfigurationError: for a spec bound to an explicit
                 in-memory trace — its trace exists only in the enqueuing
                 process and no independent worker could ever rebuild it.
+                Every spec is checked first, so a rejected call writes
+                nothing and creates no queue.
         """
+        groups: dict[str, list[ExperimentSpec]] = {}
+        for spec in specs:
+            if spec.trace_id is not None:
+                raise ConfigurationError(
+                    "cannot enqueue a spec bound to an explicit "
+                    "in-memory trace (trace_id set): queue workers "
+                    "run in other processes and rebuild traces "
+                    "declaratively"
+                )
+            groups.setdefault(spec.trace_key(), []).append(spec)
         now = time.time()
-        added = 0
         # Only enqueue creates a queue, so a command aimed at a mistyped
         # path leaves nothing behind.
         self._path.parent.mkdir(parents=True, exist_ok=True)
         with self._locked():
             self._refresh_locked()
-            for spec in specs:
-                if spec.trace_id is not None:
-                    raise ConfigurationError(
-                        "cannot enqueue a spec bound to an explicit "
-                        "in-memory trace (trace_id set): queue workers "
-                        "run in other processes and rebuild traces "
-                        "declaratively"
+            lines: dict[str, bytes] = {}
+            for group in groups.values():
+                for spec in group:
+                    key = spec.key()
+                    if key in self._entries or key in lines:
+                        continue
+                    lines[key] = _event_line(
+                        {
+                            "event": "enqueued",
+                            "key": key,
+                            "t": now,
+                            "spec": spec.to_dict(),
+                        }
                     )
-                key = spec.key()
-                if key in self._entries:
-                    continue
-                self._append_locked(
-                    {
-                        "event": "enqueued",
-                        "key": key,
-                        "t": now,
-                        "spec": spec.to_dict(),
-                    }
-                )
+            if lines:
+                append_lines(self._path, b"".join(lines.values()))
                 self._refresh_locked()
-                added += 1
-        return added
+        return len(lines)
 
     def claim(self, limit: int = 1) -> list[ClaimedSpec]:
         """Claim up to ``limit`` entries: pending first (FIFO), then
@@ -454,7 +464,7 @@ class WorkQueue:
         with self._locked():
             self._refresh_locked()
             picks: list[tuple[_Entry, bool]] = []
-            for entry in self._ordered():
+            for entry in self._entries.values():
                 if len(picks) >= limit:
                     break
                 if entry.status != PENDING:
@@ -469,7 +479,7 @@ class WorkQueue:
                     )
                     continue
                 picks.append((entry, False))
-            for entry in self._ordered():
+            for entry in self._entries.values():
                 if len(picks) >= limit:
                     break
                 if entry.status != LEASED or now < entry.deadline:
@@ -603,7 +613,7 @@ class WorkQueue:
         released, exhausted = [], []
         with self._locked():
             self._refresh_locked()
-            for entry in self._ordered():
+            for entry in self._entries.values():
                 if entry.status != LEASED or now < entry.deadline:
                     continue
                 if entry.claims >= self.max_claims:
@@ -627,7 +637,7 @@ class WorkQueue:
         now = time.time()
         with self._locked():
             self._refresh_locked()
-            entries = self._ordered()
+            entries = list(self._entries.values())
             corrupt = self.corrupt_events
         status = QueueStatus(path=self._path, corrupt_events=corrupt)
         for entry in entries:
@@ -652,6 +662,11 @@ class WorkQueue:
             else:
                 status.failed += 1
         return status
+
+
+def _event_line(event: dict) -> bytes:
+    """One event as its newline-terminated JSON line."""
+    return (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _parse_event(line: bytes) -> Optional[dict]:

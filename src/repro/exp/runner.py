@@ -59,11 +59,13 @@ from repro.workloads.trace import Trace
 _FORK = sys.platform == "linux"
 
 #: Most declarative traces one process keeps that it was not shipped.
-#: A drain's specs arrive one at a time, in queue order, which groups
-#: them by trace. A paper-scale tpcc-1 trace with its replay records
-#: takes about 87 MB and 1.0 s to rebuild (2-core Xeon VM), so a bound
-#: of 6, which would spare a smoke drain its rebuilds, would hold about
-#: 520 MB per worker at paper scale.
+#: A drain's specs arrive one at a time, in queue order, and
+#: ``WorkQueue.enqueue`` groups that order by trace, so a drain worker
+#: builds each trace about once however many traces the queue holds
+#: (the smoke queue-drain benchmark: 12 builds of 6 traces by two
+#: workers). A paper-scale tpcc-1 trace with its replay records takes
+#: about 87 MB and 1.0 s to rebuild (2-core Xeon VM), so each slot of
+#: this bound costs about 87 MB per worker at paper scale.
 _TRACE_CACHE_SIZE = 2
 
 # Per-process trace state. ``_EXPLICIT`` holds traces shipped by the

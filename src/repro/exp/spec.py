@@ -21,6 +21,7 @@ expand dotted-path axes (``"slicc.dilution_t"``, ``"system.n_cores"``,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -339,10 +340,19 @@ _SLICC_FIELDS = frozenset(f.name for f in fields(SliccParams))
 _SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemParams))
 
 
+@functools.cache
+def _field_hints(cls: type) -> dict:
+    """``typing.get_type_hints(cls)``, resolved once per class per
+    process: each call evaluates every string annotation of ``cls``, and
+    a queue drain rebuilds five parameter dataclasses per claimed spec.
+    Callers must not mutate the shared dict."""
+    return typing.get_type_hints(cls)
+
+
 def _coerce_fields(cls: type, kw: dict) -> dict:
     """Coerce mapping values aimed at dataclass-typed fields of ``cls``
     (e.g. ``system.l1i`` -> :class:`CacheParams`) into the dataclass."""
-    hints = typing.get_type_hints(cls)
+    hints = _field_hints(cls)
     out = {}
     for name, value in kw.items():
         hint = hints.get(name)

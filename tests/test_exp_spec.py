@@ -420,6 +420,36 @@ class TestKeyMemo:
         fresh = spec_from_dict(spec.to_dict())
         assert fresh._key is None and fresh.key() == key
 
+    def test_spec_from_dict_resolves_field_types_once_per_class(
+        self, monkeypatch
+    ):
+        """A queue drain rebuilds every claimed spec from its payload;
+        each parameter dataclass's type hints are resolved once per
+        process, not once per payload (five per payload before)."""
+        import collections
+        import typing
+
+        from repro.exp import spec as spec_mod
+
+        resolved = collections.Counter()
+        real = typing.get_type_hints
+
+        def counting(cls, *args, **kwargs):
+            resolved[cls.__name__] += 1
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(typing, "get_type_hints", counting)
+        spec_mod._field_hints.cache_clear()
+        payload = self._spec().to_dict()
+        for _ in range(10):
+            assert spec_mod.spec_from_dict(payload).key() == self._spec().key()
+        assert resolved == {
+            "SimConfig": 1,
+            "SystemParams": 1,
+            "SliccParams": 1,
+            "CacheParams": 1,
+        }
+
     def test_eq_hash_and_dict_ignore_the_memo(self):
         memoised, fresh = self._spec(), self._spec()
         memoised.key()

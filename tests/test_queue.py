@@ -47,6 +47,20 @@ def smoke_specs(variants=("base", "slicc", "steps")):
     return grid(base, {"variant": list(variants)})
 
 
+def interleaved_specs(seeds=(1, 2, 3), variants=("base", "slicc")):
+    """One spec per (variant, seed), in an order that cycles through the
+    seeds' traces: A B C A B C."""
+    return [
+        spec
+        for variant in variants
+        for seed in seeds
+        for spec in grid(
+            ExperimentSpec("tpcc-1", scale="smoke", seed=seed),
+            {"variant": [variant]},
+        )
+    ]
+
+
 def write_specfile(tmp_path, axes=None):
     payload = {
         "workload": "tpcc-1",
@@ -91,6 +105,80 @@ class TestQueueProtocol:
         queue = WorkQueue(tmp_path)
         with pytest.raises(ConfigurationError, match="trace"):
             queue.enqueue([spec_for(smoke_tpcc, variant="base")])
+
+    def test_rejected_enqueue_writes_nothing(self, tmp_path, smoke_tpcc):
+        """Every spec is checked before the queue is touched: a batch
+        with one explicit-trace spec leaves no queue file, no lock and
+        no directory, not a queue holding the specs before it."""
+        batch = smoke_specs(variants=("base",)) + [
+            spec_for(smoke_tpcc, variant="base")
+        ]
+        queue = WorkQueue(tmp_path)
+        with pytest.raises(ConfigurationError, match="trace"):
+            queue.enqueue(batch)
+        assert not queue.path.exists() and not queue.lock_path.exists()
+        assert WorkQueue(tmp_path).snapshot().total == 0
+        with pytest.raises(ConfigurationError, match="trace"):
+            WorkQueue(tmp_path / "campaign").enqueue(batch)
+        assert not (tmp_path / "campaign").exists()
+
+    def test_enqueue_claims_one_trace_at_a_time(self, tmp_path):
+        """Specs enqueued with their traces interleaved (A B C A B C)
+        are claimed trace by trace (A A B B C C): groups in order of
+        first appearance, input order within a group."""
+        specs = interleaved_specs()
+        a1, b1, c1, a2, b2, c2 = (s.key() for s in specs)
+        queue = WorkQueue(tmp_path, worker_id="w")
+        assert queue.enqueue(specs) == 6
+        claimed = [c.key for c in queue.claim(limit=6)]
+        assert claimed == [a1, a2, b1, b2, c1, c2]
+
+    def test_enqueue_appends_once_per_call(self, tmp_path, monkeypatch):
+        """All new ``enqueued`` events of one call go out in a single
+        locked, fsync'd append; a call with nothing new writes nothing."""
+        from repro.exp import queue as queue_mod
+
+        writes = []
+        real = queue_mod.append_lines
+
+        def counting(path, data, torn=False):
+            writes.append(data.count(b"\n"))
+            real(path, data, torn)
+
+        monkeypatch.setattr(queue_mod, "append_lines", counting)
+        queue = WorkQueue(tmp_path)
+        assert queue.enqueue(interleaved_specs()) == 6
+        assert writes == [6]
+        assert queue.enqueue(interleaved_specs()) == 0
+        assert writes == [6]
+        assert len(queue_events(tmp_path)) == 6
+
+    def test_torn_enqueue_heals_when_rerun(self, tmp_path):
+        """A crash inside the single enqueue write leaves whole events
+        plus one torn line. Rerunning the same enqueue heals the tail,
+        adds each missing spec exactly once, and the queue drains."""
+        specs = interleaved_specs(seeds=(1, 2))
+        WorkQueue(tmp_path).enqueue(specs)
+        path = resolve_queue_path(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        cut = len(lines[0]) + len(lines[1]) + len(lines[2]) // 2
+        os.truncate(path, cut)  # power loss mid-write: 2 whole events
+        fresh = WorkQueue(tmp_path, worker_id="w")
+        assert fresh.snapshot().total == 2
+        assert fresh.enqueue(specs) == 2
+        status = fresh.snapshot()
+        assert status.total == 4 and status.pending == 4
+        assert status.corrupt_events == 1
+        assert WorkQueue(tmp_path).snapshot().corrupt_events == 1
+        enqueued = [
+            e["key"] for e in queue_events(tmp_path) if e["event"] == "enqueued"
+        ]
+        assert sorted(enqueued) == sorted(s.key() for s in specs)
+        report = drain(
+            fresh, Runner(store=ResultStore(tmp_path), jobs=1), poll_seconds=0.05
+        )
+        assert report.completed == 4 and report.failed == 0
+        assert fresh.snapshot().done == 4
 
     def test_enqueue_shares_campaign_dir_with_store(self, tmp_path):
         queue = WorkQueue(tmp_path)
@@ -355,6 +443,26 @@ class TestDrain:
         assert len(built) == bound + 1
         assert max(alive_at_build) == bound - 1
         assert len(runner_mod._TRACE_CACHE) == bound
+
+    def test_drain_builds_each_trace_once(self, tmp_path, monkeypatch):
+        """Claims follow trace groups, so a one-job drain of a queue
+        enqueued A B C A B C builds three traces, where claiming in
+        input order through a two-trace cache would build six."""
+        monkeypatch.setattr(runner_mod, "_TRACE_CACHE", {})
+        builds = []
+        real = runner_mod.standard_trace
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "standard_trace", counting)
+        queue = WorkQueue(tmp_path, worker_id="w")
+        queue.enqueue(interleaved_specs())
+        runner = Runner(store=ResultStore(tmp_path), jobs=1)
+        report = drain(queue, runner, poll_seconds=0.05)
+        assert report.completed == 6
+        assert builds == [1, 2, 3]
 
     def test_drain_reclaims_a_dead_workers_leases(
         self, tmp_path, backend="jsonl"
