@@ -1,4 +1,10 @@
-"""Analysis helpers: reuse breakdowns, report/figure tables."""
+"""Analysis helpers: reuse breakdowns, report/figure tables.
+
+The reuse breakdowns read traces, so they load on first access (PEP
+562): writing a report does not import them.
+"""
+
+import importlib
 
 from repro.analysis.paper_report import (
     figure_table,
@@ -7,11 +13,20 @@ from repro.analysis.paper_report import (
     write_index,
 )
 from repro.analysis.report import format_table
-from repro.analysis.reuse import (
-    ReuseBreakdown,
-    global_reuse,
-    per_transaction_reuse,
+
+_LAZY = dict.fromkeys(
+    ("ReuseBreakdown", "global_reuse", "per_transaction_reuse"),
+    "repro.analysis.reuse",
 )
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ReuseBreakdown",

@@ -56,11 +56,9 @@ from repro.exp import (
     compact_store,
     describe_store,
     figure_names,
-    load_spec_file,
     locate_store,
     migrate_store,
     select_figures,
-    specs_from_payload,
     summarize,
 )
 from repro.params import ScalePreset
@@ -87,7 +85,7 @@ SWEEPS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_workload(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("workload", choices=workload_names())
     parser.add_argument(
         "--scale",
@@ -95,6 +93,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="ci",
         help="workload scale preset (default: ci)",
     )
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_workload(parser)
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=1)
 
@@ -261,6 +263,8 @@ def _payload(args: argparse.Namespace, **fragment) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.exp.specfile import specs_from_payload
+
     variants = list(args.variants)
     if "base" not in variants:
         variants.insert(0, "base")
@@ -269,11 +273,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.exp.specfile import specs_from_payload
+
     family = specs_from_payload(_payload(args, **SWEEPS[args.kind]))
     return _run_family(args, family, f"{args.kind} sweep of {args.workload}")
 
 
 def _cmd_exp(args: argparse.Namespace) -> int:
+    from repro.exp.specfile import load_spec_file
+
     return _run_family(args, load_spec_file(args.specfile), args.specfile)
 
 
@@ -448,6 +456,7 @@ def _print_queue_status(status) -> None:
 
 def _cmd_queue_enqueue(args: argparse.Namespace) -> int:
     from repro.exp.queue import WorkQueue
+    from repro.exp.specfile import load_spec_file
 
     specs, baseline_spec = load_spec_file(args.specfile)
     all_specs = specs if baseline_spec is None else [baseline_spec] + specs
@@ -810,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     store.set_defaults(func=_cmd_store)
 
     info = sub.add_parser("info", help="show workload parameters")
-    _add_common(info)
+    _add_workload(info)
     info.set_defaults(func=_cmd_info)
 
     return parser

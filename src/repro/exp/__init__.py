@@ -14,12 +14,14 @@ The layer every campaign goes through::
 Specs are frozen and content-hashed; the runner fans out over processes
 and the store makes repeated sweeps incremental. The worker pool and the
 work queue load on first access (PEP 562), so keying specs and reading a
-store import neither ``multiprocessing`` nor the queue.
+store import neither ``multiprocessing`` nor the queue. Nor do they
+import the fault-injection harness, which only simulating and writing
+consult, or the spec-file reader, which only ``run``, ``sweep``,
+``exp`` and ``queue enqueue`` use.
 """
 
 import importlib
 
-from repro.exp.faults import FaultPlan, active_plan, parse_fault_spec
 from repro.exp.figures import (
     Figure,
     FigureRow,
@@ -38,7 +40,6 @@ from repro.exp.spec import (
     trace_fingerprint,
     with_overrides,
 )
-from repro.exp.specfile import load_spec_file, specs_from_payload
 from repro.exp.store import (
     STORE_BACKENDS,
     MigrationReport,
@@ -56,7 +57,12 @@ from repro.exp.store import (
 from repro.exp.summarize import summarize
 
 _LAZY = {
+    **dict.fromkeys(
+        ("FaultPlan", "active_plan", "parse_fault_spec"), "repro.exp.faults"
+    ),
     "FaultTolerantPool": "repro.exp.pool",
+    "load_spec_file": "repro.exp.specfile",
+    "specs_from_payload": "repro.exp.specfile",
     **dict.fromkeys(
         (
             "ClaimedSpec",

@@ -41,17 +41,17 @@ import hashlib
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError, SweepFailure
-from repro.exp import faults
 from repro.exp.spec import ExperimentSpec, trace_fingerprint
 from repro.exp.store import ResultStore, result_from_dict, result_to_dict
 from repro.params import ScalePreset
 from repro.sim.results import SimulationResult
-from repro.sim.tlb import PAGE_SHIFT
 from repro.workloads import standard_trace
-from repro.workloads.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.workloads.trace import Trace
 
 #: Fork the pool on Linux: workers inherit traces, replay records and
 #: compiled kernels zero-copy. Elsewhere (macOS/Windows) fork is unsafe
@@ -118,9 +118,10 @@ def _run_spec(spec: ExperimentSpec, attempt: int = 0) -> tuple[dict, float]:
     deterministic crash/hang schedule on (spec key, attempt) so a retry
     can be scheduled to succeed where the first attempt was killed.
     """
+    from repro.exp.faults import inject_worker_faults
     from repro.sim.engine import simulate
 
-    faults.inject_worker_faults(spec.key(), attempt)
+    inject_worker_faults(spec.key(), attempt)
     t0 = time.perf_counter()
     result = simulate(_trace_for(spec), config=spec.config)
     return result_to_dict(result), time.perf_counter() - t0
@@ -339,6 +340,7 @@ class Runner:
             # run needs the same. Under spawn neither reaches the workers,
             # so neither is built.
             from repro.sim.specialize import kernel_for, kernel_spec
+            from repro.sim.tlb import PAGE_SHIFT
 
             for key in {spec.trace_key() for spec in pending.values()}:
                 explicit[key].replay_records(PAGE_SHIFT)
@@ -427,16 +429,22 @@ class Runner:
         # timeout needs a killable worker, and an active fault plan
         # needs a worker whose death is survivable, so both route
         # through the pool even at jobs=1.
-        if jobs == 1 and self.timeout is None and faults.active_plan() is None:
+        from repro.exp.faults import active_plan
+
+        if jobs == 1 and self.timeout is None and active_plan() is None:
             yield from self._execute_inline(specs, explicit)
             return
-        # Import the simulation stack before the pool forks, so every
-        # worker inherits it instead of importing it again.
+        # Import the simulation stack, trace building included, before
+        # the pool forks, so every worker inherits it instead of
+        # importing it again.
         import multiprocessing
 
         import repro.sim.engine  # noqa: F401
         import repro.workloads.generator  # noqa: F401
         from repro.exp.pool import FaultTolerantPool
+        from repro.workloads import import_makers
+
+        import_makers()
 
         pool = FaultTolerantPool(
             multiprocessing.get_context("fork" if _FORK else None),

@@ -27,14 +27,16 @@ import itertools
 import json
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.params import ScalePreset, SliccParams, SystemParams
 from repro.sched import POLICY_GATED_FIELDS, get_policy
 from repro.sim.config import SimConfig
 from repro.workloads import workload_names
-from repro.workloads.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.workloads.trace import Trace
 
 _DEFAULT_CONFIG = SimConfig()
 
@@ -49,7 +51,7 @@ def _plain(obj) -> dict:
     """``dataclasses.asdict`` for the frozen spec and parameter
     dataclasses. Their leaves are immutable scalars, so this builds the
     same nested dict without asdict's per-leaf ``deepcopy`` (about 6x
-    faster; every new spec key renders its whole config)."""
+    faster)."""
     out = {}
     for name in obj.__dataclass_fields__:
         value = getattr(obj, name)
@@ -57,6 +59,52 @@ def _plain(obj) -> dict:
             value = _plain(value)
         out[name] = value
     return out
+
+
+def _canonical(config: SimConfig) -> SimConfig:
+    """See :meth:`ExperimentSpec.canonical_config`."""
+    relevant = get_policy(config.variant).relevant_fields
+    overrides = {
+        name: getattr(_DEFAULT_CONFIG, name)
+        for name in POLICY_GATED_FIELDS
+        if name not in relevant
+    }
+    if config.kernel != _DEFAULT_CONFIG.kernel:
+        # The replay kernel (auto or reference) never affects
+        # results — both are pinned byte-identical — so it must not
+        # fragment the result store.
+        overrides["kernel"] = _DEFAULT_CONFIG.kernel
+    return replace(config, **overrides) if overrides else config
+
+
+def _render_config(config: SimConfig) -> str:
+    """The canonical JSON of ``config`` that :meth:`ExperimentSpec.key`
+    hashes."""
+    config_dict = _plain(_canonical(config))
+    # Result-neutral fields are dropped from the hash entirely so keys
+    # stay stable across engine versions that add them (the kernel
+    # selector was introduced after stores already existed).
+    config_dict.pop("kernel", None)
+    return json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
+
+
+#: :func:`_render_config` output per config ``repr``, oldest first. A
+#: figure registry keys many specs (rows, baselines, figures sharing
+#: runs) over few configs. Keyed by ``repr``, not by the config: ``==``
+#: equates 10 with 10.0 and 1 with True, whose JSON differs.
+_CONFIG_JSON: dict[str, str] = {}
+_CONFIG_JSON_SIZE = 1024
+
+
+def _config_json(config: SimConfig) -> str:
+    """:func:`_render_config`, rendered once per distinct config."""
+    text = repr(config)
+    rendered = _CONFIG_JSON.get(text)
+    if rendered is None:
+        if len(_CONFIG_JSON) >= _CONFIG_JSON_SIZE:
+            del _CONFIG_JSON[next(iter(_CONFIG_JSON))]
+        rendered = _CONFIG_JSON[text] = _render_config(config)
+    return rendered
 
 
 def _is_int(value, minimum: int) -> bool:
@@ -168,19 +216,7 @@ class ExperimentSpec:
         ``random-migrate``) keeps its steal/prefetch knobs in the key
         instead of silently colliding with its own sweeps.
         """
-        config = self.config
-        relevant = get_policy(config.variant).relevant_fields
-        overrides = {
-            name: getattr(_DEFAULT_CONFIG, name)
-            for name in POLICY_GATED_FIELDS
-            if name not in relevant
-        }
-        if config.kernel != _DEFAULT_CONFIG.kernel:
-            # The replay kernel (auto or reference) never affects
-            # results — both are pinned byte-identical — so it must not
-            # fragment the result store.
-            overrides["kernel"] = _DEFAULT_CONFIG.kernel
-        return replace(config, **overrides) if overrides else config
+        return _canonical(self.config)
 
     def trace_key(self) -> str:
         """Cache key of the trace alone (shared by all variants)."""
@@ -200,21 +236,21 @@ class ExperimentSpec:
         return cached
 
     def key(self) -> str:
-        """Content hash identifying this experiment's result."""
+        """Content hash identifying this experiment's result: the
+        :func:`_stable_hash` of ``{"trace": trace_key(), "config":
+        canonical config without its kernel}``, assembled from the
+        config's memoised JSON in the order ``sort_keys`` gives."""
         cached = self._key
         if cached is not None:
             return cached
-        config_dict = _plain(self.canonical_config())
-        # Result-neutral fields are dropped from the hash entirely so
-        # keys stay stable across engine versions that add them (the
-        # kernel selector was introduced after stores already existed).
-        config_dict.pop("kernel", None)
-        cached = _stable_hash(
-            {
-                "trace": self.trace_key(),
-                "config": config_dict,
-            }
+        blob = (
+            '{"config":'
+            + _config_json(self.config)
+            + ',"trace":'
+            + json.dumps(self.trace_key())
+            + "}"
         )
+        cached = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_key", cached)
         return cached
 

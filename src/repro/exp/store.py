@@ -51,7 +51,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.errors import ConfigurationError
-from repro.exp import faults
 from repro.sim.results import SimulationResult
 
 #: Known backend kinds, in documentation order.
@@ -299,7 +298,9 @@ class JsonlBackend:
             n_results += "result" in row
             lines.append((json.dumps(row, sort_keys=True) + "\n").encode())
         if self.path is not None and lines:
-            plan = faults.active_plan()
+            from repro.exp.faults import active_plan
+
+            plan = active_plan()
             torn = (
                 tearable
                 and plan is not None

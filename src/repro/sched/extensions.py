@@ -37,7 +37,6 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.core.txn_types import SoftwareTypeOracle
 from repro.sched.base import MIGRATION_FIELDS, SchedulingPolicy
 from repro.sched.registry import register_policy
 
@@ -160,6 +159,8 @@ class AffinityPolicy(SchedulingPolicy):
     team_scheduling = True
 
     def make_type_source(self):
+        from repro.core.txn_types import SoftwareTypeOracle
+
         return SoftwareTypeOracle()
 
 

@@ -8,14 +8,16 @@ suite stays byte-identical. The per-record SLICC/STEPS monitoring
 remains inlined in the replay loop (it runs on the agent objects these
 policies ask the engine to build); only the quantum-ending decision and
 the scheduling-event callbacks dispatch through the policy.
+
+A policy imports the machinery it builds (the agent's decision enum, the
+type detectors, the PIF geometry) where it builds it, once per engine,
+so registering the seven classes loads none of ``repro.core``,
+``repro.cache`` or ``repro.prefetch``.
 """
 
 from __future__ import annotations
 
-from repro.core.agent import MigrationReason
-from repro.core.txn_types import PreambleTypeDetector, SoftwareTypeOracle
 from repro.errors import SimulationError
-from repro.prefetch.pif import pif_l1i_params
 from repro.sched.base import (
     MIGRATION_FIELDS,
     SchedulingPolicy,
@@ -53,6 +55,8 @@ class PifPolicy(SchedulingPolicy):
 
     @classmethod
     def l1i_params(cls, system):
+        from repro.prefetch.pif import pif_l1i_params
+
         return pif_l1i_params(system.l1i)
 
 
@@ -63,6 +67,12 @@ class _SliccMachineryPolicy(SchedulingPolicy):
     migrates = True
     slicc_machinery = True
     relevant_fields = MIGRATION_FIELDS
+
+    def bind(self, engine) -> None:
+        from repro.core.agent import MigrationReason
+
+        super().bind(engine)
+        self._idle_core = MigrationReason.IDLE_CORE
 
     def evaluate_migration(self, core: int, agent) -> bool:
         """Ask the agent for a migration target; stage it if one exists.
@@ -80,7 +90,7 @@ class _SliccMachineryPolicy(SchedulingPolicy):
             nearest=lambda cands: engine.machine.torus.nearest(core, cands),
         )
         if decision.target is not None:
-            if decision.reason is MigrationReason.IDLE_CORE:
+            if decision.reason is self._idle_core:
                 # The idle core adopts the thread's new segment:
                 # unfreeze its fill path.
                 engine.agents[decision.target].mc.reset()
@@ -121,6 +131,8 @@ class SliccSwPolicy(_SliccMachineryPolicy):
     team_scheduling = True
 
     def make_type_source(self):
+        from repro.core.txn_types import SoftwareTypeOracle
+
         return SoftwareTypeOracle()
 
 
@@ -134,6 +146,8 @@ class SliccPpPolicy(_SliccMachineryPolicy):
     scout_core = True
 
     def make_type_source(self):
+        from repro.core.txn_types import PreambleTypeDetector
+
         return PreambleTypeDetector()
 
 
@@ -150,6 +164,8 @@ class StepsPolicy(SchedulingPolicy):
     relevant_fields = frozenset({"slicc"})
 
     def make_type_source(self):
+        from repro.core.txn_types import SoftwareTypeOracle
+
         # STEPS groups same-type threads onto the same cores too (its
         # teams run on one core each, time-multiplexed).
         return SoftwareTypeOracle()

@@ -1,21 +1,22 @@
 """Simulation engine: machine model, timing, replay loop, results.
 
 The variant list is the scheduling-policy registry —
-``repro.sched.policy_names()``. The replay engine and the machine load
-on first access (PEP 562), so naming a :class:`SimConfig` or reading a
-:class:`SimulationResult` does not import them.
+``repro.sched.policy_names()``. The replay engine, the machine and its
+timing and TLB models load on first access (PEP 562), so naming a
+:class:`SimConfig` or reading a :class:`SimulationResult` does not
+import them.
 """
 
 import importlib
 
 from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
-from repro.sim.timing import TimingModel
-from repro.sim.tlb import Tlb
 
 _LAZY = {
     "Machine": "repro.sim.machine",
     "ReplayEngine": "repro.sim.engine",
+    "TimingModel": "repro.sim.timing",
+    "Tlb": "repro.sim.tlb",
     "simulate": "repro.sim.engine",
 }
 

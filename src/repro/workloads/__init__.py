@@ -8,8 +8,9 @@ The four benchmarks of Table 1 — plus the scenario extensions
 >>> spec.name
 'tpcc-1'
 
-The trace generator (and numpy with it) loads on first use: naming a
-workload, or keying a spec for one, does not import it.
+The workload makers, their spec classes, the trace containers and the
+trace generator (with numpy) load on first use (PEP 562): naming a
+workload, or keying a spec for one, imports none of them.
 """
 
 from __future__ import annotations
@@ -18,27 +19,6 @@ import importlib
 
 from repro.errors import ConfigurationError
 from repro.params import ScalePreset
-from repro.workloads.mapreduce import make_mapreduce
-from repro.workloads.phased import make_phased
-from repro.workloads.spec import (
-    DataSpec,
-    MixPhase,
-    PathStep,
-    SegmentSpec,
-    TransactionTypeSpec,
-    WorkloadSpec,
-    layout_segments,
-)
-from repro.workloads.tpcc import make_tpcc
-from repro.workloads.tpce import make_tpce
-from repro.workloads.webserve import make_webserve
-from repro.workloads.trace import (
-    KIND_INSTR,
-    KIND_LOAD,
-    KIND_STORE,
-    Trace,
-    ThreadTrace,
-)
 
 #: Default thread counts per scale preset (paper: 1K tasks; Section 5.1).
 DEFAULT_THREADS = {
@@ -47,19 +27,45 @@ DEFAULT_THREADS = {
     ScalePreset.PAPER: 256,
 }
 
-_FACTORIES = {
-    "tpcc-1": lambda scale: make_tpcc(scale, warehouses=1),
-    "tpcc-10": lambda scale: make_tpcc(scale, warehouses=10),
-    "tpce": make_tpce,
-    "mapreduce": make_mapreduce,
-    "webserve": make_webserve,
-    "phased": make_phased,
+#: Workload name -> (maker module, maker function, keyword arguments);
+#: the four Table 1 workloads in paper order, then the extensions.
+_MAKERS = {
+    "tpcc-1": ("repro.workloads.tpcc", "make_tpcc", {"warehouses": 1}),
+    "tpcc-10": ("repro.workloads.tpcc", "make_tpcc", {"warehouses": 10}),
+    "tpce": ("repro.workloads.tpce", "make_tpce", {}),
+    "mapreduce": ("repro.workloads.mapreduce", "make_mapreduce", {}),
+    "webserve": ("repro.workloads.webserve", "make_webserve", {}),
+    "phased": ("repro.workloads.phased", "make_phased", {}),
+}
+
+#: Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    **dict.fromkeys(
+        ("generate_thread", "generate_trace"), "repro.workloads.generator"
+    ),
+    **{maker: module for module, maker, _ in _MAKERS.values()},
+    **dict.fromkeys(
+        (
+            "DataSpec",
+            "MixPhase",
+            "PathStep",
+            "SegmentSpec",
+            "TransactionTypeSpec",
+            "WorkloadSpec",
+            "layout_segments",
+        ),
+        "repro.workloads.spec",
+    ),
+    **dict.fromkeys(
+        ("KIND_INSTR", "KIND_LOAD", "KIND_STORE", "Trace", "ThreadTrace"),
+        "repro.workloads.trace",
+    ),
 }
 
 
 def workload_names() -> list[str]:
     """The four Table 1 workloads (paper order), then the extensions."""
-    return ["tpcc-1", "tpcc-10", "tpce", "mapreduce", "webserve", "phased"]
+    return list(_MAKERS)
 
 
 def get_workload(
@@ -71,12 +77,19 @@ def get_workload(
         ConfigurationError: for an unknown workload name.
     """
     try:
-        factory = _FACTORIES[name]
+        module, maker, kwargs = _MAKERS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown workload {name!r}; known: {sorted(_FACTORIES)}"
-        )
-    return factory(scale)
+            f"unknown workload {name!r}; known: {sorted(_MAKERS)}"
+        ) from None
+    return getattr(importlib.import_module(module), maker)(scale, **kwargs)
+
+
+def import_makers() -> None:
+    """Import every workload maker now (a pool does, before it forks,
+    so its workers inherit them instead of each compiling them)."""
+    for module, _, _ in _MAKERS.values():
+        importlib.import_module(module)
 
 
 def standard_trace(
@@ -95,9 +108,9 @@ def standard_trace(
 
 
 def __getattr__(name):
-    if name not in ("generate_thread", "generate_trace"):
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module("repro.workloads.generator"), name)
+    value = getattr(importlib.import_module(_LAZY[name]), name)
     globals()[name] = value
     return value
 
@@ -118,6 +131,7 @@ __all__ = [
     "generate_thread",
     "generate_trace",
     "get_workload",
+    "import_makers",
     "layout_segments",
     "make_mapreduce",
     "make_phased",

@@ -464,3 +464,137 @@ class TestKeyMemo:
         for spec in (self._spec(n_threads=8), spec_for(smoke_tpcc, variant="pif")):
             spec.key()
             assert spec.to_dict() == asdict(spec)
+
+
+def _formula_key(spec):
+    """The key as a plain ``_stable_hash`` of the trace key and the
+    canonical config without its kernel: the formula every store row
+    was written under."""
+    from dataclasses import asdict
+
+    from repro.exp.spec import _stable_hash
+
+    config = asdict(spec.canonical_config())
+    del config["kernel"]
+    return _stable_hash({"trace": spec.trace_key(), "config": config})
+
+
+def _registry_specs(scale):
+    from repro.exp import select_figures
+
+    for figure in select_figures():
+        for row in figure.build(scale):
+            yield row.spec
+            if row.baseline is not None:
+                yield row.baseline
+
+
+class TestKeyFormula:
+    """key() renders each config's JSON once and splices it into the
+    hashed text; the keys must stay byte-identical to the formula."""
+
+    @pytest.mark.parametrize("scale", ["smoke", "ci"])
+    def test_registry_keys_match_the_formula(self, scale):
+        specs = list(_registry_specs(scale))
+        assert specs
+        for spec in specs:
+            assert spec.key() == _formula_key(spec)
+
+    def test_policy_gated_grid_matches_the_formula(self):
+        from repro.sched import POLICY_GATED_FIELDS, policy_names
+
+        axes = {
+            "variant": list(policy_names()),
+            "slicc": [SliccParams(), SliccParams(fill_up_t=128, dilution_t=4)],
+            "work_stealing": [True, False],
+            "steal_min_depth": [1, 3, 6],
+            "steal_resets_mc": [False, True],
+            "data_prefetch_n": [0, 8],
+        }
+        assert set(axes) - {"variant"} == set(POLICY_GATED_FIELDS)
+        specs = grid(ExperimentSpec("tpcc-1", scale="smoke", seed=7), axes)
+        assert len(specs) == len(policy_names()) * 48
+        for spec in specs:
+            assert spec.key() == _formula_key(spec)
+        # Gating still collapses what a policy ignores: base reads none
+        # of the 48 gated combinations.
+        assert len({s.key() for s in specs if s.variant == "base"}) == 1
+
+    def test_reference_kernel_shares_the_auto_key(self, smoke_tpcc):
+        for spec in (
+            ExperimentSpec("tpce", scale="smoke", seed=3),
+            spec_for(smoke_tpcc, variant="slicc-sw"),
+        ):
+            auto = with_overrides(spec, {"kernel": "auto"})
+            reference = with_overrides(spec, {"kernel": "reference"})
+            assert reference.key() == _formula_key(reference) == auto.key()
+
+    @pytest.mark.parametrize("first", ["int", "float"])
+    def test_equal_configs_of_other_types_keep_their_own_keys(
+        self, first, monkeypatch
+    ):
+        """10 == 10.0 and 1 == True, but their JSON differs, so the
+        rendered config is memoised per repr, not per ==: whichever
+        spelling is keyed first, each keeps the formula's key."""
+        from repro.exp import spec as spec_mod
+
+        monkeypatch.setattr(spec_mod, "_CONFIG_JSON", {})
+        spellings = {
+            "int": SimConfig(variant="slicc", slicc=SliccParams(dilution_t=10)),
+            "float": SimConfig(
+                variant="slicc", slicc=SliccParams(dilution_t=10.0)
+            ),
+        }
+        assert spellings["int"] == spellings["float"]
+        order = [first] + [name for name in spellings if name != first]
+        keys = {}
+        for name in order:
+            spec = ExperimentSpec("tpcc-1", scale="smoke", config=spellings[name])
+            keys[name] = spec.key()
+            assert keys[name] == _formula_key(spec)
+        assert keys["int"] != keys["float"]
+        stealing = ExperimentSpec(
+            "tpcc-1",
+            scale="smoke",
+            config=SimConfig(variant="tmi", work_stealing=1),
+        )
+        assert stealing.key() == _formula_key(stealing)
+        as_bool = with_overrides(stealing, {"work_stealing": True})
+        assert stealing.key() != as_bool.key() == _formula_key(as_bool)
+
+    def test_smoke_registry_renders_each_config_once(self, monkeypatch):
+        """The smoke registry keys 226 spec instances that hold 27
+        distinct configs; each config is rendered once."""
+        import collections
+
+        from repro.exp import spec as spec_mod
+
+        rendered = collections.Counter()
+        render = spec_mod._render_config
+
+        def counting(config):
+            rendered[repr(config)] += 1
+            return render(config)
+
+        monkeypatch.setattr(spec_mod, "_render_config", counting)
+        monkeypatch.setattr(spec_mod, "_CONFIG_JSON", {})
+        specs = list(_registry_specs("smoke"))
+        for spec in specs:
+            spec.key()
+        assert len(specs) == 226
+        assert len(rendered) == 27
+        assert set(rendered.values()) == {1}
+
+    def test_render_memo_is_bounded(self, monkeypatch):
+        from repro.exp import spec as spec_mod
+
+        monkeypatch.setattr(spec_mod, "_CONFIG_JSON", {})
+        monkeypatch.setattr(spec_mod, "_CONFIG_JSON_SIZE", 3)
+        specs = [
+            ExperimentSpec("tpcc-1", config=SimConfig(quantum=q))
+            for q in range(1, 6)
+        ]
+        for spec in specs:
+            assert spec.key() == _formula_key(spec)
+        assert len(spec_mod._CONFIG_JSON) == 3
+        assert repr(specs[-1].config) in spec_mod._CONFIG_JSON

@@ -64,6 +64,15 @@ class TestCli:
         assert "transaction types" in out
         assert "NewOrder" in out
 
+    @pytest.mark.parametrize("flag", [["--threads", "4"], ["--seed", "9"]])
+    def test_info_rejects_flags_it_does_not_read(self, flag, capsys):
+        """info prints the scale's default thread count whatever
+        --threads says, and reads no seed: argparse rejects both."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["info", "tpcc-1", "--scale", "smoke", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_run_command(self, capsys):
         rc = main(
             [
