@@ -9,7 +9,7 @@ plane with dilution_t = 0.
 import pytest
 
 from repro.analysis import format_table
-from repro.exp import grid, spec_for
+from repro.exp import grid
 from repro.params import SliccParams
 from repro.sim import SimConfig
 
@@ -18,21 +18,16 @@ MATCH_VALUES = (2, 4, 6, 8, 10)
 
 
 @pytest.mark.parametrize("workload", ["tpcc-1", "tpce"])
-def test_fig07_grid(benchmark, traces, run_sim, exp_runner, workload):
-    trace = traces[workload]
+def test_fig07_grid(benchmark, bench_spec, run_sim, exp_runner, workload):
     baseline = run_sim(workload, "base")
     config = SimConfig(variant="slicc-sw", slicc=SliccParams(dilution_t=0))
     specs = grid(
-        spec_for(trace, config),
+        bench_spec(workload, config),
         {"slicc.fill_up_t": FILL_VALUES, "slicc.matched_t": MATCH_VALUES},
     )
 
     results = benchmark.pedantic(
-        exp_runner.run,
-        args=(specs,),
-        kwargs={"trace": trace},
-        iterations=1,
-        rounds=1,
+        exp_runner.run, args=(specs,), iterations=1, rounds=1
     )
     rows = [
         [

@@ -8,27 +8,24 @@ becomes too restricted; migration counts fall monotonically.
 import pytest
 
 from repro.analysis import format_table
-from repro.exp import grid, spec_for
+from repro.exp import grid
 from repro.sim import SimConfig
 
 DILUTION_VALUES = tuple(range(2, 31, 4))
 
 
 @pytest.mark.parametrize("workload", ["tpcc-1", "tpce"])
-def test_fig08_dilution_sweep(benchmark, traces, run_sim, exp_runner, workload):
-    trace = traces[workload]
+def test_fig08_dilution_sweep(
+    benchmark, bench_spec, run_sim, exp_runner, workload
+):
     baseline = run_sim(workload, "base")
     specs = grid(
-        spec_for(trace, SimConfig(variant="slicc-sw")),
+        bench_spec(workload, SimConfig(variant="slicc-sw")),
         {"slicc.dilution_t": DILUTION_VALUES},
     )
 
     results = benchmark.pedantic(
-        exp_runner.run,
-        args=(specs,),
-        kwargs={"trace": trace},
-        iterations=1,
-        rounds=1,
+        exp_runner.run, args=(specs,), iterations=1, rounds=1
     )
     rows = [
         [

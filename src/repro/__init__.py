@@ -10,6 +10,10 @@ Moshovos, MICRO 2012. The public API in one import:
 >>> sw.speedup_over(base) > 0
 True
 
+``simulate`` replays any trace, a hand-built one included; sweeps key
+an :class:`~repro.exp.ExperimentSpec`, which names its trace by
+workload, scale, thread count and seed.
+
 See DESIGN.md for the system inventory, and ROADMAP.md item 1 for the
 table of where the reproduced Figures 10 and 11 depart from the paper.
 
@@ -25,7 +29,6 @@ from repro.exp import (
     ResultStore,
     Runner,
     grid,
-    spec_for,
     summarize,
 )
 from repro.params import (
@@ -71,7 +74,6 @@ __all__ = [
     "get_workload",
     "grid",
     "simulate",
-    "spec_for",
     "standard_trace",
     "summarize",
     "workload_names",

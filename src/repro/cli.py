@@ -61,6 +61,7 @@ from repro.exp import (
     select_figures,
     summarize,
 )
+from repro.exp.figures import row_specs
 from repro.params import ScalePreset
 from repro.sched import policy_names
 from repro.workloads import DEFAULT_THREADS, get_workload, workload_names
@@ -307,7 +308,7 @@ def _cmd_paper(args: argparse.Namespace) -> int:
     total_simulated = total_skipped = 0
     for figure in figures:
         rows = figure.build(args.scale)
-        specs = figure.specs(args.scale)
+        specs = row_specs(rows)
         cached = sum(1 for spec in specs if spec.key() in store)
         todo = len(specs) - cached
         print(

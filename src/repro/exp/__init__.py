@@ -12,12 +12,14 @@ The layer every campaign goes through::
     print(summarize(zip(specs, results)))
 
 Specs are frozen and content-hashed; the runner fans out over processes
-and the store makes repeated sweeps incremental. The worker pool and the
-work queue load on first access (PEP 562), so keying specs and reading a
-store import neither ``multiprocessing`` nor the queue. Nor do they
-import the fault-injection harness, which only simulating and writing
-consult, or the spec-file reader, which only ``run``, ``sweep``,
-``exp`` and ``queue enqueue`` use.
+and the store makes repeated sweeps incremental. A spec names its trace
+by workload, scale, thread count and seed, so any process can rebuild
+it; a hand-built trace runs through :func:`repro.simulate` instead.
+The worker pool and the work queue load on first access (PEP 562), so
+keying specs and reading a store import neither ``multiprocessing`` nor
+the queue. Nor do they import the fault-injection harness, which only
+simulating and writing consult, or the spec-file reader, which only
+``run``, ``sweep``, ``exp`` and ``queue enqueue`` use.
 """
 
 import importlib
@@ -35,9 +37,7 @@ from repro.exp.spec import (
     ExperimentSpec,
     grid,
     product,
-    spec_for,
     spec_from_dict,
-    trace_fingerprint,
     with_overrides,
 )
 from repro.exp.store import (
@@ -125,10 +125,8 @@ __all__ = [
     "result_from_dict",
     "result_to_dict",
     "result_to_json",
-    "spec_for",
     "spec_from_dict",
     "specs_from_payload",
     "summarize",
-    "trace_fingerprint",
     "with_overrides",
 ]

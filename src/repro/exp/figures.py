@@ -23,7 +23,7 @@ distinct (trace, config) exactly once and reruns are served from the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.exp.spec import ExperimentSpec, grid
@@ -82,12 +82,18 @@ class Figure:
 
     def specs(self, scale: str | ScalePreset) -> list[ExperimentSpec]:
         """All distinct specs the figure needs (rows plus baselines)."""
-        specs: dict[str, ExperimentSpec] = {}
-        for row in self.build(scale):
-            for spec in (row.spec, row.baseline):
-                if spec is not None:
-                    specs.setdefault(spec.key(), spec)
-        return list(specs.values())
+        return row_specs(self.build(scale))
+
+
+def row_specs(rows: Iterable[FigureRow]) -> list[ExperimentSpec]:
+    """The distinct specs of ``rows`` (each row's spec and baseline), in
+    first-seen order."""
+    specs: dict[str, ExperimentSpec] = {}
+    for row in rows:
+        for spec in (row.spec, row.baseline):
+            if spec is not None:
+                specs.setdefault(spec.key(), spec)
+    return list(specs.values())
 
 
 _REGISTRY: dict[str, Figure] = {}

@@ -63,7 +63,7 @@ class _Task:
     not_before: float = 0.0
 
 
-def _worker_main(conn, explicit, parent_pid) -> None:
+def _worker_main(conn, parent_traces, parent_pid) -> None:
     """Worker loop: receive ``(spec, attempt)``, simulate, reply.
 
     SIGINT is ignored (the parent coordinates draining); SIGTERM keeps
@@ -84,7 +84,7 @@ def _worker_main(conn, explicit, parent_pid) -> None:
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    runner_mod._EXPLICIT = explicit
+    runner_mod._PARENT_TRACES = parent_traces
     while True:
         try:
             while not conn.poll(1.0):
@@ -111,11 +111,11 @@ def _worker_main(conn, explicit, parent_pid) -> None:
 class _Worker:
     """One dedicated worker process plus its command pipe."""
 
-    def __init__(self, ctx, explicit, wid: int) -> None:
+    def __init__(self, ctx, parent_traces, wid: int) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, explicit, os.getpid()),
+            args=(child_conn, parent_traces, os.getpid()),
             name=f"repro-exp-worker-{wid}",
             daemon=True,
         )
@@ -146,9 +146,9 @@ class FaultTolerantPool:
 
     Args:
         ctx: multiprocessing context (fork on Linux — workers inherit
-            the explicit-trace dict zero-copy).
+            ``parent_traces`` zero-copy).
         n_workers: dedicated worker processes.
-        explicit: trace fingerprint -> Trace, shipped to every worker.
+        parent_traces: trace key -> Trace, shipped to every worker.
         retries: re-dispatches allowed per task after a transient
             failure (worker death or in-task exception).
         timeout: per-spec wall-clock seconds before the worker is
@@ -160,14 +160,14 @@ class FaultTolerantPool:
         self,
         ctx,
         n_workers: int,
-        explicit: dict,
+        parent_traces: dict,
         *,
         retries: int = 2,
         timeout: Optional[float] = None,
         backoff: float = 0.25,
     ) -> None:
         self._ctx = ctx
-        self._explicit = explicit
+        self._parent_traces = parent_traces
         self.retries = max(0, int(retries))
         self.timeout = timeout
         self.backoff = backoff
@@ -188,7 +188,7 @@ class FaultTolerantPool:
 
     def _spawn(self) -> _Worker:
         self._next_wid += 1
-        return _Worker(self._ctx, self._explicit, self._next_wid)
+        return _Worker(self._ctx, self._parent_traces, self._next_wid)
 
     # -- signal handling ------------------------------------------------
 

@@ -406,23 +406,9 @@ class WorkQueue:
         events go out in one locked, fsync'd append; a crash mid-append
         leaves a prefix of whole events plus one torn line, which
         rerunning the same enqueue heals and completes.
-
-        Raises:
-            ConfigurationError: for a spec bound to an explicit
-                in-memory trace — its trace exists only in the enqueuing
-                process and no independent worker could ever rebuild it.
-                Every spec is checked first, so a rejected call writes
-                nothing and creates no queue.
         """
         groups: dict[str, list[ExperimentSpec]] = {}
         for spec in specs:
-            if spec.trace_id is not None:
-                raise ConfigurationError(
-                    "cannot enqueue a spec bound to an explicit "
-                    "in-memory trace (trace_id set): queue workers "
-                    "run in other processes and rebuild traces "
-                    "declaratively"
-                )
             groups.setdefault(spec.trace_key(), []).append(spec)
         now = time.time()
         # Only enqueue creates a queue, so a command aimed at a mistyped
@@ -795,11 +781,19 @@ def drain(
     ``poll_seconds``, ready to reclaim if they die. ``batch`` is
     ignored, accepted for callers of the batch-claiming drain.
 
+    Raises:
+        ConfigurationError: for ``poll_seconds <= 0``, before any claim
+            (zero spins on the queue lock, a negative fails mid-drain).
+
     On KeyboardInterrupt (raised after the pool's graceful drain, whose
     outcomes were settled as they arrived) the leases still held are
     released for other workers and the interrupt is re-raised, so the
     CLI exits 130.
     """
+    if poll_seconds <= 0:
+        raise ConfigurationError(
+            f"poll_seconds must be positive, got {poll_seconds}"
+        )
     report = DrainReport(worker_id=queue.worker_id)
     heartbeat = LeaseHeartbeat(queue)
 

@@ -16,17 +16,16 @@ which :class:`~repro.errors.SweepFailure` reports what was lost.
 ``SIGINT``/``SIGTERM`` drain gracefully: in-flight simulations finish
 and persist before the run stops.
 
-``run()`` builds every distinct trace once: declarative specs regenerate
-it from ``(workload, scale, n_threads, seed)`` via the deterministic
-generators (once per call in the parent, reusing the previous call's
-traces where they overlap), and it ships those and any explicit traces
-(specs built with :func:`~repro.exp.spec.spec_for`) to the workers at
-pool start. On Linux the pool forks, so ``run()`` first builds the
-replay records (:meth:`~repro.workloads.trace.Trace.replay_records`) of
-every trace its pending specs replay and compiles their replay kernels,
-and workers inherit both zero-copy: a worker writes only the reference
-counts of the trace's shared record tuples, so copy-on-write copies
-those pages, not one int per record.
+``run()`` builds every distinct trace once: it regenerates each from
+``(workload, scale, n_threads, seed)`` via the deterministic generators
+(once per call in the parent, reusing the previous call's traces where
+they overlap) and ships them to the workers at pool start. On Linux the
+pool forks, so ``run()`` first builds the replay records
+(:meth:`~repro.workloads.trace.Trace.replay_records`) of every trace its
+pending specs replay and compiles their replay kernels, and workers
+inherit both zero-copy: a worker writes only the reference counts of the
+trace's shared record tuples, so copy-on-write copies those pages, not
+one int per record.
 :meth:`Runner.stream` (the queue drain) learns its specs one at a time,
 so its workers build traces themselves, keeping the last few in a
 bounded cache.
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError, SweepFailure
-from repro.exp.spec import ExperimentSpec, trace_fingerprint
+from repro.exp.spec import ExperimentSpec
 from repro.exp.store import ResultStore, result_from_dict, result_to_dict
 from repro.params import ScalePreset
 from repro.sim.results import SimulationResult
@@ -58,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: or absent, so the platform's default start method is kept.
 _FORK = sys.platform == "linux"
 
-#: Most declarative traces one process keeps that it was not shipped.
+#: Most traces one process keeps that it was not shipped.
 #: A drain's specs arrive one at a time, in queue order, and
 #: ``WorkQueue.enqueue`` groups that order by trace, so a drain worker
 #: builds each trace about once however many traces the queue holds
@@ -68,11 +67,11 @@ _FORK = sys.platform == "linux"
 #: this bound costs about 87 MB per worker at paper scale.
 _TRACE_CACHE_SIZE = 2
 
-# Per-process trace state. ``_EXPLICIT`` holds traces shipped by the
-# parent (fingerprint -> Trace); ``_TRACE_CACHE`` holds the most
-# recently used declarative traces a process built itself, oldest
-# first.
-_EXPLICIT: dict[str, Trace] = {}
+# Per-process trace state, by trace key. ``_PARENT_TRACES`` holds the
+# traces the parent built and shipped (a ``run()``'s traces);
+# ``_TRACE_CACHE`` holds the most recently used traces a process built
+# itself, oldest first.
+_PARENT_TRACES: dict[str, Trace] = {}
 _TRACE_CACHE: dict[str, Trace] = {}
 
 
@@ -87,15 +86,10 @@ def _build_trace(spec: ExperimentSpec) -> Trace:
 
 def _trace_for(spec: ExperimentSpec) -> Trace:
     key = spec.trace_key()
-    trace = _EXPLICIT.get(key)
+    trace = _PARENT_TRACES.get(key)
     if trace is not None:
         return trace
-    if spec.trace_id is not None:
-        raise ConfigurationError(
-            f"spec {spec.display_label()!r} references an explicit "
-            "trace that was not passed to Runner.run(..., trace=...)"
-        )
-    # A declarative spec whose trace was not shipped (a queue drain):
+    # A spec whose trace was not shipped (a queue drain):
     # reuse a recent build, else evict the oldest *before* building, so
     # the process never holds more than _TRACE_CACHE_SIZE of them.
     trace = _TRACE_CACHE.pop(key, None)
@@ -258,21 +252,15 @@ class Runner:
         self.stats = RunnerStats()
         #: Counts for the most recent ``run()`` call.
         self.last_stats = RunnerStats()
-        #: Declarative traces built by the most recent ``run()`` call
-        #: (trace key -> Trace), offered to the next call for reuse.
+        #: Traces built by the most recent ``run()`` call (trace key ->
+        #: Trace), shipped to its workers and offered to the next call
+        #: for reuse.
         self._traces: dict[str, Trace] = {}
 
-    def run(
-        self,
-        specs: Sequence[ExperimentSpec],
-        trace: Optional[Trace] = None,
-        traces: Optional[Sequence[Trace]] = None,
-    ) -> list[SimulationResult]:
+    def run(self, specs: Sequence[ExperimentSpec]) -> list[SimulationResult]:
         """Run every spec, returning results aligned with the input.
 
-        Duplicate keys within one call are simulated once. Explicit
-        traces referenced by any spec's ``trace_id`` must be passed via
-        ``trace`` (one) or ``traces`` (several).
+        Duplicate keys within one call are simulated once.
 
         Raises:
             SweepFailure: after the whole sweep has been driven to
@@ -284,10 +272,6 @@ class Runner:
         """
         t_start = time.perf_counter()
         specs = list(specs)
-        explicit: dict[str, Trace] = {}
-        for t in ([trace] if trace is not None else []) + list(traces or []):
-            explicit[trace_fingerprint(t)] = t
-
         keys = [spec.key() for spec in specs]
         served: dict[str, SimulationResult] = {}
         pending: dict[str, ExperimentSpec] = {}
@@ -301,38 +285,25 @@ class Runner:
                 served[key] = hit
                 stats.cached += 1
             else:
-                if spec.trace_id is not None and spec.trace_id not in explicit:
-                    raise ConfigurationError(
-                        f"spec {spec.display_label()!r} needs its explicit "
-                        "trace: pass it via run(..., trace=...)"
-                    )
                 pending[key] = spec
 
-        # Resolve each distinct declarative trace once and ship it through
-        # the explicit-trace channel (inherited for free under fork,
-        # pickled once per worker under spawn). Traces the previous run()
-        # built are carried over when this run needs them again (back-to-
-        # back figures share most traces); the rest are released *before*
-        # anything new is built, so the parent holds at most one
-        # simulating run's traces — never every trace a long campaign ever
-        # touched. A run that simulates nothing releases none: the carry
-        # is live already, and the next run may need it.
+        # Resolve each distinct trace once and ship it to the workers
+        # (inherited for free under fork, pickled once per worker under
+        # spawn). Traces the previous run() built are carried over when
+        # this run needs them again (back-to-back figures share most
+        # traces); the rest are released *before* anything new is built,
+        # so the parent holds at most one simulating run's traces — never
+        # every trace a long campaign ever touched. A run that simulates
+        # nothing releases none: the carry is live already, and the next
+        # run may need it.
         if pending:
-            needed = {
-                spec.trace_key()
-                for spec in pending.values()
-                if spec.trace_id is None
-            }
+            needed = {spec.trace_key(): spec for spec in pending.values()}
             self._traces = {
                 key: t for key, t in self._traces.items() if key in needed
             }
-        for spec in pending.values():
-            key = spec.trace_key()
-            if spec.trace_id is None and key not in explicit:
-                built = self._traces.get(key)
-                if built is None:
-                    built = self._traces[key] = _build_trace(spec)
-                explicit[key] = built
+            for key, spec in needed.items():
+                if key not in self._traces:
+                    self._traces[key] = _build_trace(spec)
         if _FORK and pending:
             # Zero-copy sharing: build the replay records of every trace a
             # pending spec replays, and each pending spec's replay kernel,
@@ -342,8 +313,8 @@ class Runner:
             from repro.sim.specialize import kernel_for, kernel_spec
             from repro.sim.tlb import PAGE_SHIFT
 
-            for key in {spec.trace_key() for spec in pending.values()}:
-                explicit[key].replay_records(PAGE_SHIFT)
+            for trace in self._traces.values():
+                trace.replay_records(PAGE_SHIFT)
             for spec in pending.values():
                 kernel_for(kernel_spec(spec.config))
 
@@ -353,7 +324,9 @@ class Runner:
         try:
             if pending:
                 jobs = min(self.jobs, len(pending))
-                for outcome in self._execute(pending.values(), explicit, jobs):
+                for outcome in self._execute(
+                    pending.values(), self._traces, jobs
+                ):
                     result = self._record(outcome, stats)
                     if result is None:
                         failures.append(outcome)
@@ -419,12 +392,13 @@ class Runner:
     def _execute(
         self,
         specs: Iterable[Optional[ExperimentSpec]],
-        explicit: dict[str, Trace],
+        parent_traces: dict[str, Trace],
         jobs: int,
     ) -> Iterator[SpecOutcome]:
         """Yield a terminal :class:`SpecOutcome` per spec pulled from
         ``specs`` as simulations complete, in arbitrary order — the
-        caller realigns by key and persists incrementally."""
+        caller realigns by key and persists incrementally. Workers
+        replay ``parent_traces`` (trace key -> Trace) without building."""
         # Inline fast path: no pool process when nothing needs one. A
         # timeout needs a killable worker, and an active fault plan
         # needs a worker whose death is survivable, so both route
@@ -432,7 +406,7 @@ class Runner:
         from repro.exp.faults import active_plan
 
         if jobs == 1 and self.timeout is None and active_plan() is None:
-            yield from self._execute_inline(specs, explicit)
+            yield from self._execute_inline(specs, parent_traces)
             return
         # Import the simulation stack, trace building included, before
         # the pool forks, so every worker inherits it instead of
@@ -449,7 +423,7 @@ class Runner:
         pool = FaultTolerantPool(
             multiprocessing.get_context("fork" if _FORK else None),
             jobs,
-            explicit,
+            parent_traces,
             retries=self.retries,
             timeout=self.timeout,
             backoff=self.backoff,
@@ -463,16 +437,16 @@ class Runner:
     def _execute_inline(
         self,
         specs: Iterable[Optional[ExperimentSpec]],
-        explicit: dict[str, Trace],
+        parent_traces: dict[str, Trace],
     ) -> Iterator[SpecOutcome]:
         """Single-process execution with the same retry semantics.
 
         Worker death cannot happen inline (there is no worker), so the
         retry loop only sees engine exceptions; timeouts are pool-only.
         """
-        global _EXPLICIT
-        previous = _EXPLICIT
-        _EXPLICIT = explicit
+        global _PARENT_TRACES
+        previous = _PARENT_TRACES
+        _PARENT_TRACES = parent_traces
         try:
             for spec in specs:
                 if spec is None:
@@ -505,4 +479,4 @@ class Runner:
                         error=error,
                     )
         finally:
-            _EXPLICIT = previous
+            _PARENT_TRACES = previous

@@ -1,14 +1,14 @@
 """Declarative experiment specifications.
 
 An :class:`ExperimentSpec` is a frozen, hashable description of one
-simulation: *which trace* (either a declarative workload reference —
-name, scale, thread count, seed — or a fingerprint of an explicit
-in-memory :class:`~repro.workloads.trace.Trace`) replayed under *which*
+simulation: *which trace* (a declarative workload reference — name,
+scale, thread count, seed) replayed under *which*
 :class:`~repro.sim.config.SimConfig`. Because the trace generators and
 the replay engine are deterministic, the spec fully determines the
 :class:`~repro.sim.results.SimulationResult`; its content hash
 (:meth:`ExperimentSpec.key`) is therefore a safe cache key for the
-:class:`~repro.exp.store.ResultStore`.
+:class:`~repro.exp.store.ResultStore`. A hand-built trace has no spec:
+it runs through :func:`repro.sim.simulate` directly.
 
 Config families are built with :func:`grid` / :func:`product`, which
 expand dotted-path axes (``"slicc.dilution_t"``, ``"system.n_cores"``,
@@ -27,16 +27,13 @@ import itertools
 import json
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.params import ScalePreset, SliccParams, SystemParams
 from repro.sched import POLICY_GATED_FIELDS, get_policy
 from repro.sim.config import SimConfig
 from repro.workloads import workload_names
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.workloads.trace import Trace
 
 _DEFAULT_CONFIG = SimConfig()
 
@@ -116,46 +113,17 @@ def _is_int(value, minimum: int) -> bool:
     )
 
 
-def trace_fingerprint(trace: Trace) -> str:
-    """Content hash of an in-memory trace (arrays included).
-
-    Two traces with identical access streams hash identically no matter
-    how they were produced, so explicit-trace specs cache correctly even
-    for hand-built synthetic traces. The digest is memoised on the trace
-    instance (hashing a PAPER-scale trace touches tens of MB, and a
-    sweep fingerprints the same trace once per grid point); traces are
-    treated as immutable once handed to the experiment layer.
-    """
-    cached = getattr(trace, "_exp_fingerprint", None)
-    if cached is not None:
-        return cached
-    h = hashlib.sha256()
-    h.update(trace.workload.encode("utf-8"))
-    h.update(str(trace.instructions_per_iblock).encode())
-    for thread in trace.threads:
-        h.update(str((thread.thread_id, thread.txn_type)).encode())
-        h.update(thread.addr.tobytes())
-        h.update(thread.kind.tobytes())
-    digest = h.hexdigest()
-    trace._exp_fingerprint = digest
-    return digest
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Frozen description of one simulation run.
 
     Attributes:
-        workload: workload name (``tpcc-1`` etc.) for declarative specs;
-            informational when ``trace_id`` is set.
+        workload: workload name (``tpcc-1`` etc.).
         config: full engine configuration, including the variant.
         scale: :class:`~repro.params.ScalePreset` value string.
         n_threads: thread count, at least 1 (``None`` = the scale's
             default).
         seed: trace-generation seed, an int of at least 0.
-        trace_id: fingerprint of an explicit trace (see
-            :func:`spec_for`); when set, the declarative trace fields do
-            not participate in the cache key.
         label: display name for tables; never part of the key.
     """
 
@@ -164,7 +132,6 @@ class ExperimentSpec:
     scale: str = "ci"
     n_threads: Optional[int] = None
     seed: int = 1
-    trace_id: Optional[str] = None
     label: str = ""
 
     # Memoised :meth:`key` / :meth:`trace_key` values, stored on first use
@@ -175,31 +142,29 @@ class ExperimentSpec:
     _trace_key = None
 
     def __post_init__(self) -> None:
-        if self.trace_id is None:
-            # Validate eagerly so a typo fails at spec-build time, not
-            # inside a worker process. (Explicit-trace specs skip this:
-            # their workload name is informational and may be synthetic.)
-            try:
-                ScalePreset(self.scale)
-            except ValueError:
-                raise ConfigurationError(
-                    f"unknown scale {self.scale!r}; known: "
-                    f"{[s.value for s in ScalePreset]}"
-                ) from None
-            if self.workload not in workload_names():
-                raise ConfigurationError(
-                    f"unknown workload {self.workload!r}; known: "
-                    f"{workload_names()}"
-                )
-            if self.n_threads is not None and not _is_int(self.n_threads, 1):
-                raise ConfigurationError(
-                    "n_threads must be None or an integer >= 1, "
-                    f"got {self.n_threads!r}"
-                )
-            if not _is_int(self.seed, 0):
-                raise ConfigurationError(
-                    f"seed must be an integer >= 0, got {self.seed!r}"
-                )
+        # Validate eagerly so a typo fails at spec-build time, not
+        # inside a worker process.
+        try:
+            ScalePreset(self.scale)
+        except ValueError:
+            raise ConfigurationError(
+                f"unknown scale {self.scale!r}; known: "
+                f"{[s.value for s in ScalePreset]}"
+            ) from None
+        if self.workload not in workload_names():
+            raise ConfigurationError(
+                f"unknown workload {self.workload!r}; known: "
+                f"{workload_names()}"
+            )
+        if self.n_threads is not None and not _is_int(self.n_threads, 1):
+            raise ConfigurationError(
+                "n_threads must be None or an integer >= 1, "
+                f"got {self.n_threads!r}"
+            )
+        if not _is_int(self.seed, 0):
+            raise ConfigurationError(
+                f"seed must be an integer >= 0, got {self.seed!r}"
+            )
 
     @property
     def variant(self) -> str:
@@ -220,8 +185,6 @@ class ExperimentSpec:
 
     def trace_key(self) -> str:
         """Cache key of the trace alone (shared by all variants)."""
-        if self.trace_id is not None:
-            return self.trace_id
         cached = self._trace_key
         if cached is None:
             cached = _stable_hash(
@@ -282,32 +245,6 @@ class ExperimentSpec:
         return replace(self, config=config, label="base")
 
 
-def spec_for(
-    trace: Trace,
-    config: Optional[SimConfig] = None,
-    label: str = "",
-    **config_kwargs,
-) -> ExperimentSpec:
-    """Build a spec for an explicit, already-generated trace.
-
-    The trace's content fingerprint becomes the spec's ``trace_id``; pass
-    the same trace to :meth:`repro.exp.runner.Runner.run` so workers can
-    replay it without regenerating.
-    """
-    if config is None:
-        config = SimConfig(**config_kwargs)
-    elif config_kwargs:
-        raise ConfigurationError("pass either a SimConfig or kwargs, not both")
-    return ExperimentSpec(
-        workload=trace.workload,
-        config=config,
-        n_threads=len(trace.threads),
-        seed=trace.seed,
-        trace_id=trace_fingerprint(trace),
-        label=label,
-    )
-
-
 #: Retired ``SimConfig.kernel`` names that older queues may still carry,
 #: mapped to the kernel that now runs the same (byte-identical) replay.
 _RETIRED_KERNELS = {
@@ -326,20 +263,26 @@ def spec_from_dict(payload: Mapping) -> ExperimentSpec:
     cache parameter dicts) is coerced back into dataclasses, so
     ``spec_from_dict(spec.to_dict()).key() == spec.key()`` — the
     round-trip a queued spec takes through ``queue.jsonl`` before a
-    worker picks it up. A retired kernel name in a persisted payload
-    maps to its successor, so queues written by older versions stay
-    drainable (spec keys never include the kernel).
+    worker picks it up. Queues written by older versions stay drainable:
+    a retired kernel name maps to its successor (spec keys never include
+    the kernel), and the retired ``trace_id`` field is dropped when null,
+    as every declarative spec wrote it.
 
     Raises:
-        ConfigurationError: for unknown fields or a payload that is not
-            a mapping — a corrupted queue entry must fail loudly rather
-            than simulate something else.
+        ConfigurationError: for unknown fields, a non-null ``trace_id``
+            or a payload that is not a mapping — a corrupted queue entry
+            must fail loudly rather than simulate something else.
     """
     if not isinstance(payload, Mapping):
         raise ConfigurationError(
             f"spec payload must be a mapping, got {type(payload).__name__}"
         )
     kw = dict(payload)
+    if kw.pop("trace_id", None) is not None:
+        raise ConfigurationError(
+            "spec payload sets trace_id, an in-memory trace no worker can "
+            "rebuild; enqueue a declarative spec instead"
+        )
     known = {f.name for f in fields(ExperimentSpec)}
     unknown = set(kw) - known
     if unknown:
@@ -362,14 +305,9 @@ def spec_from_dict(payload: Mapping) -> ExperimentSpec:
 # Dotted-path overrides and grid expansion
 # ----------------------------------------------------------------------
 
-#: Spec fields addressable by overrides/axes. ``config`` has its own
-#: paths; ``trace_id`` is excluded — it binds a spec to an in-memory
-#: trace only spec_for() can supply, so overriding it builds specs that
-#: can never run (e.g. from a JSON spec file with no trace to pass).
+#: Spec fields addressable by overrides/axes (``config`` has its own paths).
 _SPEC_FIELDS = frozenset(
-    f.name
-    for f in fields(ExperimentSpec)
-    if f.name not in ("config", "trace_id")
+    f.name for f in fields(ExperimentSpec) if f.name != "config"
 )
 _CONFIG_FIELDS = frozenset(f.name for f in fields(SimConfig))
 _SLICC_FIELDS = frozenset(f.name for f in fields(SliccParams))
@@ -461,18 +399,6 @@ def with_overrides(
             spec_kw[root] = value
         else:
             raise ConfigurationError(f"unknown override path {path!r}")
-
-    if spec.trace_id is not None:
-        # On an explicit-trace spec the trace fields are informational;
-        # overriding them would silently keep replaying (and cache-hit)
-        # the pinned trace while recording the new values as provenance.
-        clashes = {"workload", "scale", "n_threads", "seed"} & set(spec_kw)
-        if clashes:
-            raise ConfigurationError(
-                f"cannot override trace fields {sorted(clashes)} on a "
-                "spec bound to an explicit trace; build a declarative "
-                "ExperimentSpec (or a new trace + spec_for) instead"
-            )
 
     config = spec.config
     if slicc_kw:

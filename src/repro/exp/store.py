@@ -246,8 +246,8 @@ class JsonlBackend:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         corrupt: list[str] = []
-        for row in _scan_jsonl(path, StoreAudit(path=path), corrupt):
-            self._fold(row)
+        for row, result in _scan_jsonl(path, StoreAudit(path=path), corrupt):
+            self._fold(row, result)
         if corrupt:
             # Open never rewrites the main file: corrupt lines are
             # copied to the sidecar, and `repro store compact` is the
@@ -272,13 +272,18 @@ class JsonlBackend:
         """Sidecar lockfile serialising appends and compaction."""
         return self.path.with_name(self.path.name + ".lock")
 
-    def _fold(self, row: dict) -> None:
+    def _fold(
+        self, row: dict, result: Optional[SimulationResult] = None
+    ) -> None:
         """Apply one canonical row: the last result per key wins, a
         result clears the key's failure, and a failure for a key that
-        holds a result is ignored (results outrank failures)."""
+        holds a result is ignored (results outrank failures). ``result``
+        is the row's result when the caller already built it."""
         key = row["key"]
         if "result" in row:
-            self._results[key] = result_from_dict(row["result"])
+            if result is None:
+                result = result_from_dict(row["result"])
+            self._results[key] = result
             self._specs[key] = row.get("spec") or {}
             self._failures.pop(key, None)
         elif key not in self._results:
@@ -518,11 +523,13 @@ class ResultStore:
 # ----------------------------------------------------------------------
 
 
-def _parse_row(line: str) -> Optional[dict]:
-    """Parse one JSONL line into a validated row dict, or ``None``.
+def _parse_row(
+    line: str,
+) -> Optional[tuple[dict, Optional[SimulationResult]]]:
+    """Parse one JSONL line into ``(row, result)``, or ``None``.
 
     A valid row has a string ``key`` and either a loadable ``result``
-    payload or a ``failure`` dict.
+    payload, returned built, or a ``failure`` dict (``result`` None).
     """
     try:
         row = json.loads(line)
@@ -532,19 +539,19 @@ def _parse_row(line: str) -> Optional[dict]:
         return None
     if "result" in row:
         try:
-            result_from_dict(row["result"])
+            return row, result_from_dict(row["result"])
         except TypeError:
             return None
-        return row
     if isinstance(row.get("failure"), dict):
-        return row
+        return row, None
     return None
 
 
 def _scan_jsonl(
     path: Path, audit: StoreAudit, corrupt: list[str]
-) -> Iterator[dict]:
-    """Yield the valid rows of a JSONL store file, in file order.
+) -> Iterator[tuple[dict, Optional[SimulationResult]]]:
+    """Yield ``(row, result)`` for the valid rows of a JSONL store file,
+    in file order (``result`` is ``None`` for a failure row).
 
     Counts lines, blank lines, corrupt lines and result/failure rows
     into ``audit`` and collects the corrupt lines into ``corrupt``. A
@@ -561,16 +568,14 @@ def _scan_jsonl(
             if not line:
                 audit.blank += 1
                 continue
-            row = _parse_row(line)
-            if row is None:
+            parsed = _parse_row(line)
+            if parsed is None:
                 audit.corrupt += 1
                 corrupt.append(line)
-            elif "result" in row:
-                audit.result_rows += 1
-                yield row
             else:
-                audit.failure_rows += 1
-                yield row
+                audit.result_rows += parsed[1] is not None
+                audit.failure_rows += parsed[1] is None
+                yield parsed
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +637,7 @@ def audit_store(
         return audit_sqlite(file)
     audit = StoreAudit(path=file)
     has_result: dict[str, bool] = {}
-    for row in _scan_jsonl(file, audit, []):
+    for row, _ in _scan_jsonl(file, audit, []):
         key = row["key"]
         has_result[key] = has_result.get(key, False) or "result" in row
     audit.keys = sum(has_result.values())

@@ -12,14 +12,12 @@ import sys
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.exp import (
     ExperimentSpec,
     ResultStore,
     Runner,
     grid,
     result_to_json,
-    spec_for,
 )
 from repro.params import SliccParams
 from repro.sim import SimConfig, simulate
@@ -28,12 +26,22 @@ FILL_VALUES = (128, 256, 384, 512)
 MATCH_VALUES = (2, 4, 6, 8, 10)
 
 
-def fillup_grid(trace):
+def smoke_spec(variant="base", label="", **config):
+    """A spec on the ``smoke_tpcc`` fixture's trace."""
+    return ExperimentSpec(
+        "tpcc-1",
+        config=SimConfig(variant=variant, **config),
+        scale="smoke",
+        seed=7,
+        label=label,
+    )
+
+
+def fillup_grid():
     """The Figure 7 plane as grid specs (SLICC-SW, dilution off), its
     baseline first."""
-    config = SimConfig(variant="slicc-sw", slicc=SliccParams(dilution_t=0))
     specs = grid(
-        spec_for(trace, config),
+        smoke_spec("slicc-sw", slicc=SliccParams(dilution_t=0)),
         {"slicc.fill_up_t": FILL_VALUES, "slicc.matched_t": MATCH_VALUES},
     )
     return [specs[0].baseline()] + specs
@@ -56,20 +64,17 @@ def serial_fillup(trace):
 
 class TestRunnerBasics:
     def test_matches_direct_simulate(self, smoke_tpcc):
-        spec = spec_for(smoke_tpcc, variant="slicc-sw")
+        spec = smoke_spec("slicc-sw")
         runner = Runner()
-        (result,) = runner.run([spec], trace=smoke_tpcc)
+        (result,) = runner.run([spec])
         direct = simulate(smoke_tpcc, variant="slicc-sw")
         assert result_to_json(result) == result_to_json(direct)
         assert runner.last_stats.simulated == 1
 
-    def test_stats_record_wall_and_per_spec_timing(self, smoke_tpcc):
-        specs = [
-            spec_for(smoke_tpcc, variant=v, label=v)
-            for v in ("base", "slicc")
-        ]
+    def test_stats_record_wall_and_per_spec_timing(self):
+        specs = [smoke_spec(v, label=v) for v in ("base", "slicc")]
         runner = Runner()
-        runner.run(specs, trace=smoke_tpcc)
+        runner.run(specs)
         stats = runner.last_stats
         assert stats.simulated == 2
         assert stats.wall_seconds > 0
@@ -79,7 +84,7 @@ class TestRunnerBasics:
         # Cumulative stats aggregate per-call timings.
         assert runner.stats.sim_seconds == pytest.approx(stats.sim_seconds)
         # A fully cached rerun simulates nothing and times nothing new.
-        runner.run(specs, trace=smoke_tpcc)
+        runner.run(specs)
         assert runner.last_stats.simulated == 0
         assert runner.last_stats.sim_seconds == 0
 
@@ -91,62 +96,49 @@ class TestRunnerBasics:
         assert result.variant == "base"
         assert result.threads_completed > 0
 
-    def test_results_align_with_input_order(self, smoke_tpcc):
-        specs = [
-            spec_for(smoke_tpcc, variant=v, label=v)
-            for v in ("slicc", "base", "steps")
-        ]
-        results = Runner().run(specs, trace=smoke_tpcc)
+    def test_results_align_with_input_order(self):
+        specs = [smoke_spec(v, label=v) for v in ("slicc", "base", "steps")]
+        results = Runner().run(specs)
         assert [r.variant for r in results] == ["slicc", "base", "steps"]
 
-    def test_duplicate_specs_simulated_once(self, smoke_tpcc):
-        spec = spec_for(smoke_tpcc, variant="base")
+    def test_duplicate_specs_simulated_once(self):
+        spec = smoke_spec("base")
         runner = Runner()
-        results = runner.run([spec, spec, spec], trace=smoke_tpcc)
+        results = runner.run([spec, spec, spec])
         assert runner.last_stats.simulated == 1
         assert runner.last_stats.cached == 2
         assert results[0] == results[1] == results[2]
 
-    def test_missing_explicit_trace_rejected(self, smoke_tpcc):
-        spec = spec_for(smoke_tpcc, variant="base")
-        with pytest.raises(ConfigurationError):
-            Runner().run([spec])  # trace not passed
-
-    def test_store_serves_second_invocation(self, smoke_tpcc):
+    def test_store_serves_second_invocation(self):
         store = ResultStore()
         first = Runner(store=store)
         second = Runner(store=store)
-        spec = spec_for(smoke_tpcc, variant="base")
-        a = first.run([spec], trace=smoke_tpcc)
-        b = second.run([spec])  # cache hit: no trace needed at all
+        spec = smoke_spec("base")
+        a = first.run([spec])
+        b = second.run([spec])  # cache hit: builds no trace at all
         assert second.last_stats.simulated == 0
         assert second.last_stats.cached == 1
+        assert second._traces == {}
         assert a == b
 
     def test_persistent_store_across_processes_shape(
-        self, smoke_tpcc, tmp_path, backend="jsonl"
+        self, tmp_path, backend="jsonl"
     ):
-        spec = spec_for(smoke_tpcc, variant="base")
+        spec = smoke_spec("base")
         store = ResultStore(tmp_path, backend=backend)
-        Runner(store=store).run([spec], trace=smoke_tpcc)
+        Runner(store=store).run([spec])
         rerun = Runner(store=ResultStore(tmp_path))
         (result,) = rerun.run([spec])
         assert rerun.last_stats.simulated == 0
         assert result.variant == "base"
 
-    def test_persistent_store_across_processes_shape_sqlite(
-        self, smoke_tpcc, tmp_path
-    ):
-        self.test_persistent_store_across_processes_shape(
-            smoke_tpcc, tmp_path, "sqlite"
-        )
+    def test_persistent_store_across_processes_shape_sqlite(self, tmp_path):
+        self.test_persistent_store_across_processes_shape(tmp_path, "sqlite")
 
     @pytest.mark.skipif(
         sys.platform != "linux", reason="the pre-fork pass needs fork"
     )
-    def test_pooled_run_compiles_kernels_before_fork(
-        self, smoke_tpcc, monkeypatch
-    ):
+    def test_pooled_run_compiles_kernels_before_fork(self, monkeypatch):
         """The parent fills the kernel memo that forked workers inherit,
         from the configs alone: it constructs no ReplayEngine."""
         from repro.sim import specialize
@@ -163,11 +155,8 @@ class TestRunnerBasics:
 
         monkeypatch.setattr(ReplayEngine, "__init__", tracking_init)
         specialize.clear_cache()
-        specs = [
-            spec_for(smoke_tpcc, variant=variant)
-            for variant in ("base", "slicc", "nextline")
-        ]
-        Runner(jobs=2).run(specs, trace=smoke_tpcc)
+        specs = [smoke_spec(variant) for variant in ("base", "slicc", "nextline")]
+        Runner(jobs=2).run(specs)
         assert parent_engines == []
         assert set(specialize._KERNEL_CACHE) == {
             specialize.kernel_spec(spec.config) for spec in specs
@@ -183,29 +172,29 @@ class TestSweepEquivalence:
         reference = [result_to_json(r) for r in serial_fillup(smoke_tpcc)]
         assert len(reference) == 21  # grid + baseline
 
-        specs = fillup_grid(smoke_tpcc)
+        specs = fillup_grid()
         runner = Runner(store=ResultStore(), jobs=4)
-        results = runner.run(specs, trace=smoke_tpcc)
+        results = runner.run(specs)
         assert [result_to_json(r) for r in results] == reference
         assert runner.last_stats.simulated == 21
 
-        again = runner.run(specs, trace=smoke_tpcc)
+        again = runner.run(specs)
         assert [result_to_json(r) for r in again] == reference
         assert runner.last_stats.simulated == 0  # all 21 from the store
         assert runner.last_stats.cached == 21
 
-    def test_back_to_back_sweeps_share_one_baseline(self, smoke_tpcc):
+    def test_back_to_back_sweeps_share_one_baseline(self):
         """Satellite: a fill-up grid and a dilution grid on the same
         trace must run variant='base' exactly once."""
         store = ResultStore()
         runner = Runner(store=store)
-        base = spec_for(smoke_tpcc, variant="slicc-sw")
+        base = smoke_spec("slicc-sw")
         for axes in (
             {"slicc.fill_up_t": (128, 256), "slicc.dilution_t": (0,)},
             {"slicc.dilution_t": (5, 10)},
         ):
             specs = grid(base, axes)
-            runner.run([base.baseline()] + specs, trace=smoke_tpcc)
+            runner.run([base.baseline()] + specs)
         base_runs = [r for r in store.results() if r.variant == "base"]
         assert len(base_runs) == 1
 
@@ -214,16 +203,16 @@ class TestDeterminism:
     """Satellite: the same spec hash yields byte-identical result JSON
     whatever the degree of parallelism."""
 
-    def test_jobs1_and_jobs4_byte_identical(self, smoke_tpcc):
+    def test_jobs1_and_jobs4_byte_identical(self):
         specs = grid(
-            spec_for(smoke_tpcc, variant="slicc-sw"),
+            smoke_spec("slicc-sw"),
             {
                 "variant": ["slicc", "slicc-sw"],
                 "slicc.dilution_t": [5, 10],
             },
         )
-        serial = Runner(jobs=1).run(specs, trace=smoke_tpcc)
-        parallel = Runner(jobs=4).run(specs, trace=smoke_tpcc)
+        serial = Runner(jobs=1).run(specs)
+        parallel = Runner(jobs=4).run(specs)
         for a, b in zip(serial, parallel):
             assert result_to_json(a) == result_to_json(b)
 
@@ -236,7 +225,7 @@ class TestDeterminism:
             assert result_to_json(a) == result_to_json(b)
 
     def test_poison_spec_fails_alone_and_rest_persist(
-        self, tmp_path, monkeypatch, smoke_tpcc, backend="jsonl"
+        self, tmp_path, monkeypatch, backend="jsonl"
     ):
         """A spec that keeps raising fails only its own row: the rest of
         the sweep completes, persists, and the loss is reported as a
@@ -254,13 +243,10 @@ class TestDeterminism:
 
         monkeypatch.setattr(runner_mod, "_run_spec", flaky)
         store = ResultStore(tmp_path, backend=backend)
-        specs = [
-            spec_for(smoke_tpcc, variant=v)
-            for v in ("base", "slicc", "steps")
-        ]
+        specs = [smoke_spec(v) for v in ("base", "slicc", "steps")]
         runner = Runner(store=store, retries=1, backoff=0.01)
         with pytest.raises(SweepFailure) as excinfo:
-            runner.run(specs, trace=smoke_tpcc)
+            runner.run(specs)
         failure = excinfo.value
         assert len(failure.failures) == 1
         assert failure.failures[0].kind == "error"
@@ -279,17 +265,17 @@ class TestDeterminism:
         assert reloaded.failure_info(failed_key)["kind"] == "error"
         poison["on"] = False
         rerun = Runner(store=reloaded, retries=0)
-        results = rerun.run(specs, trace=smoke_tpcc)
+        results = rerun.run(specs)
         assert rerun.last_stats.simulated == 1
         assert rerun.last_stats.cached == 2
         assert results[1].variant == "slicc"
         assert reloaded.failure_info(failed_key) is None
 
     def test_poison_spec_fails_alone_and_rest_persist_sqlite(
-        self, tmp_path, monkeypatch, smoke_tpcc
+        self, tmp_path, monkeypatch
     ):
         self.test_poison_spec_fails_alone_and_rest_persist(
-            tmp_path, monkeypatch, smoke_tpcc, "sqlite"
+            tmp_path, monkeypatch, "sqlite"
         )
 
     def test_parent_process_does_not_hoard_traces(self):

@@ -8,8 +8,6 @@ from repro.exp import (
     grid,
     load_spec_file,
     product,
-    spec_for,
-    trace_fingerprint,
     with_overrides,
 )
 from repro.params import SliccParams
@@ -129,27 +127,9 @@ class TestSpecIdentity:
         with pytest.raises(ConfigurationError):
             ExperimentSpec("tpch")
 
-    def test_synthetic_workload_allowed_with_explicit_trace(self, smoke_tpcc):
-        """spec_for traces skip name validation (names may be synthetic)."""
-        spec = spec_for(smoke_tpcc, variant="base")
-        assert ExperimentSpec(
-            "anything-goes", trace_id=spec.trace_id
-        ).trace_key() == spec.trace_id
-
     def test_trace_id_not_overridable(self):
         with pytest.raises(ConfigurationError):
             with_overrides(ExperimentSpec("tpcc-1"), {"trace_id": "abc"})
-
-    def test_trace_fields_not_overridable_on_explicit_spec(self, smoke_tpcc):
-        """Overriding seed/workload on a pinned-trace spec would silently
-        keep replaying the pinned trace under a new name."""
-        spec = spec_for(smoke_tpcc, variant="base")
-        with pytest.raises(ConfigurationError):
-            with_overrides(spec, {"seed": 2})
-        with pytest.raises(ConfigurationError):
-            grid(spec, {"seed": [1, 2, 3]})
-        # Config axes remain fine on explicit-trace specs.
-        assert len(grid(spec, {"slicc.matched_t": [2, 4]})) == 2
 
     def test_baseline_spec(self):
         spec = ExperimentSpec(
@@ -159,23 +139,6 @@ class TestSpecIdentity:
         assert base.variant == "base"
         assert base.config.quantum == 25
         assert base.trace_key() == spec.trace_key()
-
-
-class TestExplicitTraces:
-    def test_spec_for_uses_content_fingerprint(self, smoke_tpcc):
-        a = spec_for(smoke_tpcc, SimConfig(variant="base"))
-        b = spec_for(smoke_tpcc, variant="base")
-        assert a.trace_id == trace_fingerprint(smoke_tpcc)
-        assert a.key() == b.key()
-
-    def test_different_traces_differ(self, smoke_tpcc, smoke_tpce):
-        a = spec_for(smoke_tpcc, variant="base")
-        b = spec_for(smoke_tpce, variant="base")
-        assert a.key() != b.key()
-
-    def test_config_and_kwargs_are_exclusive(self, smoke_tpcc):
-        with pytest.raises(ConfigurationError):
-            spec_for(smoke_tpcc, SimConfig(), variant="base")
 
 
 class TestOverridesAndGrid:
@@ -376,13 +339,6 @@ class TestSpecFile:
         assert baseline is None
 
 
-class TestFingerprintMemo:
-    def test_fingerprint_cached_on_trace(self, smoke_tpcc):
-        first = trace_fingerprint(smoke_tpcc)
-        assert getattr(smoke_tpcc, "_exp_fingerprint") == first
-        assert trace_fingerprint(smoke_tpcc) == first
-
-
 class TestKeyMemo:
     """key()/trace_key() are memoised on the frozen instance."""
 
@@ -458,10 +414,13 @@ class TestKeyMemo:
         assert "_key" not in memoised.to_dict()
         assert "_key" not in repr(memoised)
 
-    def test_to_dict_matches_asdict(self, smoke_tpcc):
+    def test_to_dict_matches_asdict(self):
         from dataclasses import asdict
 
-        for spec in (self._spec(n_threads=8), spec_for(smoke_tpcc, variant="pif")):
+        pif = ExperimentSpec(
+            "tpce", scale="smoke", seed=7, config=SimConfig(variant="pif")
+        )
+        for spec in (self._spec(n_threads=8), pif):
             spec.key()
             assert spec.to_dict() == asdict(spec)
 
@@ -520,10 +479,15 @@ class TestKeyFormula:
         # of the 48 gated combinations.
         assert len({s.key() for s in specs if s.variant == "base"}) == 1
 
-    def test_reference_kernel_shares_the_auto_key(self, smoke_tpcc):
+    def test_reference_kernel_shares_the_auto_key(self):
         for spec in (
             ExperimentSpec("tpce", scale="smoke", seed=3),
-            spec_for(smoke_tpcc, variant="slicc-sw"),
+            ExperimentSpec(
+                "tpcc-1",
+                config=SimConfig(variant="slicc-sw"),
+                scale="smoke",
+                seed=7,
+            ),
         ):
             auto = with_overrides(spec, {"kernel": "auto"})
             reference = with_overrides(spec, {"kernel": "reference"})

@@ -74,6 +74,30 @@ class TestPersistentStore:
         assert reloaded.spec_info("deadbeef") == {"workload": "tpcc-1"}
         assert (tmp_path / "results.jsonl").exists()
 
+    def test_open_builds_each_row_once(self, tmp_path, monkeypatch):
+        """Opening an N-row store builds N results: the result built to
+        validate a row is the one the store keeps."""
+        from repro.exp import store as store_mod
+
+        store = ResultStore(tmp_path)
+        for cycles in range(12):
+            store.put(f"k{cycles}", make_result(cycles=cycles))
+        store.put_failure("f", {"kind": "error", "error": "boom", "attempts": 1})
+        builds = []
+        real = store_mod.result_from_dict
+
+        def counting(payload):
+            builds.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(store_mod, "result_from_dict", counting)
+        reloaded = ResultStore(tmp_path)
+        assert len(builds) == 12
+        assert [reloaded.get(f"k{c}").cycles for c in range(12)] == list(
+            range(12)
+        )
+        assert reloaded.failure_info("f")["error"] == "boom"
+
     def test_near_miss_file_path_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             ResultStore(tmp_path / "results.json")

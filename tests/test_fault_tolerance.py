@@ -18,12 +18,13 @@ import pytest
 
 from repro.errors import ConfigurationError, SweepFailure
 from repro.exp import (
+    ExperimentSpec,
     ResultStore,
     Runner,
     audit_store,
     compact_store,
+    grid,
     result_to_json,
-    spec_for,
 )
 from repro.exp.faults import FaultPlan, FaultRule
 from repro.sim import simulate
@@ -35,8 +36,10 @@ pytestmark = pytest.mark.skipif(
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def specs_for(trace, variants=("base", "slicc", "steps")):
-    return [spec_for(trace, variant=v) for v in variants]
+def smoke_specs(variants=("base", "slicc", "steps")):
+    """Specs on the ``smoke_tpcc`` fixture's trace, one per variant."""
+    base = ExperimentSpec("tpcc-1", scale="smoke", seed=7)
+    return grid(base, {"variant": list(variants)})
 
 
 def persisted_results(store) -> int:
@@ -54,9 +57,9 @@ class TestCrashRecovery:
         retry completes and results are byte-identical to a fault-free
         run."""
         monkeypatch.setenv("REPRO_FAULT", "crash:1@1")
-        specs = specs_for(smoke_tpcc)
+        specs = smoke_specs()
         runner = Runner(store=ResultStore(), jobs=2, retries=2, backoff=0.01)
-        results = runner.run(specs, trace=smoke_tpcc)
+        results = runner.run(specs)
         stats = runner.last_stats
         assert stats.simulated == 3
         assert stats.failed == 0
@@ -67,14 +70,12 @@ class TestCrashRecovery:
             assert result_to_json(result) == result_to_json(direct)
 
     def test_doomed_specs_fail_alone(
-        self, tmp_path, monkeypatch, smoke_tpcc, backend="jsonl"
+        self, tmp_path, monkeypatch, backend="jsonl"
     ):
         """Under a partial crash schedule, exactly the specs whose every
         attempt is scheduled to crash fail — the rest complete and
         persist, and a fault-free rerun heals the failures."""
-        specs = specs_for(
-            smoke_tpcc, variants=("base", "slicc", "slicc-sw", "steps")
-        )
+        specs = smoke_specs(variants=("base", "slicc", "slicc-sw", "steps"))
         keys = [spec.key() for spec in specs]
         retries = 1
         # The schedule is a pure function of (seed, key, attempt), so the
@@ -98,7 +99,7 @@ class TestCrashRecovery:
         store = ResultStore(tmp_path, backend=backend)
         runner = Runner(store=store, jobs=2, retries=retries, backoff=0.01)
         with pytest.raises(SweepFailure) as excinfo:
-            runner.run(specs, trace=smoke_tpcc)
+            runner.run(specs)
         failed = {o.key for o in excinfo.value.failures}
         assert failed == doomed
         assert runner.last_stats.failed == len(doomed)
@@ -113,22 +114,18 @@ class TestCrashRecovery:
         monkeypatch.delenv("REPRO_FAULT")
         monkeypatch.delenv("REPRO_FAULT_SEED")
         rerun = Runner(store=reloaded, jobs=2)
-        rerun.run(specs, trace=smoke_tpcc)
+        rerun.run(specs)
         assert rerun.last_stats.simulated == len(doomed)
         assert rerun.last_stats.cached == len(keys) - len(doomed)
         assert ResultStore(tmp_path).failures() == {}
 
-    def test_doomed_specs_fail_alone_sqlite(
-        self, tmp_path, monkeypatch, smoke_tpcc
-    ):
-        self.test_doomed_specs_fail_alone(
-            tmp_path, monkeypatch, smoke_tpcc, "sqlite"
-        )
+    def test_doomed_specs_fail_alone_sqlite(self, tmp_path, monkeypatch):
+        self.test_doomed_specs_fail_alone(tmp_path, monkeypatch, "sqlite")
 
 
 class TestTimeout:
     def test_hung_spec_is_killed_and_marked_timed_out(
-        self, tmp_path, monkeypatch, smoke_tpcc, backend="jsonl"
+        self, tmp_path, monkeypatch, backend="jsonl"
     ):
         """hang:1 parks the worker in a long sleep; the per-spec timeout
         kills it and the spec is terminal ``timed_out`` — no retry, so
@@ -136,10 +133,10 @@ class TestTimeout:
         monkeypatch.setenv("REPRO_FAULT", "hang:1")
         store = ResultStore(tmp_path, backend=backend)
         runner = Runner(store=store, retries=2, timeout=0.5, backoff=0.01)
-        (spec,) = specs_for(smoke_tpcc, variants=("base",))
+        (spec,) = smoke_specs(variants=("base",))
         t0 = time.monotonic()
         with pytest.raises(SweepFailure) as excinfo:
-            runner.run([spec], trace=smoke_tpcc)
+            runner.run([spec])
         elapsed = time.monotonic() - t0
         (outcome,) = excinfo.value.failures
         assert outcome.kind == "timeout"
@@ -150,22 +147,22 @@ class TestTimeout:
         assert elapsed < 10  # killed promptly, not after the 1h sleep
 
     def test_hung_spec_is_killed_and_marked_timed_out_sqlite(
-        self, tmp_path, monkeypatch, smoke_tpcc
+        self, tmp_path, monkeypatch
     ):
         self.test_hung_spec_is_killed_and_marked_timed_out(
-            tmp_path, monkeypatch, smoke_tpcc, "sqlite"
+            tmp_path, monkeypatch, "sqlite"
         )
 
-    def test_fast_specs_unaffected_by_generous_timeout(self, smoke_tpcc):
+    def test_fast_specs_unaffected_by_generous_timeout(self):
         runner = Runner(timeout=120, jobs=2)
-        results = runner.run(specs_for(smoke_tpcc), trace=smoke_tpcc)
+        results = runner.run(smoke_specs())
         assert runner.last_stats.timed_out == 0
         assert len(results) == 3
 
 
 class TestTornWrites:
     def test_torn_appends_quarantine_and_compact_away(
-        self, tmp_path, monkeypatch, smoke_tpcc
+        self, tmp_path, monkeypatch
     ):
         """torn_write:1@1 tears the first append of every key. The sweep
         itself still succeeds (results are in memory); the next store
@@ -176,9 +173,9 @@ class TestTornWrites:
         is physically impossible under the sqlite backend's WAL (commits
         are atomic), so the fault kind only applies here."""
         monkeypatch.setenv("REPRO_FAULT", "torn_write:1@1")
-        specs = specs_for(smoke_tpcc)
+        specs = smoke_specs()
         runner = Runner(store=ResultStore(tmp_path), jobs=2, backoff=0.01)
-        results = runner.run(specs, trace=smoke_tpcc)
+        results = runner.run(specs)
         assert len(results) == 3  # the sweep itself never noticed
         monkeypatch.delenv("REPRO_FAULT")
 
@@ -189,7 +186,7 @@ class TestTornWrites:
         assert reloaded.quarantine_path.exists()
 
         rerun = Runner(store=reloaded, jobs=2)
-        rerun.run(specs, trace=smoke_tpcc)
+        rerun.run(specs)
         assert rerun.last_stats.simulated == 3
 
         audit = audit_store(tmp_path)

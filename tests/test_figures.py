@@ -179,6 +179,22 @@ class TestPaperCommand:
     def test_run_then_resume_sqlite(self, tmp_path, capsys):
         self.test_run_then_resume(tmp_path, capsys, "sqlite")
 
+    def test_each_figure_is_built_once(self, tmp_path, capsys, monkeypatch):
+        """The specs `repro paper` runs come from the rows it built and
+        reports, so each figure's builder runs once."""
+        built = []
+        real = Figure.build
+
+        def counting(figure, scale):
+            built.append(figure.name)
+            return real(figure, scale)
+
+        monkeypatch.setattr(Figure, "build", counting)
+        out = str(tmp_path / "report")
+        assert main(["paper", "--figures", "fig8-dilution", "--out", out]) == 0
+        assert "6 rows / 7 specs" in capsys.readouterr().out
+        assert built == ["fig8-dilution"]
+
     def test_scale_must_be_known(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["paper", "--scale", "huge", "--out", str(tmp_path)])

@@ -29,7 +29,6 @@ from repro.exp import (
     load_spec_file,
     resolve_queue_path,
     result_to_json,
-    spec_for,
     spec_from_dict,
 )
 from repro.exp import runner as runner_mod
@@ -100,27 +99,6 @@ class TestQueueProtocol:
         more = smoke_specs(variants=("base", "slicc", "steps", "nextline"))
         assert queue.enqueue(more) == 1
         assert queue.snapshot().pending == 4
-
-    def test_enqueue_rejects_explicit_trace_specs(self, tmp_path, smoke_tpcc):
-        queue = WorkQueue(tmp_path)
-        with pytest.raises(ConfigurationError, match="trace"):
-            queue.enqueue([spec_for(smoke_tpcc, variant="base")])
-
-    def test_rejected_enqueue_writes_nothing(self, tmp_path, smoke_tpcc):
-        """Every spec is checked before the queue is touched: a batch
-        with one explicit-trace spec leaves no queue file, no lock and
-        no directory, not a queue holding the specs before it."""
-        batch = smoke_specs(variants=("base",)) + [
-            spec_for(smoke_tpcc, variant="base")
-        ]
-        queue = WorkQueue(tmp_path)
-        with pytest.raises(ConfigurationError, match="trace"):
-            queue.enqueue(batch)
-        assert not queue.path.exists() and not queue.lock_path.exists()
-        assert WorkQueue(tmp_path).snapshot().total == 0
-        with pytest.raises(ConfigurationError, match="trace"):
-            WorkQueue(tmp_path / "campaign").enqueue(batch)
-        assert not (tmp_path / "campaign").exists()
 
     def test_enqueue_claims_one_trace_at_a_time(self, tmp_path):
         """Specs enqueued with their traces interleaved (A B C A B C)
@@ -544,6 +522,30 @@ class TestDrain:
         assert report.completed == 4 and report.failed == 0
         assert set(runner.store.keys()) == {s.key() for s in specs}
 
+    def test_drain_reads_payloads_that_carry_trace_id(self, tmp_path):
+        """Queues written while specs still had a ``trace_id`` field
+        carry it in every payload. ``null`` (every declarative spec)
+        rebuilds to the queued key and drains; a fingerprint named an
+        in-memory trace no worker can rebuild, so its entry settles
+        ``failed`` as a bad spec that names the field."""
+        legacy, fingerprinted = smoke_specs(variants=("base", "slicc"))
+        queue = WorkQueue(tmp_path, worker_id="w")
+        for spec, trace_id in ((legacy, None), (fingerprinted, "ab" * 32)):
+            payload = {**spec.to_dict(), "trace_id": trace_id}
+            queue._append_locked(
+                {"event": "enqueued", "key": spec.key(), "t": 0.0, "spec": payload}
+            )
+        assert spec_from_dict({**legacy.to_dict(), "trace_id": None}) == legacy
+        runner = Runner(store=ResultStore(tmp_path), jobs=1)
+        report = drain(queue, runner, poll_seconds=0.05)
+        assert report.completed == 1 and report.failed == 1
+        assert set(runner.store.keys()) == {legacy.key()}
+        status = queue.snapshot()
+        assert status.drained and status.done == 1 and status.failed == 1
+        (failure,) = [e for e in queue_events(tmp_path) if e["event"] == "failed"]
+        assert failure["key"] == fingerprinted.key()
+        assert failure["kind"] == "bad-spec" and "trace_id" in failure["error"]
+
 
 class TestDoubleCompletion:
     def test_double_finish_is_byte_identical_and_collapses(
@@ -714,12 +716,19 @@ class TestQueueCLI:
         assert not resolve_queue_path(qdir).exists()
 
     @pytest.mark.parametrize(
-        "flag,value", [("--timeout", "0"), ("--max-claims", "0")]
+        "flag,value",
+        [
+            ("--timeout", "0"),
+            ("--max-claims", "0"),
+            ("--poll", "0"),
+            ("--poll", "-1"),
+        ],
     )
     def test_work_rejects_a_bad_flag(self, flag, value, tmp_path, capsys):
         """A zero timeout would fail every claimed spec terminally, and
-        no later worker could run it: the worker must refuse the flag
-        before it claims anything."""
+        no later worker could run it; a zero poll would spin on the
+        queue lock, and a negative one fail mid-drain. The worker must
+        refuse the flag before it claims anything."""
         qdir = tmp_path / "campaign"
         assert main(["queue", "enqueue", write_specfile(tmp_path), str(qdir)]) == 0
         capsys.readouterr()
