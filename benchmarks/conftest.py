@@ -1,12 +1,16 @@
 """Shared fixtures for the benchmark harness.
 
 Each benchmark regenerates one table or figure of the paper at CI scale
-and prints the measured rows next to the paper's values. All simulation
-goes through one session-wide :class:`repro.exp.Runner`, so figures that
-share a workload reuse traces and baseline runs via the result store,
-and the whole suite fans out over worker processes when
-``REPRO_BENCH_JOBS`` is set (e.g. ``REPRO_BENCH_JOBS=8 pytest
-benchmarks``; default 1 keeps timing comparable to single-core runs).
+and prints the measured rows next to the paper's values. Figures 7, 8,
+10 and 11 and Sections 5.5 and 5.8 check the figure registry's rows
+(:mod:`repro.exp.figures`, seed 7; ``test_registry_figures.py``); the
+other benches build their specs here, at :data:`BENCH_SEED`. All
+simulation goes through one session-wide
+:class:`repro.exp.Runner`, so figures that share a workload reuse
+traces and baseline runs via the result store, and the whole suite fans
+out over worker processes when ``REPRO_BENCH_JOBS`` is set (e.g.
+``REPRO_BENCH_JOBS=8 pytest benchmarks``; default 1 keeps timing
+comparable to single-core runs).
 """
 
 import os
@@ -21,7 +25,8 @@ from repro.workloads import standard_trace
 #: Thread counts used by the benches (CI scale).
 BENCH_THREADS = 48
 
-#: Trace seed of the benches (``standard_trace``'s default).
+#: Trace seed of the benches with no registry figure
+#: (``standard_trace``'s default).
 BENCH_SEED = 1
 
 
@@ -47,13 +52,6 @@ def traces():
         )
         for name in ("tpcc-1", "tpcc-10", "tpce", "mapreduce")
     }
-
-
-@pytest.fixture(scope="session")
-def bench_spec():
-    """``bench_spec(workload, config, label="")``: the spec of one bench
-    simulation, on the ``traces`` fixture's trace."""
-    return _bench_spec
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,9 @@ an :class:`~repro.exp.ExperimentSpec`, which names its trace by
 workload, scale, thread count and seed.
 
 See DESIGN.md for the system inventory, and ROADMAP.md item 1 for the
-table of where the reproduced Figures 10 and 11 depart from the paper.
+table of where the reproduced Figures 10 and 11 depart from the paper;
+``benchmarks/test_registry_figures.py`` prints the figure registry's
+rows for them next to the paper's values.
 
 ``simulate`` and ``generate_trace`` load the replay engine and the trace
 generator on first access (PEP 562), so ``import repro`` stays cheap

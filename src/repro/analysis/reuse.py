@@ -35,10 +35,6 @@ class ReuseBreakdown:
     few: float
     most: float
 
-    def as_row(self) -> dict[str, float]:
-        """Dict form used by the Figure 3 bench report."""
-        return {"single": self.single, "few": self.few, "most": self.most}
-
 
 def _breakdown(threads: list[ThreadTrace]) -> ReuseBreakdown:
     """Access-weighted sharing breakdown over a set of threads."""

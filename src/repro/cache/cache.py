@@ -189,10 +189,6 @@ class SetAssociativeCache:
         """Iterate over every resident block id (order unspecified)."""
         return iter(self._index)
 
-    def set_of(self, block: int) -> int:
-        """Set index a block maps to (exposed for the bloom signature)."""
-        return block & self._set_mask
-
     def blocks_in_set(self, set_idx: int) -> list[int]:
         """Resident block ids of one set, in way order."""
         base = set_idx * self.assoc

@@ -474,9 +474,12 @@ def _cmd_queue_enqueue(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue_work(args: argparse.Namespace) -> int:
-    from repro.exp.queue import drain
+    from repro.exp.queue import check_poll, drain
 
     queue = _require_queue(args, worker_id=args.worker_id)
+    # Refused before the runner opens the store: a rejected flag
+    # creates no store.
+    check_poll(args.poll)
     runner = _make_runner(args, default_store=queue.path.parent)
     report = drain(queue, runner, poll_seconds=args.poll)
     stats = runner.stats

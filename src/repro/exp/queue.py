@@ -77,6 +77,7 @@ __all__ = [
     "QueueStatus",
     "StaleLease",
     "WorkQueue",
+    "check_poll",
     "drain",
     "resolve_queue_path",
 ]
@@ -760,6 +761,19 @@ def _load_claimed_spec(claim: ClaimedSpec):
     return spec, None
 
 
+def check_poll(poll_seconds: float) -> None:
+    """Refuse a drain poll interval that is not positive: zero spins on
+    the queue lock, and a negative one fails mid-drain.
+
+    Raises:
+        ConfigurationError: for ``poll_seconds <= 0``.
+    """
+    if poll_seconds <= 0:
+        raise ConfigurationError(
+            f"poll_seconds must be positive, got {poll_seconds}"
+        )
+
+
 def drain(
     queue: WorkQueue,
     runner,
@@ -782,18 +796,15 @@ def drain(
     ignored, accepted for callers of the batch-claiming drain.
 
     Raises:
-        ConfigurationError: for ``poll_seconds <= 0``, before any claim
-            (zero spins on the queue lock, a negative fails mid-drain).
+        ConfigurationError: for ``poll_seconds <= 0``
+            (:func:`check_poll`), before any claim.
 
     On KeyboardInterrupt (raised after the pool's graceful drain, whose
     outcomes were settled as they arrived) the leases still held are
     released for other workers and the interrupt is re-raised, so the
     CLI exits 130.
     """
-    if poll_seconds <= 0:
-        raise ConfigurationError(
-            f"poll_seconds must be positive, got {poll_seconds}"
-        )
+    check_poll(poll_seconds)
     report = DrainReport(worker_id=queue.worker_id)
     heartbeat = LeaseHeartbeat(queue)
 

@@ -13,8 +13,9 @@ We reproduce the mechanism so the experiment can be regenerated: a
 per-thread ring of recent data block tags, drained into the target L1-D
 on migration. The engine charges a per-block bandwidth cost and routes
 installs through the coherence directory so effects (3) and (4) emerge
-naturally; `benchmarks/test_sec55_data_prefetch.py` shows the resulting
-non-improvement.
+naturally;
+`benchmarks/test_ext_steps_dataprefetch.py::test_ext_migration_data_prefetch`
+shows the resulting non-improvement.
 """
 
 from __future__ import annotations

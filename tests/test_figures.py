@@ -56,7 +56,7 @@ class TestRegistry:
         assert set(FIGURE_WORKLOADS) <= set(workload_names())
 
     @pytest.mark.parametrize("name", EXPECTED_FIGURES)
-    @pytest.mark.parametrize("scale", ["smoke", "paper"])
+    @pytest.mark.parametrize("scale", ["smoke", "ci", "paper"])
     def test_every_figure_builds_valid_specs_at_both_scales(
         self, name, scale
     ):

@@ -603,6 +603,15 @@ class TestDoubleCompletion:
         )
 
 
+#: ``repro queue work`` flag values the worker must refuse.
+_BAD_WORK_FLAGS = (
+    ("--timeout", "0"),
+    ("--max-claims", "0"),
+    ("--poll", "0"),
+    ("--poll", "-1"),
+)
+
+
 class TestQueueCLI:
     def test_enqueue_then_status(self, tmp_path, capsys):
         specfile = write_specfile(tmp_path)
@@ -716,25 +725,31 @@ class TestQueueCLI:
         assert not resolve_queue_path(qdir).exists()
 
     @pytest.mark.parametrize(
-        "flag,value",
+        "flags",
         [
-            ("--timeout", "0"),
-            ("--max-claims", "0"),
-            ("--poll", "0"),
-            ("--poll", "-1"),
+            pytest.param([flag, value], id=f"{flag}-{value}")
+            for flag, value in _BAD_WORK_FLAGS
+        ]
+        + [
+            pytest.param(
+                [flag, value, "--backend", "sqlite"], id=f"{flag}-{value}-sqlite"
+            )
+            for flag, value in _BAD_WORK_FLAGS
         ],
     )
-    def test_work_rejects_a_bad_flag(self, flag, value, tmp_path, capsys):
+    def test_work_rejects_a_bad_flag(self, flags, tmp_path, capsys):
         """A zero timeout would fail every claimed spec terminally, and
         no later worker could run it; a zero poll would spin on the
         queue lock, and a negative one fail mid-drain. The worker must
-        refuse the flag before it claims anything."""
+        refuse the flag before it claims anything or opens a store: a
+        SQLite store left behind would be the one a later worker on the
+        directory resolves to."""
         qdir = tmp_path / "campaign"
         assert main(["queue", "enqueue", write_specfile(tmp_path), str(qdir)]) == 0
         capsys.readouterr()
-        assert main(["queue", "work", str(qdir), flag, value]) == 2
+        assert main(["queue", "work", str(qdir), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+        assert err.startswith("error:") and flags[0][2:].replace("-", "_") in err
         assert main(["queue", "status", str(qdir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pending"] == 3 and payload["failed"] == 0
