@@ -8,8 +8,8 @@ one workload in a single ``Runner.run`` call, and print them through
 :func:`repro.analysis.figure_table`, the renderer of ``repro paper``'s
 reports, above what the paper reports. Figures 7 and 8 are registered
 on TPC-C-1 alone; their TPC-E cases re-target the same rows. The
-Section 5.5 (TLB) and 5.8 (broadcast) statistics read the SLICC rows of
-Figures 10 and 11.
+Section 5.5 (TLB) statistics read Figure 10's rows, and the Section 5.8
+(broadcast) statistics the SLICC rows of Figure 11.
 """
 
 import collections
@@ -164,10 +164,9 @@ def test_fig10_mpki(benchmark, exp_runner, workload):
 )
 def test_fig11_performance(benchmark, exp_runner, workload):
     runs = _check(benchmark, exp_runner, "fig11-speedup", workload)
-    # The registry plots next-line and PIF in Figure 10.
     speed = {
         row.spec.variant: result.speedup_over(base)
-        for row, result, base in runs + _run(exp_runner, "fig10-mpki", workload)
+        for row, result, base in runs
     }
     if workload == "mapreduce":
         assert speed["slicc-sw"] == pytest.approx(1.0, abs=0.2)
@@ -220,13 +219,14 @@ def test_sec55_tlb_deltas(benchmark, exp_runner, workload):
 
 @pytest.mark.parametrize("workload", ["tpcc-1", "tpce"])
 def test_sec58_broadcast_frequency(benchmark, exp_runner, workload):
-    def run():
-        return _by_variant(
-            _run(exp_runner, "fig10-mpki", workload)
-            + _run(exp_runner, "fig11-speedup", workload)
+    results = _by_variant(
+        benchmark.pedantic(
+            _run,
+            args=(exp_runner, "fig11-speedup", workload),
+            iterations=1,
+            rounds=1,
         )
-
-    results = benchmark.pedantic(run, iterations=1, rounds=1)
+    )
     rows = [
         [
             variant,

@@ -3,7 +3,6 @@
 Commands
 --------
 ``run``     simulate one workload under one or more variants
-``sweep``   the Figure 7/8 threshold sweeps
 ``exp``     run a declarative experiment spec file end-to-end
 ``paper``   reproduce the registered paper figures into a report
 ``queue``   enqueue / drain a durable multi-worker sweep queue
@@ -24,14 +23,13 @@ Examples::
 
     python -m repro run tpcc-1 --variants base slicc-sw --threads 32
     python -m repro run tpce --variants base slicc slicc-sw --jobs 4
-    python -m repro sweep tpcc-1 --kind dilution --jobs 8
-    python -m repro exp experiments/dilution.json --jobs 8 --store results/
+    python -m repro exp experiments/phased_mix.json --jobs 8 --store results/
     python -m repro paper --scale smoke --out report/
-    python -m repro paper --figures fig8-dilution fig10-mpki --jobs 4
-    python -m repro queue enqueue experiments/dilution.json campaign/
+    python -m repro paper --figures fig7-thresholds fig8-dilution --jobs 4
+    python -m repro queue enqueue experiments/phased_mix.json campaign/
     python -m repro queue work campaign/ --jobs 4   # on many machines
     python -m repro queue status campaign/ --json
-    python -m repro exp experiments/dilution.json --store results/ \\
+    python -m repro exp experiments/phased_mix.json --store results/ \\
         --backend sqlite                      # indexed store for big sweeps
     python -m repro store migrate results/ results/export.jsonl
     python -m repro info tpce
@@ -66,26 +64,6 @@ from repro.params import ScalePreset
 from repro.sched import policy_names
 from repro.workloads import DEFAULT_THREADS, get_workload, workload_names
 
-#: The Section 5.2 threshold studies ``repro sweep --kind`` runs, as
-#: spec-file payload fragments: Figure 8's dilution_t line at the
-#: Figure 7 optimum (the SliccParams defaults), and Figure 7's
-#: fill-up_t x matched_t plane with dilution disabled.
-SWEEPS = {
-    "dilution": {
-        "variant": "slicc-sw",
-        "axes": {"slicc.dilution_t": list(range(2, 31, 2))},
-    },
-    "fillup": {
-        "variant": "slicc-sw",
-        "overrides": {"slicc.dilution_t": 0},
-        "axes": {
-            "slicc.fill_up_t": [128, 256, 384, 512],
-            "slicc.matched_t": [2, 4, 6, 8, 10],
-        },
-    },
-}
-
-
 def _add_workload(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("workload", choices=workload_names())
     parser.add_argument(
@@ -94,12 +72,6 @@ def _add_workload(parser: argparse.ArgumentParser) -> None:
         default="ci",
         help="workload scale preset (default: ci)",
     )
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    _add_workload(parser)
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=1)
 
 
 def _add_exec(
@@ -169,8 +141,6 @@ def _fault_suffix(stats) -> str:
         parts.append(f"{stats.timed_out} timed out")
     if stats.retried:
         parts.append(f"{stats.retried} retried")
-    if stats.reclaimed:
-        parts.append(f"{stats.reclaimed} reclaimed")
     return (", " + ", ".join(parts)) if parts else ""
 
 
@@ -221,8 +191,7 @@ def _failure_table(failures) -> str:
 
 def _run_family(args: argparse.Namespace, family, title: str) -> int:
     """Run a ``(specs, baseline spec or None)`` family and print its
-    summary table: the one execution path of ``run``, ``sweep`` and
-    ``exp``."""
+    summary table: the one execution path of ``run`` and ``exp``."""
     specs, baseline_spec = family
     runner = _make_runner(args)
     all_specs = specs if baseline_spec is None else [baseline_spec] + specs
@@ -250,34 +219,23 @@ def _run_family(args: argparse.Namespace, family, title: str) -> int:
     return 0
 
 
-def _payload(args: argparse.Namespace, **fragment) -> dict:
-    """The spec-file payload ``repro exp`` reads, built from the workload
-    arguments of ``run``/``sweep`` plus a grid fragment."""
-    return {
-        "workload": args.workload,
-        "scale": args.scale,
-        "n_threads": args.threads,
-        "seed": args.seed,
-        "baseline": True,
-        **fragment,
-    }
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.exp.specfile import specs_from_payload
 
     variants = list(args.variants)
     if "base" not in variants:
         variants.insert(0, "base")
-    family = specs_from_payload(_payload(args, axes={"variant": variants}))
+    # The spec-file payload `repro exp` reads, so both share store keys.
+    payload = {
+        "workload": args.workload,
+        "scale": args.scale,
+        "n_threads": args.threads,
+        "seed": args.seed,
+        "baseline": True,
+        "axes": {"variant": variants},
+    }
+    family = specs_from_payload(payload)
     return _run_family(args, family, f"run {args.workload}")
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.exp.specfile import specs_from_payload
-
-    family = specs_from_payload(_payload(args, **SWEEPS[args.kind]))
-    return _run_family(args, family, f"{args.kind} sweep of {args.workload}")
 
 
 def _cmd_exp(args: argparse.Namespace) -> int:
@@ -593,19 +551,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared_keys = (
-        "The specs are the ones `repro exp` builds from the equivalent "
-        "spec file (with \"baseline\": true), so run, sweep, exp, paper "
-        "and the queue share store keys; rows an older run/sweep wrote "
-        "were keyed by trace fingerprint and are simulated once more."
-    )
     run = sub.add_parser(
         "run",
         help="simulate a workload under variants",
         description="Simulate one workload under each --variants entry "
-        "plus base, and tabulate them against base. " + shared_keys,
+        "plus base, and tabulate them against base. The specs are the "
+        "ones `repro exp` builds from the equivalent spec file (with "
+        "\"baseline\": true), so run, exp, paper and the queue share "
+        "store keys: a --threads equal to the scale's default names the "
+        "same trace as leaving it out. A registry figure is one `repro "
+        "paper --figures NAME` away; run any other grid as a spec file.",
     )
-    _add_common(run)
+    _add_workload(run)
+    run.add_argument("--threads", type=int, default=None)
+    run.add_argument("--seed", type=int, default=1)
     run.add_argument(
         "--variants",
         nargs="+",
@@ -617,19 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_exec(run)
     run.set_defaults(func=_cmd_run)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="threshold sweeps (Figures 7/8)",
-        description="SLICC-SW threshold sweeps against base: --kind "
-        "dilution sweeps dilution_t 2..30 (Figure 8); --kind fillup "
-        "sweeps fill-up_t x matched_t with dilution_t=0 (Figure 7). "
-        + shared_keys,
-    )
-    _add_common(sweep)
-    sweep.add_argument("--kind", choices=list(SWEEPS), default="dilution")
-    _add_exec(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
 
     exp = sub.add_parser(
         "exp",
@@ -849,7 +795,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 130
     except SweepFailure as failure:
-        # paper surfaces sweep failures here (run/sweep/exp render
+        # paper surfaces sweep failures here (run and exp render
         # their own table alongside the partial summary).
         print(_failure_table(failure.failures), file=sys.stderr)
         print(f"error: {failure}", file=sys.stderr)

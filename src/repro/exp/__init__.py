@@ -19,7 +19,7 @@ The worker pool and the work queue load on first access (PEP 562), so
 keying specs and reading a store import neither ``multiprocessing`` nor
 the queue. Nor do they import the fault-injection harness, which only
 simulating and writing consult, or the spec-file reader, which only
-``run``, ``sweep``, ``exp`` and ``queue enqueue`` use.
+``run``, ``exp`` and ``queue enqueue`` use.
 """
 
 import importlib

@@ -835,7 +835,6 @@ def drain(
             report.claimed += 1
             if claim.reclaimed:
                 report.reclaimed += 1
-                runner.stats.reclaimed += 1
             spec, why = _load_claimed_spec(claim)
             if spec is None:
                 queue.mark_failed(claim.key, error=why, kind="bad-spec")

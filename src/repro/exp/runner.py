@@ -174,10 +174,7 @@ class RunnerStats:
     ``failed`` counts specs with no result after all retries (of which
     ``timed_out`` were killed by the per-spec timeout); ``retried``
     counts extra attempts spent recovering from transient failures.
-    ``reclaimed`` counts work-queue leases this runner's process took
-    over from expired (dead) workers — the queue drain loop increments
-    it, a plain ``run()`` never does. ``wall_seconds`` is the
-    end-to-end duration of the call,
+    ``wall_seconds`` is the end-to-end duration of the call,
     ``sim_seconds`` the summed per-spec simulation time (under parallel
     workers ``sim_seconds`` exceeds ``wall_seconds``; their ratio is the
     effective sweep speed-up), and ``spec_seconds`` maps each simulated
@@ -189,7 +186,6 @@ class RunnerStats:
     failed: int = 0
     retried: int = 0
     timed_out: int = 0
-    reclaimed: int = 0
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
     spec_seconds: dict[str, float] = field(default_factory=dict)
@@ -200,7 +196,6 @@ class RunnerStats:
         self.failed += other.failed
         self.retried += other.retried
         self.timed_out += other.timed_out
-        self.reclaimed += other.reclaimed
         self.wall_seconds += other.wall_seconds
         self.sim_seconds += other.sim_seconds
         self.spec_seconds.update(other.spec_seconds)

@@ -33,9 +33,13 @@ from repro.errors import ConfigurationError
 from repro.params import ScalePreset, SliccParams, SystemParams
 from repro.sched import POLICY_GATED_FIELDS, get_policy
 from repro.sim.config import SimConfig
-from repro.workloads import workload_names
+from repro.workloads import DEFAULT_THREADS, workload_names
 
 _DEFAULT_CONFIG = SimConfig()
+
+#: :data:`~repro.workloads.DEFAULT_THREADS` by scale value, the string
+#: a spec holds.
+_DEFAULT_THREADS = {scale.value: n for scale, n in DEFAULT_THREADS.items()}
 
 
 def _stable_hash(payload: object) -> str:
@@ -122,7 +126,7 @@ class ExperimentSpec:
         config: full engine configuration, including the variant.
         scale: :class:`~repro.params.ScalePreset` value string.
         n_threads: thread count, at least 1 (``None`` = the scale's
-            default).
+            default; the default itself keys as ``None``).
         seed: trace-generation seed, an int of at least 0.
         label: display name for tables; never part of the key.
     """
@@ -184,14 +188,21 @@ class ExperimentSpec:
         return _canonical(self.config)
 
     def trace_key(self) -> str:
-        """Cache key of the trace alone (shared by all variants)."""
+        """Cache key of the trace alone (shared by all variants).
+
+        A thread count equal to the scale's default builds the same
+        trace as ``None``, so it hashes as ``None``: one trace, one key.
+        """
         cached = self._trace_key
         if cached is None:
+            n_threads = self.n_threads
+            if n_threads == _DEFAULT_THREADS[self.scale]:
+                n_threads = None
             cached = _stable_hash(
                 {
                     "workload": self.workload,
                     "scale": self.scale,
-                    "n_threads": self.n_threads,
+                    "n_threads": n_threads,
                     "seed": self.seed,
                 }
             )

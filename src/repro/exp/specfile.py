@@ -3,21 +3,23 @@
 A spec file declares a whole experiment grid::
 
     {
-      "workload": "tpcc-1",
+      "workload": "phased",
       "scale": "ci",
       "n_threads": 32,
-      "seed": 7,
+      "seed": 1,
       "variant": "slicc-sw",
       "overrides": {"quantum": 50},
-      "axes": {"slicc.dilution_t": [2, 6, 10, 16, 24, 30]},
+      "axes": {"slicc.dilution_t": [2, 10, 24]},
       "baseline": true
     }
 
 ``overrides`` applies dotted-path edits to every point; ``axes`` expands
 into the cartesian grid; ``baseline: true`` adds the matching ``base``
-run so the table gains a speedup column. ``repro run`` and ``repro
-sweep`` build the same payload from their arguments and expand it with
-:func:`specs_from_payload`, so all three commands share spec keys.
+run so the table gains a speedup column. ``repro run`` builds the same
+payload from its arguments and expands it with
+:func:`specs_from_payload`, so both commands share spec keys. A figure
+of the paper is not restated here: :mod:`repro.exp.figures` defines it
+once, and ``repro paper --figures NAME`` runs it.
 """
 
 from __future__ import annotations

@@ -14,15 +14,7 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: Examples too slow for the test suite: paper_scale_run.py simulates at
-#: paper scale and takes about an hour.
-SLOW = {"paper_scale_run.py"}
-
-EXAMPLES = sorted(
-    path.name
-    for path in (REPO_ROOT / "examples").glob("*.py")
-    if path.name not in SLOW
-)
+EXAMPLES = sorted(path.name for path in (REPO_ROOT / "examples").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", EXAMPLES)

@@ -168,8 +168,8 @@ class TestExpCommand:
 
 
 class TestSharedSpecKeys:
-    """run, sweep, exp and paper expand the same spec payloads, so one
-    store serves all of them."""
+    """run, exp and paper expand the same spec payloads, so one store
+    serves all of them."""
 
     def test_run_is_served_from_a_paper_store(self, tmp_path, capsys):
         out = str(tmp_path / "report")
@@ -178,13 +178,19 @@ class TestSharedSpecKeys:
         capsys.readouterr()
         variants = ["base", "nextline", "pif", "slicc", "slicc-sw"]
         argv = ["run", "tpcc-1", "--scale", "smoke", "--seed", "7"]
-        assert main(argv + ["--variants", *variants, "--store", out]) == 0
+        argv += ["--variants", *variants, "--store", out]
+        assert main(argv) == 0
+        assert "[0 simulated, 6 cached]" in capsys.readouterr().out
+        # The smoke default thread count, named, is the same trace.
+        assert main(argv + ["--threads", "8"]) == 0
         assert "[0 simulated, 6 cached]" in capsys.readouterr().out
 
-    def test_exp_is_served_from_a_sweep_store(self, tmp_path, capsys):
-        store = str(tmp_path / "results")
-        argv = ["sweep", "tpcc-1", "--scale", "smoke", "--seed", "7"]
-        assert main(argv + ["--kind", "fillup", "--store", store]) == 0
+    def test_exp_is_served_from_a_paper_store(self, tmp_path, capsys):
+        """A spec file restating Figure 7's smoke grid names the
+        registry's 13 specs, so a `repro paper` store serves it whole."""
+        out = str(tmp_path / "report")
+        argv = ["paper", "--figures", "fig7-thresholds", "--scale", "smoke"]
+        assert main(argv + ["--out", out]) == 0
         capsys.readouterr()
         specfile = write_specfile(
             tmp_path,
@@ -196,13 +202,13 @@ class TestSharedSpecKeys:
                 "overrides": {"slicc.dilution_t": 0},
                 "axes": {
                     "slicc.fill_up_t": [128, 256, 384, 512],
-                    "slicc.matched_t": [2, 4, 6, 8, 10],
+                    "slicc.matched_t": [2, 4, 8],
                 },
                 "baseline": True,
             },
         )
-        assert main(["exp", specfile, "--store", store]) == 0
-        assert "[0 simulated, 21 cached]" in capsys.readouterr().out
+        assert main(["exp", specfile, "--store", out]) == 0
+        assert "[0 simulated, 13 cached]" in capsys.readouterr().out
 
     def test_run_tables_completed_rows_and_exits_3(self, monkeypatch, capsys):
         from repro.exp import runner as runner_mod
@@ -307,31 +313,3 @@ class TestJobsFlag:
         assert rc == 0
         out = capsys.readouterr().out
         assert "base" in out and "nextline" in out
-
-    def test_sweep_with_store_and_jobs(self, tmp_path, capsys, backend="jsonl"):
-        argv = [
-            "sweep",
-            "tpcc-1",
-            "--scale",
-            "smoke",
-            "--seed",
-            "7",
-            "--kind",
-            "dilution",
-            "--jobs",
-            "2",
-            "--store",
-            str(tmp_path / "sweepstore"),
-            "--backend",
-            backend,
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "dilution_t" in out
-        capsys.readouterr()
-        # Rerun: everything cached from the store.
-        assert main(argv) == 0
-        assert "[0 simulated, 16 cached]" in capsys.readouterr().out
-
-    def test_sweep_with_store_and_jobs_sqlite(self, tmp_path, capsys):
-        self.test_sweep_with_store_and_jobs(tmp_path, capsys, "sqlite")

@@ -9,6 +9,7 @@ byte-identical between ``jobs=1`` and ``jobs=4``.
 
 import os
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -19,8 +20,9 @@ from repro.exp import (
     grid,
     result_to_json,
 )
-from repro.params import SliccParams
+from repro.params import ScalePreset, SliccParams
 from repro.sim import SimConfig, simulate
+from repro.workloads import DEFAULT_THREADS
 
 FILL_VALUES = (128, 256, 384, 512)
 MATCH_VALUES = (2, 4, 6, 8, 10)
@@ -108,6 +110,28 @@ class TestRunnerBasics:
         assert runner.last_stats.simulated == 1
         assert runner.last_stats.cached == 2
         assert results[0] == results[1] == results[2]
+
+    def test_explicit_default_thread_count_is_the_same_run(self, monkeypatch):
+        """A spec that names its scale's default thread count replays the
+        trace of one that leaves it None: one key, one trace build, one
+        simulation."""
+        from repro.exp import runner as runner_mod
+
+        builds = []
+        real = runner_mod.standard_trace
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "standard_trace", counting)
+        implicit = smoke_spec("slicc-sw")
+        explicit = replace(implicit, n_threads=DEFAULT_THREADS[ScalePreset.SMOKE])
+        runner = Runner()
+        runner.run([implicit, explicit])
+        assert len(builds) == 1
+        assert runner.last_stats.simulated == 1
+        assert runner.last_stats.cached == 1
 
     def test_store_serves_second_invocation(self):
         store = ResultStore()

@@ -1,5 +1,8 @@
 """Tests for declarative experiment specs, hashing and grid expansion."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -10,8 +13,14 @@ from repro.exp import (
     product,
     with_overrides,
 )
-from repro.params import SliccParams
+from repro.params import ScalePreset, SliccParams
 from repro.sim import SimConfig
+from repro.workloads import DEFAULT_THREADS
+
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+
+#: The spec files the repository ships.
+SPEC_FILES = sorted(path.name for path in EXPERIMENTS.glob("*.json"))
 
 
 class TestSpecIdentity:
@@ -51,6 +60,18 @@ class TestSpecIdentity:
         assert a.key() != ExperimentSpec("tpcc-1", seed=4).key()
         assert a.key() != ExperimentSpec("tpce", seed=3).key()
         assert a.key() != ExperimentSpec("tpcc-1", seed=3, n_threads=8).key()
+
+    @pytest.mark.parametrize("scale", [s.value for s in ScalePreset])
+    def test_default_thread_count_keys_as_none(self, scale):
+        """The scale's default thread count builds the trace that None
+        builds, so both share one key; other counts keep their own."""
+        implicit = ExperimentSpec("tpcc-1", scale=scale, seed=7)
+        default = DEFAULT_THREADS[ScalePreset(scale)]
+        explicit = replace(implicit, n_threads=default)
+        assert explicit.trace_key() == implicit.trace_key()
+        assert explicit.key() == implicit.key()
+        other = replace(implicit, n_threads=default + 1)
+        assert other.trace_key() != implicit.trace_key()
 
     def test_key_varies_with_config(self):
         a = ExperimentSpec("tpcc-1", config=SimConfig(variant="slicc"))
@@ -240,6 +261,18 @@ class TestOverridesAndGrid:
 
 
 class TestSpecFile:
+    @pytest.mark.parametrize("name", SPEC_FILES)
+    def test_shipped_spec_file_expands(self, name):
+        """Every spec file under experiments/ expands into valid specs
+        with distinct keys, and a baseline replays its grid's trace."""
+        specs, baseline = load_spec_file(EXPERIMENTS / name)
+        family = specs if baseline is None else [baseline, *specs]
+        assert specs
+        keys = [spec.key() for spec in family]
+        assert len(set(keys)) == len(keys)
+        if baseline is not None:
+            assert {spec.trace_key() for spec in specs} == {baseline.trace_key()}
+
     def test_load_spec_file(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(
@@ -527,7 +560,7 @@ class TestKeyFormula:
         assert stealing.key() != as_bool.key() == _formula_key(as_bool)
 
     def test_smoke_registry_renders_each_config_once(self, monkeypatch):
-        """The smoke registry keys 226 spec instances that hold 27
+        """The smoke registry keys 250 spec instances that hold 27
         distinct configs; each config is rendered once."""
         import collections
 
@@ -545,7 +578,7 @@ class TestKeyFormula:
         specs = list(_registry_specs("smoke"))
         for spec in specs:
             spec.key()
-        assert len(specs) == 226
+        assert len(specs) == 250
         assert len(rendered) == 27
         assert set(rendered.values()) == {1}
 
