@@ -122,9 +122,6 @@ def deltas(old: dict, new: dict) -> str:
 
 
 def main() -> int:
-    # A kernel dump regenerates the kernel source on every run, which
-    # would be counted; the pin is of the engine without it.
-    os.environ.pop("REPRO_SPECIALIZE_DUMP", None)
     doc = measure()
     old = json.loads(PIN_PATH.read_text()) if PIN_PATH.exists() else None
     PIN_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.exp.store import result_to_json  # noqa: E402
-from repro.params import ScalePreset  # noqa: E402
+from repro.params import ScalePreset, SystemParams  # noqa: E402
 from repro.sim.engine import SimConfig, simulate  # noqa: E402
 from repro.workloads import standard_trace  # noqa: E402
 
@@ -47,8 +48,8 @@ GOLDEN_SEED = 7
 
 #: Scenario-extension workloads pinned on the plain variants only: their
 #: point is trace-shape coverage (handler churn, mid-trace mix shift),
-#: while the cfg combinations above already exercise every fallback path
-#: on the OLTP pair.
+#: while the config pins below already exercise every reference-path
+#: option on the OLTP pair.
 GOLDEN_VARIANT_WORKLOADS = ("webserve", "phased")
 
 #: Extension scheduling policies (PR 5), pinned on the canonical OLTP
@@ -59,12 +60,25 @@ GOLDEN_VARIANT_WORKLOADS = ("webserve", "phased")
 GOLDEN_POLICIES = ("tmi", "affinity", "random-migrate")
 GOLDEN_POLICY_WORKLOADS = ("tpcc-1", "phased")
 
-#: Config pins beyond the plain variants: every fallback trigger of the
-#: pre-PR-3 engine (next-line prefetcher, miss classifiers, banked NUCA,
-#: migration data prefetcher) alone and in combination, so the PR 3
-#: inline fast paths are provably bit-identical to the generic
-#: ``_process_instruction``/``_process_data`` reference they replace.
-#: Captured from the PR-2 engine *before* that rewrite.
+
+def _l1s(l1i: str = "lru", l1d: str = "lru") -> SystemParams:
+    """The default machine with the named L1 replacement policies."""
+    system = SystemParams()
+    return replace(
+        system,
+        l1i=replace(system.l1i, policy=l1i),
+        l1d=replace(system.l1d, policy=l1d),
+    )
+
+
+#: Config pins beyond the plain variants: the miss classifiers, the
+#: banked NUCA L2 (also under the next-line prefetcher), the migration
+#: data prefetcher, and non-LRU L1s under the prefetcher's installs and
+#: under SLICC's bypass and bloom evictions, alone and in combination.
+#: Each of these options sends the run through the engine's
+#: ``_process_instruction``/``_process_data`` reference path instead of
+#: a generated kernel (``repro.sim.specialize.kernel_spec``), so these
+#: pins hold that path's results for every option.
 GOLDEN_CONFIGS: tuple[tuple[str, dict], ...] = (
     ("classify", {"variant": "base", "collect_miss_classes": True}),
     ("slicc-classify", {"variant": "slicc", "collect_miss_classes": True}),
@@ -87,6 +101,11 @@ GOLDEN_CONFIGS: tuple[tuple[str, dict], ...] = (
             "model_l2_capacity": True,
             "collect_miss_classes": True,
         },
+    ),
+    ("nextline-lip-l1i", {"variant": "nextline", "system": _l1s(l1i="lip")}),
+    (
+        "slicc-dip-l1i-brrip-l1d",
+        {"variant": "slicc", "system": _l1s(l1i="dip", l1d="brrip")},
     ),
 )
 

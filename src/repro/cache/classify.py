@@ -33,13 +33,9 @@ class MissClassifier:
 
     Usage: call :meth:`observe` for every access with the real cache's
     hit/miss outcome; it returns the miss class (or ``None`` on a hit) and
-    keeps its own counters.
-
-    The hot state is the ``_shadow`` OrderedDict (fully-associative LRU)
-    and the ``_seen`` set; the replay kernel updates both directly and
-    batches ``accesses``/``counts`` per quantum, with :meth:`observe`
-    kept as the reference implementation for the engine's reference
-    path (``kernel="reference"``) and for unit tests.
+    keeps its own counters. A run with ``SimConfig.collect_miss_classes``
+    replays through the engine's reference path, which calls
+    :meth:`observe` on every L1 access.
     """
 
     __slots__ = ("capacity_blocks", "_seen", "_shadow", "counts", "accesses")

@@ -14,7 +14,6 @@ interleaved organisation that spreads consecutive lines across banks.
 from __future__ import annotations
 
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.policies.lru import LruPolicy
 from repro.cache.stats import CacheStats
 from repro.errors import ConfigurationError
 from repro.interconnect.torus import Torus2D
@@ -22,7 +21,12 @@ from repro.params import CacheParams
 
 
 class NucaL2:
-    """Banked, address-interleaved shared L2 with distance-aware latency."""
+    """Banked, address-interleaved shared L2 with distance-aware latency.
+
+    A run with ``SimConfig.model_l2_capacity`` builds one and replays
+    through the engine's reference path, which calls :meth:`access` on
+    every L1 miss; no generated kernel inlines it.
+    """
 
     def __init__(
         self,
@@ -75,52 +79,6 @@ class NucaL2:
     def probe(self, block: int) -> bool:
         """Residency test without state change."""
         return self._banks[self.bank_of(block)].probe(block // self.n_banks)
-
-    # ------------------------------------------------------------------
-    # Flat hot interface (the replay kernel's inlined L2 lookup)
-    # ------------------------------------------------------------------
-
-    def hot_banks(self) -> list[tuple]:
-        """Per-bank flat state tuples for the engine's inline L2 lookup.
-
-        One ``(index, tags, ages, hi, occ, set_mask, assoc)`` tuple per
-        bank: the bank cache's flat block-to-slot dict, flat tag and LRU
-        age lists, per-set high-water and occupancy lists, plus geometry
-        constants (slot = ``set * assoc + way``). Banks are always LRU
-        (enforced here), so the engine can inline the age-counter update
-        without a policy dispatch; bank access/miss/eviction statistics
-        are batched by the engine and flushed into each bank's
-        :class:`~repro.cache.stats.CacheStats` when the run ends.
-        """
-        banks = []
-        for bank in self._banks:
-            policy = bank.policy
-            if type(policy) is not LruPolicy:  # pragma: no cover - guard
-                raise ConfigurationError(
-                    f"NUCA bank {bank.name} uses {type(policy).__name__}; "
-                    "the replay kernel assumes plain LRU banks"
-                )
-            banks.append(
-                (
-                    bank._index,
-                    bank._tags,
-                    policy._age,
-                    policy._hi,
-                    bank._occ,
-                    bank._set_mask,
-                    bank.assoc,
-                )
-            )
-        return banks
-
-    def latency_table(self, core: int) -> list[int]:
-        """Per-bank access latency seen from ``core`` (hit latency plus
-        the torus round trip) — precomputed for the engine's fast path.
-        """
-        return [
-            self.hit_latency + 2 * self.torus.latency(core, bank)
-            for bank in range(self.n_banks)
-        ]
 
     def stats(self) -> CacheStats:
         """Aggregate stats across banks."""

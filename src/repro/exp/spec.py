@@ -70,23 +70,15 @@ def _canonical(config: SimConfig) -> SimConfig:
         for name in POLICY_GATED_FIELDS
         if name not in relevant
     }
-    if config.kernel != _DEFAULT_CONFIG.kernel:
-        # The replay kernel (auto or reference) never affects
-        # results — both are pinned byte-identical — so it must not
-        # fragment the result store.
-        overrides["kernel"] = _DEFAULT_CONFIG.kernel
     return replace(config, **overrides) if overrides else config
 
 
 def _render_config(config: SimConfig) -> str:
     """The canonical JSON of ``config`` that :meth:`ExperimentSpec.key`
     hashes."""
-    config_dict = _plain(_canonical(config))
-    # Result-neutral fields are dropped from the hash entirely so keys
-    # stay stable across engine versions that add them (the kernel
-    # selector was introduced after stores already existed).
-    config_dict.pop("kernel", None)
-    return json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        _plain(_canonical(config)), sort_keys=True, separators=(",", ":")
+    )
 
 
 #: :func:`_render_config` output per config ``repr``, oldest first. A
@@ -212,8 +204,8 @@ class ExperimentSpec:
     def key(self) -> str:
         """Content hash identifying this experiment's result: the
         :func:`_stable_hash` of ``{"trace": trace_key(), "config":
-        canonical config without its kernel}``, assembled from the
-        config's memoised JSON in the order ``sort_keys`` gives."""
+        canonical config}``, assembled from the config's memoised JSON
+        in the order ``sort_keys`` gives."""
         cached = self._key
         if cached is not None:
             return cached
@@ -256,16 +248,6 @@ class ExperimentSpec:
         return replace(self, config=config, label="base")
 
 
-#: Retired ``SimConfig.kernel`` names that older queues may still carry,
-#: mapped to the kernel that now runs the same (byte-identical) replay.
-_RETIRED_KERNELS = {
-    "inline": "auto",
-    "batch": "auto",
-    "specialized": "auto",
-    "fallback": "reference",
-}
-
-
 def spec_from_dict(payload: Mapping) -> ExperimentSpec:
     """Rebuild a spec from :meth:`ExperimentSpec.to_dict` output.
 
@@ -275,9 +257,9 @@ def spec_from_dict(payload: Mapping) -> ExperimentSpec:
     ``spec_from_dict(spec.to_dict()).key() == spec.key()`` — the
     round-trip a queued spec takes through ``queue.jsonl`` before a
     worker picks it up. Queues written by older versions stay drainable:
-    a retired kernel name maps to its successor (spec keys never include
-    the kernel), and the retired ``trace_id`` field is dropped when null,
-    as every declarative spec wrote it.
+    the retired ``config.kernel`` entry is dropped whatever it names
+    (spec keys never included it), and the retired ``trace_id`` field is
+    dropped when null, as every declarative spec wrote it.
 
     Raises:
         ConfigurationError: for unknown fields, a non-null ``trace_id``
@@ -302,9 +284,8 @@ def spec_from_dict(payload: Mapping) -> ExperimentSpec:
         )
     config = kw.pop("config", None)
     if config is not None:
-        kernel = config.get("kernel") if isinstance(config, Mapping) else None
-        if isinstance(kernel, str) and kernel in _RETIRED_KERNELS:
-            config = {**config, "kernel": _RETIRED_KERNELS[kernel]}
+        if isinstance(config, Mapping) and "kernel" in config:
+            config = {k: v for k, v in config.items() if k != "kernel"}
         kw["config"] = _coerce(config, SimConfig)
     try:
         return ExperimentSpec(**kw)

@@ -28,13 +28,10 @@ from repro.errors import ConfigurationError
 class MigrationDataPrefetcher:
     """Per-thread last-*n* data-block history with migration drain.
 
-    The hot state is ``_history`` (thread id -> bounded deque of recent
-    data blocks) and ``_pending`` (thread id -> set of prefetched tags
-    not yet demanded). The replay kernel resolves both once per quantum
-    (the running thread is fixed within one) and drives them directly,
-    batching ``useful``; :meth:`record_access` and :meth:`note_demand`
-    remain the reference implementation used by the engine's reference
-    path (``kernel="reference"``) and by unit tests.
+    The engine builds one when ``SimConfig.data_prefetch_n > 0`` under a
+    migrating policy, and such a run replays through its reference path,
+    which calls :meth:`record_access` and :meth:`note_demand` on every
+    data record and :meth:`blocks_for_migration` on every migration.
     """
 
     __slots__ = ("n_blocks", "_history", "issued", "useful", "_pending")

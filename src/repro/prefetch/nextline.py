@@ -17,13 +17,13 @@ from repro.cache.cache import SetAssociativeCache
 class NextLinePrefetcher:
     """Per-core next-line prefetcher state.
 
-    The whole hot state is the ``_pending`` set; the replay kernel
-    drives it directly (membership test on hits, discard on evictions,
-    add on issued prefetches) and batches the ``issued``/``useful``
-    counters per quantum. The methods below are the reference
-    implementation used by the engine's reference path
-    (``kernel="reference"``) and by unit tests; the golden suite pins
-    both bit-identical.
+    The whole hot state is the ``_pending`` set; the generated replay
+    kernel drives it directly (membership test on hits, discard on
+    evictions, add on issued prefetches) and batches the
+    ``issued``/``useful`` counters per quantum. The methods below serve
+    the engine's reference path (:func:`repro.sim.specialize.kernel_spec`
+    says when it runs) and the unit tests; the golden pins hold both
+    paths byte-identical.
     """
 
     __slots__ = ("_cache", "_pending", "issued", "useful")

@@ -17,7 +17,15 @@ from repro.sched import has_policy, policy_names
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one simulation run."""
+    """Configuration of one simulation run.
+
+    The figure registry leaves four options at their defaults:
+    ``collect_miss_classes``, ``model_l2_capacity``, ``data_prefetch_n``
+    and the L1s' ``lru`` replacement (``system.l1i.policy``,
+    ``system.l1d.policy``). A run that changes any of them replays its
+    records through the engine's reference path instead of a generated
+    record arm, 1.3-2.1x slower (:func:`repro.sim.specialize.kernel_spec`).
+    """
 
     variant: str = "base"
     system: SystemParams = field(default_factory=SystemParams)
@@ -53,14 +61,6 @@ class SimConfig:
     #: (Table 2) instead of the infinite-L2 approximation. Slower; only
     #: changes results when a workload's footprint pressures 16MB.
     model_l2_capacity: bool = False
-    #: Replay kernel. ``"auto"`` (the default) runs the generated
-    #: per-config kernel (``sim/specialize.py``) for every record;
-    #: ``"reference"`` runs the same generated scheduling loop but hands
-    #: every record to the generic ``_process_instruction`` /
-    #: ``_process_data`` reference implementation. The two are
-    #: byte-identical, so the choice never affects results (and is
-    #: excluded from experiment store keys — see ``exp/spec.py``).
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if not has_policy(self.variant):
@@ -71,7 +71,3 @@ class SimConfig:
             raise ConfigurationError("quantum must be positive")
         if self.steal_min_depth < 1:
             raise ConfigurationError("steal_min_depth must be at least 1")
-        if self.kernel not in ("auto", "reference"):
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected auto or reference"
-            )

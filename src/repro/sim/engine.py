@@ -83,11 +83,20 @@ class _ThreadState:
 
 
 class ReplayEngine:
-    """Replays one trace under one configuration. Single-use."""
+    """Replays one trace under one configuration. Single-use.
 
-    def __init__(self, trace: Trace, config: SimConfig) -> None:
+    ``reference=True`` hands every record to :meth:`_process_instruction`
+    / :meth:`_process_data` even where the configuration has a generated
+    record arm: the tests compare the two paths this way. It never
+    changes a result.
+    """
+
+    def __init__(
+        self, trace: Trace, config: SimConfig, reference: bool = False
+    ) -> None:
         self.trace = trace
         self.config = config
+        self._reference = reference
         system = config.system
         self.timing_base = system
 
@@ -438,9 +447,11 @@ class ReplayEngine:
 
         The TLB has already been consulted by the caller (the kernel's
         TLB lookup runs for every record); this path owns everything
-        from the L1 down. It is the reference implementation that
-        ``kernel="reference"`` routes every record through; the
-        generated fast path must match it byte for byte.
+        from the L1 down. It is the only implementation of the miss
+        classifiers, the banked NUCA L2, the migration data prefetcher
+        and non-LRU L1 replacement: :func:`repro.sim.specialize.kernel_spec`
+        sends every configuration that uses one of them here. For the
+        rest, the generated record arms must match it byte for byte.
         """
         machine = self.machine
         timing = self.timing
@@ -613,7 +624,7 @@ class ReplayEngine:
         self._ran = True
         self._pending_target: Optional[int] = None
         self._admit_threads(now=0)
-        kernel_for(kernel_spec(self.config))(self)
+        kernel_for(kernel_spec(self.config, self._reference))(self)
         if self.completed != len(self.threads):
             raise SimulationError(
                 f"run ended with {self.completed}/{len(self.threads)} "

@@ -4,40 +4,39 @@
 calls the kernel generated here for its configuration, and collects the
 results. Everything in between — the event heap, thread dispatch, every
 trace record, the per-quantum counter flush and the scheduling tail — is
-generated code, and the generator below is the only copy of the hot path.
+generated code.
 
 Generation is a small partial evaluator. A :class:`KernelSpec` holds the
 structural facts of a configuration that decide which code exists at
-all: the scheduling policy's capability flags, the miss-classifier,
-banked-NUCA and data-prefetch toggles, whether each L1 is plain LRU, and
-whether the run asked for the reference path. :func:`generate_source`
-emits the loop with every arm those facts rule out deleted. Run
-constants — the quantum, timing penalties, cache geometry, SLICC
-thresholds — are bound from the engine once in the kernel's prologue,
-so configurations that differ only in numbers share one kernel.
-:func:`kernel_for` compiles each spec once per process and memoises it;
-the Runner fills the memo before forking so pool workers inherit it.
+all: the scheduling policy's capability flags, and whether the run
+takes the reference path. :func:`generate_source` emits the loop with
+every arm those facts rule out deleted. Run constants — the quantum,
+timing penalties, cache geometry, SLICC thresholds — are bound from the
+engine once in the kernel's prologue, so configurations that differ only
+in numbers share one kernel. :func:`kernel_for` compiles each spec once
+per process and memoises it; the Runner fills the memo before forking so
+pool workers inherit it.
 
-Each L1 arm comes in two forms: plain LRU, inlined on the policy's flat
-age lists, and generic, calling the replacement policy's ``on_hit`` /
-``on_miss`` / ``choose_victim`` / ``on_fill`` exactly as
-:meth:`SetAssociativeCache.access_fast` does, so every replacement
-policy runs on the fast path.
+The generated record arms cover the paper's evaluated machine: plain
+LRU L1s, the effectively infinite L2, no miss classifier and no
+migration data prefetcher. A configuration with any of those four
+options takes the reference path (:func:`kernel_spec`): the generated
+scheduling loop and TLB lookups, with every record handed to
+``ReplayEngine._process_instruction`` / ``_process_data``, the one
+implementation of those options. A test asks for the reference path on
+any configuration with ``ReplayEngine(trace, config, reference=True)``;
+the golden pins and ``tests/test_hot_path.py`` hold the two paths
+byte-identical where both run.
 
-``kernel="reference"`` keeps the generated scheduling loop and TLB
-lookups but hands every record to ``ReplayEngine._process_instruction``
-/ ``_process_data``, the independent reference implementation of the
-per-record cache and tracker work. The golden pins and
-``tests/test_hot_path.py`` hold the two byte-identical.
-
-``REPRO_SPECIALIZE_DUMP=<dir>`` writes every generated module to
-``<dir>/<signature>.py``: the way to read the hot loop.
+``print(generate_source(kernel_spec(config)))`` prints a configuration's
+kernel. A compiled kernel's source is registered with :mod:`linecache`
+under its ``<specialized:SIGNATURE>`` filename, so tracebacks, ``pdb``
+and :func:`inspect.getsource` show the generated lines.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Callable, NamedTuple
 
 from repro.sched import SchedulingPolicy, get_policy
@@ -53,7 +52,9 @@ class KernelSpec(NamedTuple):
 
     Configurations with equal specs share one kernel. Numeric knobs
     (quantum, thresholds, geometry, latencies) never appear here: the
-    kernel reads them from the engine when it starts.
+    kernel reads them from the engine when it starts. Nor do the
+    options the generated record arms leave out; each of them sets
+    ``reference`` (:func:`kernel_spec`).
     """
 
     #: SLICC agents and bloom signatures (``slicc_machinery``).
@@ -66,22 +67,21 @@ class KernelSpec(NamedTuple):
     on_start: bool
     #: The policy decides in ``quantum_end`` (``quantum_hook``).
     quantum_hook: bool
-    #: ``collect_miss_classes``.
-    classify: bool
-    #: ``model_l2_capacity`` (the banked NUCA L2).
-    nuca: bool
-    #: ``data_prefetch_n > 0`` under a migrating policy.
-    data_prefetch: bool
-    #: Each L1 is plain LRU (inlined age counters, not policy calls).
-    l1i_lru: bool
-    l1d_lru: bool
-    #: ``kernel="reference"``: records go through ``_process_*``.
+    #: Records go through ``ReplayEngine._process_*`` (see
+    #: :func:`kernel_spec` for when).
     reference: bool
 
 
-def kernel_spec(config) -> KernelSpec:
+def kernel_spec(config, reference: bool = False) -> KernelSpec:
     """The :class:`KernelSpec` of a :class:`~repro.sim.config.SimConfig`
-    (a pure function of the config: no engine or trace needed)."""
+    (a pure function of the config: no engine or trace needed).
+
+    The spec takes the reference path when ``reference`` asks for it,
+    and for every configuration with an option the generated arms leave
+    out: ``collect_miss_classes``, ``model_l2_capacity``,
+    ``data_prefetch_n > 0`` under a migrating policy (the condition on
+    which the engine builds the prefetcher), or a non-``lru`` L1.
+    """
     policy = get_policy(config.variant)
     system = config.system
     l1i = policy.l1i_params(system) or system.l1i
@@ -92,17 +92,20 @@ def kernel_spec(config) -> KernelSpec:
         on_start=policy.on_thread_start
         is not SchedulingPolicy.on_thread_start,
         quantum_hook=policy.quantum_hook,
-        classify=bool(config.collect_miss_classes),
-        nuca=bool(config.model_l2_capacity),
-        data_prefetch=config.data_prefetch_n > 0 and policy.migrates,
-        l1i_lru=l1i.policy == "lru",
-        l1d_lru=system.l1d.policy == "lru",
-        reference=config.kernel == "reference",
+        reference=bool(
+            reference
+            or config.collect_miss_classes
+            or config.model_l2_capacity
+            or (config.data_prefetch_n > 0 and policy.migrates)
+            or l1i.policy != "lru"
+            or system.l1d.policy != "lru"
+        ),
     )
 
 
 def signature(spec: KernelSpec) -> str:
-    """Short stable content signature of a spec (dump file names)."""
+    """Short stable content signature of a spec (the kernel's
+    ``<specialized:SIGNATURE>`` filename)."""
     return hashlib.sha256(repr(spec).encode("utf-8")).hexdigest()[:16]
 
 
@@ -148,15 +151,8 @@ def _lru_stamp(c: str, set_var: str, slot_var: str) -> str:
     )
 
 
-def _hit(c: str, lru: bool) -> str:
-    if lru:
-        return _lru_stamp(c, "set_idx", "slot")
-    return f"{c}_on_hit(set_idx, slot - set_idx * {c}_assoc)\n"
-
-
 def _fill(
     c: str,
-    lru: bool,
     evict: str,
     count: str,
     set_var: str = "set_idx",
@@ -164,17 +160,13 @@ def _fill(
     base_var: str = "base",
     block_var: str = "block",
 ) -> str:
-    """``SetAssociativeCache._fill``: way ``w`` of set ``s`` is slot
-    ``s * assoc + w`` of the flat lists; ``evict`` runs on the victim."""
-    if lru:
-        choose = (
-            f"{slot_var} = {c}_ages.index("
-            f"min({c}_ages[{base_var} : {base_var} + {c}_assoc]), {base_var})\n"
-        )
-        stamp = _lru_stamp(c, set_var, slot_var)
-    else:
-        choose = f"{slot_var} = {base_var} + {c}_choose_victim({set_var})\n"
-        stamp = f"{c}_on_fill({set_var}, {slot_var} - {base_var})\n"
+    """``SetAssociativeCache._fill`` on an LRU cache: way ``w`` of set
+    ``s`` is slot ``s * assoc + w`` of the flat lists; ``evict`` runs on
+    the victim."""
+    choose = (
+        f"{slot_var} = {c}_ages.index("
+        f"min({c}_ages[{base_var} : {base_var} + {c}_assoc]), {base_var})\n"
+    )
     return (
         f"{base_var} = {set_var} * {c}_assoc\n"
         f"if {c}_occ[{set_var}] < {c}_assoc:\n"
@@ -188,7 +180,7 @@ def _fill(
         + _indent(evict)
         + f"{c}_tags[{slot_var}] = {block_var}\n"
         f"{c}_index[{block_var}] = {slot_var}\n"
-        + stamp
+        + _lru_stamp(c, set_var, slot_var)
     )
 
 
@@ -227,76 +219,6 @@ _DIR_WRITE = (
 )
 
 
-def _classify(p: str, miss: bool) -> str:
-    """``MissClassifier.observe`` on the fully-associative shadow; a miss
-    also counts its three-C class. ``p`` is ``i`` or ``d``."""
-    shadow = f"{p}cls_shadow"
-    if not miss:
-        return (
-            f"if block in {shadow}:\n"
-            f"    {shadow}.move_to_end(block)\n"
-            "else:\n"
-            f"    {shadow}[block] = None\n"
-            f"    if len({shadow}) > {p}cls_cap:\n"
-            f"        {shadow}.popitem(last=False)\n"
-        )
-    return (
-        f"if block in {shadow}:\n"
-        f"    {shadow}.move_to_end(block)\n"
-        f"    if block not in {p}cls_seen:\n"
-        f"        {p}cls_seen.add(block)\n"
-        f"        {p}cls_comp += 1\n"
-        "    else:\n"
-        f"        {p}cls_conf += 1\n"
-        "else:\n"
-        f"    {shadow}[block] = None\n"
-        f"    if len({shadow}) > {p}cls_cap:\n"
-        f"        {shadow}.popitem(last=False)\n"
-        f"    if block not in {p}cls_seen:\n"
-        f"        {p}cls_seen.add(block)\n"
-        f"        {p}cls_comp += 1\n"
-        "    else:\n"
-        f"        {p}cls_capc += 1\n"
-    )
-
-
-def _nuca(on_hit: str, on_miss: str) -> str:
-    """``NucaL2.access``: a plain-LRU lookup in the block's bank, with
-    bank statistics batched until the run ends. The infinite-L2 seen-set
-    is not consulted, as in the reference path."""
-    return (
-        "bank = block % n_banks\n"
-        "local = block // n_banks\n"
-        "b_index, b_tags, b_ages, b_hi, b_occ, b_mask, b_assoc = nuca_hot[bank]\n"
-        "nuca_acc[bank] += 1\n"
-        "b_set = local & b_mask\n"
-        "b_slot = b_index.get(local)\n"
-        "if b_slot is not None:\n"
-        "    h = b_hi[b_set] + 1\n"
-        "    b_hi[b_set] = h\n"
-        "    b_ages[b_slot] = h\n"
-        f"    {on_hit}\n"
-        "else:\n"
-        "    nuca_miss_ct[bank] += 1\n"
-        "    b_base = b_set * b_assoc\n"
-        "    if b_occ[b_set] < b_assoc:\n"
-        "        b_slot = b_tags.index(None, b_base)\n"
-        "        b_occ[b_set] += 1\n"
-        "    else:\n"
-        "        b_slot = b_ages.index(\n"
-        "            min(b_ages[b_base : b_base + b_assoc]), b_base\n"
-        "        )\n"
-        "        del b_index[b_tags[b_slot]]\n"
-        "        nuca_ev[bank] += 1\n"
-        "    b_tags[b_slot] = local\n"
-        "    b_index[local] = b_slot\n"
-        "    h = b_hi[b_set] + 1\n"
-        "    b_hi[b_set] = h\n"
-        "    b_ages[b_slot] = h\n"
-        f"    {on_miss}\n"
-    )
-
-
 def _msv_record(bit: int) -> str:
     """``MissShiftVector.record`` on the local mirrors ``msv_n`` (length)
     and ``msv_ones`` (popcount), flushed at quantum end."""
@@ -311,9 +233,7 @@ def _msv_record(bit: int) -> str:
 
 def _instruction(s: KernelSpec) -> str:
     """The fast path of one instruction record, after its TLB lookup."""
-    hit = _hit("l1i", s.l1i_lru)
-    if s.classify:
-        hit += _classify("i", miss=False)
+    hit = _lru_stamp("l1i", "set_idx", "slot")
     if s.nextline:
         # consume_if_prefetched: the hit used an in-flight prefetch.
         hit += (
@@ -330,17 +250,13 @@ def _instruction(s: KernelSpec) -> str:
         "slot = l1i_index.get(block)\n"
         "if slot is not None:\n" + _indent(hit + "continue\n") + "i_m += 1\n"
     )
-    if s.classify:
-        out += _classify("i", miss=True)
-    if not s.l1i_lru:
-        out += "l1i_on_miss(set_idx)\n"
     if s.nextline:
         evict = "pf_pending.discard(victim)\n"
     elif s.slicc:
         evict = _SIG_EVICT
     else:
         evict = ""
-    fill = _fill("l1i", s.l1i_lru, evict, "i_ev")
+    fill = _fill("l1i", evict, "i_ev")
     if s.slicc:
         # Segment protection (see ReplayEngine._process_instruction):
         # once the MC saturates, only one in BYPASS_REPAIR_RATE misses
@@ -356,18 +272,13 @@ def _instruction(s: KernelSpec) -> str:
         )
     else:
         out += fill
-    if s.nuca:
-        out += _nuca(
-            "i_stall_cycles += nuca_ipen[bank]", "i_stall_cycles += i_miss_mem"
-        )
-    else:
-        out += (
-            "if block in l2_seen:\n"
-            "    i_stall_cycles += i_miss_l2\n"
-            "else:\n"
-            "    l2_seen.add(block)\n"
-            "    i_stall_cycles += i_miss_mem\n"
-        )
+    out += (
+        "if block in l2_seen:\n"
+        "    i_stall_cycles += i_miss_l2\n"
+        "else:\n"
+        "    l2_seen.add(block)\n"
+        "    i_stall_cycles += i_miss_mem\n"
+    )
     if s.slicc:
         out += "if fill:\n    sig_masks[block & sig_imask] |= sig_bit\n"
     if s.nextline:
@@ -376,7 +287,6 @@ def _instruction(s: KernelSpec) -> str:
         # demand access: no access/miss counts, no on_miss).
         install = _fill(
             "l1i",
-            s.l1i_lru,
             "pf_pending.discard(victim)\n",
             "i_ev",
             "n_set",
@@ -433,42 +343,24 @@ def _instruction(s: KernelSpec) -> str:
     return out + "continue\n"
 
 
-def _data(s: KernelSpec) -> str:
+def _data() -> str:
     """The fast path of one data record, after its TLB lookup."""
-    hit = _hit("l1d", s.l1d_lru)
-    if s.classify:
-        hit += _classify("d", miss=False)
-    hit += "if k == 2:\n" + _indent(_DIR_WRITE) + "continue\n"
-    # MigrationDataPrefetcher.record_access on the thread's history ring.
-    out = "dp_hist.append(block)\n" if s.data_prefetch else ""
-    out += (
+    hit = (
+        _lru_stamp("l1d", "set_idx", "slot")
+        + "if k == 2:\n"
+        + _indent(_DIR_WRITE)
+        + "continue\n"
+    )
+    return (
         "set_idx = block & l1d_set_mask\n"
         "slot = l1d_index.get(block)\n"
         "if slot is not None:\n" + _indent(hit) + "d_m += 1\n"
-    )
-    if s.data_prefetch:
-        # note_demand: the miss consumed a block a migration shipped.
-        out += (
-            "if dp_pending and block in dp_pending:\n"
-            "    dp_pending.discard(block)\n"
-            "    dp_useful += 1\n"
-        )
-    if s.classify:
-        out += _classify("d", miss=True)
-    if not s.l1d_lru:
-        out += "l1d_on_miss(set_idx)\n"
-    out += _fill("l1d", s.l1d_lru, _DIR_EVICT, "d_ev")
-    if s.nuca:
-        out += _nuca("in_l2 = True", "in_l2 = False")
-    else:
-        out += (
-            "if block in l2_seen:\n"
-            "    in_l2 = True\n"
-            "else:\n"
-            "    l2_seen.add(block)\n"
-            "    in_l2 = False\n"
-        )
-    return out + (
+        + _fill("l1d", _DIR_EVICT, "d_ev")
+        + "if block in l2_seen:\n"
+        "    in_l2 = True\n"
+        "else:\n"
+        "    l2_seen.add(block)\n"
+        "    in_l2 = False\n"
         "if k == 2:\n"
         "    d_stall_cycles += d_store_l2 if in_l2 else d_store_mem\n"
         + _indent(_DIR_WRITE)
@@ -494,7 +386,7 @@ def _core_fields(s: KernelSpec) -> list[tuple[str, str]]:
     ]
     if s.reference:
         return fields
-    for c, lru in (("l1i", s.l1i_lru), ("l1d", s.l1d_lru)):
+    for c in ("l1i", "l1d"):
         fields += [
             (f"{c}_{name}", f"{c}.{attr}")
             for name, attr in (
@@ -502,18 +394,10 @@ def _core_fields(s: KernelSpec) -> list[tuple[str, str]]:
                 ("tags", "_tags"),
                 ("occ", "_occ"),
                 ("stats", "stats"),
+                ("ages", "policy._age"),
+                ("hi", "policy._hi"),
             )
         ]
-        if lru:
-            fields += [
-                (f"{c}_ages", f"{c}.policy._age"),
-                (f"{c}_hi", f"{c}.policy._hi"),
-            ]
-        else:
-            fields += [
-                (f"{c}_{hook}", f"{c}.policy.{hook}")
-                for hook in ("on_hit", "on_miss", "choose_victim", "on_fill")
-            ]
     if s.slicc:
         fields += [
             ("sig_bit", "1 << core"),
@@ -529,17 +413,6 @@ def _core_fields(s: KernelSpec) -> list[tuple[str, str]]:
         ]
     if s.nextline:
         fields += [("pf", "pf"), ("pf_pending", "pf._pending")]
-    if s.classify:
-        for p in "id":
-            fields += [
-                (f"{p}_cls", f"{p}_cls"),
-                (f"{p}cls_shadow", f"{p}_cls._shadow"),
-                (f"{p}cls_seen", f"{p}_cls._seen"),
-            ]
-    if s.nuca:
-        fields.append(
-            ("nuca_ipen", "[lat + refill for lat in nuca.latency_table(core)]")
-        )
     return fields
 
 
@@ -586,10 +459,6 @@ def generate_source(spec: KernelSpec) -> str:
         '"""\n'
         "import heapq"
     )
-    if fast and s.data_prefetch:
-        e.emit("from collections import deque")
-    if fast and s.classify:
-        e.emit("from repro.cache.classify import MissClass")
     if fast and s.slicc:
         e.emit("from repro.sim.engine import BYPASS_REPAIR_RATE")
     e.emit("from repro.errors import SimulationError\n\n")
@@ -673,34 +542,6 @@ def generate_source(spec: KernelSpec) -> str:
             )
         if s.nextline:
             e.emit("pf_late = timing.prefetch_late(True)", 1)
-        if s.classify:
-            e.emit(
-                "icls_cap = engine.i_classifiers[0].capacity_blocks\n"
-                "dcls_cap = engine.d_classifiers[0].capacity_blocks\n"
-                "COMPULSORY = MissClass.COMPULSORY\n"
-                "CAPACITY = MissClass.CAPACITY\n"
-                "CONFLICT = MissClass.CONFLICT",
-                1,
-            )
-        if s.nuca:
-            e.emit(
-                "nuca = machine.nuca\n"
-                "nuca_hot = nuca.hot_banks()\n"
-                "n_banks = nuca.n_banks\n"
-                "nuca_acc = [0] * n_banks\n"
-                "nuca_miss_ct = [0] * n_banks\n"
-                "nuca_ev = [0] * n_banks\n"
-                "refill = machine.system.frontend_refill_cycles",
-                1,
-            )
-        if s.data_prefetch:
-            e.emit(
-                "dp = engine.data_prefetcher\n"
-                "dp_history = dp._history\n"
-                "dp_pending_map = dp._pending\n"
-                "dp_n_blocks = dp.n_blocks",
-                1,
-            )
     fields = _core_fields(s)
     per_core = "itlb = machine.itlb[core]\ndtlb = machine.dtlb[core]\n"
     if fast:
@@ -709,11 +550,6 @@ def generate_source(spec: KernelSpec) -> str:
         per_core += f"agent = {agents}[core]\n"
     if fast and s.nextline:
         per_core += "pf = engine.prefetchers[core]\n"
-    if fast and s.classify:
-        per_core += (
-            "i_cls = engine.i_classifiers[core]\n"
-            "d_cls = engine.d_classifiers[core]\n"
-        )
     per_core += (
         "hot_all.append((\n"
         + "".join(f"    {expr},\n" for _, expr in fields)
@@ -790,24 +626,6 @@ def generate_source(spec: KernelSpec) -> str:
             e.emit("msv_n = len(msv_bits)\nmsv_ones = msv._ones", 2)
         if s.nextline:
             e.emit("pf_issued = pf_useful = i_pf = 0", 2)
-        if s.classify:
-            e.emit(
-                "icls_comp = icls_capc = icls_conf = 0\n"
-                "dcls_comp = dcls_capc = dcls_conf = 0",
-                2,
-            )
-        if s.data_prefetch:
-            # The running thread is fixed for the quantum: resolve its
-            # history ring and pending set once.
-            e.emit(
-                "dp_useful = 0\n"
-                "dp_hist = dp_history.get(thread_id)\n"
-                "if dp_hist is None:\n"
-                "    dp_hist = deque(maxlen=dp_n_blocks)\n"
-                "    dp_history[thread_id] = dp_hist\n"
-                "dp_pending = dp_pending_map.get(thread_id)",
-                2,
-            )
 
     # --- the records of one quantum -----------------------------------
     e.emit(
@@ -838,7 +656,7 @@ def generate_source(spec: KernelSpec) -> str:
     else:
         e.emit(_instruction(s), 4)
         e.emit(_tlb("d"), 3)
-        e.emit(_data(s), 3)
+        e.emit(_data(), 3)
 
     # --- quantum flush -------------------------------------------------
     e.emit("state.pos = pos", 2)
@@ -863,18 +681,6 @@ def generate_source(spec: KernelSpec) -> str:
                 "l1i_stats.prefetch_fills += i_pf",
                 2,
             )
-        if s.classify:
-            for p, n in (("i", "i_n"), ("d", "d_n")):
-                e.emit(
-                    f"{p}_cls.accesses += {n}\n"
-                    f"counts = {p}_cls.counts\n"
-                    f"counts[COMPULSORY] += {p}cls_comp\n"
-                    f"counts[CAPACITY] += {p}cls_capc\n"
-                    f"counts[CONFLICT] += {p}cls_conf",
-                    2,
-                )
-        if s.data_prefetch:
-            e.emit("if dp_useful:\n    dp.useful += dp_useful", 2)
     e.emit(
         "itlb.accesses += i_n\n"
         "itlb.misses += itlb_m\n"
@@ -925,22 +731,11 @@ def generate_source(spec: KernelSpec) -> str:
         "    activate(core, clocks[core])",
         2,
     )
-
-    if fast and s.nuca:
-        e.emit(
-            "\n"
-            "for bank, cache in enumerate(nuca._banks):\n"
-            "    stats = cache.stats\n"
-            "    stats.accesses += nuca_acc[bank]\n"
-            "    stats.misses += nuca_miss_ct[bank]\n"
-            "    stats.evictions += nuca_ev[bank]",
-            1,
-        )
     return e.source()
 
 
 # ----------------------------------------------------------------------
-# Compilation, memoisation and dump
+# Compilation and memoisation
 # ----------------------------------------------------------------------
 
 #: Process-wide kernel memo. The Runner fills it before forking so pool
@@ -954,23 +749,29 @@ def clear_cache() -> None:
 
 
 def kernel_for(spec: KernelSpec) -> Callable:
-    """The compiled kernel for ``spec`` (memoised per process)."""
+    """The compiled kernel for ``spec`` (memoised per process).
+
+    The first compile registers the source with :mod:`linecache` under
+    the kernel's filename, so tracebacks, ``pdb`` and
+    :func:`inspect.getsource` show the generated lines.
+    """
     fn = _KERNEL_CACHE.get(spec)
-    dump_dir = os.environ.get("REPRO_SPECIALIZE_DUMP")
-    if fn is not None and not dump_dir:
+    if fn is not None:
         return fn
+    import linecache
+
     sig = signature(spec)
     source = generate_source(spec)
-    if dump_dir:
-        from pathlib import Path
-
-        out = Path(dump_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{sig}.py"
-        if not path.exists():
-            path.write_text(source)
-    if fn is None:
-        namespace: dict = {"__name__": f"repro_specialized_{sig}"}
-        exec(compile(source, f"<specialized:{sig}>", "exec"), namespace)
-        fn = _KERNEL_CACHE[spec] = namespace["kernel"]
+    filename = f"<specialized:{sig}>"
+    # An mtime of None marks the entry as not backed by a file, so
+    # linecache.checkcache keeps it.
+    linecache.cache[filename] = (
+        len(source),
+        None,
+        source.splitlines(keepends=True),
+        filename,
+    )
+    namespace: dict = {"__name__": f"repro_specialized_{sig}"}
+    exec(compile(source, filename, "exec"), namespace)
+    fn = _KERNEL_CACHE[spec] = namespace["kernel"]
     return fn

@@ -42,12 +42,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_kernel_dump(monkeypatch):
-    # A kernel dump regenerates the kernel source on every run.
-    monkeypatch.delenv("REPRO_SPECIALIZE_DUMP", raising=False)
-
-
 def test_bytecodes_equal_the_pin():
     measured = measure()
     assert measured == PIN, (

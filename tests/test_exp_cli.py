@@ -95,6 +95,18 @@ class TestExpCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("where", ["overrides", "axes"])
+    def test_exp_rejects_the_retired_kernel_field(self, where, tmp_path, capsys):
+        """``kernel`` is no longer a config field (a test picks the
+        reference path with an engine argument): a spec file that names
+        it is refused as an unknown field."""
+        value = "reference" if where == "overrides" else ["auto", "reference"]
+        payload = dict(SMOKE_EXP, **{where: {"kernel": value}})
+        rc = main(["exp", write_specfile(tmp_path, payload)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'kernel'" in err
+
     @pytest.mark.parametrize(
         "flag,value",
         [("--timeout", "0"), ("--timeout", "-1"), ("--jobs", "0"),

@@ -460,14 +460,12 @@ class TestKeyMemo:
 
 def _formula_key(spec):
     """The key as a plain ``_stable_hash`` of the trace key and the
-    canonical config without its kernel: the formula every store row
-    was written under."""
+    canonical config: the formula every store row was written under."""
     from dataclasses import asdict
 
     from repro.exp.spec import _stable_hash
 
     config = asdict(spec.canonical_config())
-    del config["kernel"]
     return _stable_hash({"trace": spec.trace_key(), "config": config})
 
 
@@ -513,6 +511,10 @@ class TestKeyFormula:
         assert len({s.key() for s in specs if s.variant == "base"}) == 1
 
     def test_reference_kernel_shares_the_auto_key(self):
+        """Payloads queued while configs had a ``kernel`` field carry
+        ``auto`` or ``reference``; both rebuild onto the formula's key."""
+        from repro.exp.spec import spec_from_dict
+
         for spec in (
             ExperimentSpec("tpce", scale="smoke", seed=3),
             ExperimentSpec(
@@ -522,9 +524,11 @@ class TestKeyFormula:
                 seed=7,
             ),
         ):
-            auto = with_overrides(spec, {"kernel": "auto"})
-            reference = with_overrides(spec, {"kernel": "reference"})
-            assert reference.key() == _formula_key(reference) == auto.key()
+            for kernel in ("auto", "reference"):
+                payload = spec.to_dict()
+                payload["config"]["kernel"] = kernel
+                rebuilt = spec_from_dict(payload)
+                assert rebuilt.key() == _formula_key(spec) == spec.key()
 
     @pytest.mark.parametrize("first", ["int", "float"])
     def test_equal_configs_of_other_types_keep_their_own_keys(

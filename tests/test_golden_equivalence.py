@@ -27,8 +27,8 @@ from repro.workloads import standard_trace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# The golden grid — variants, workloads, seed, and the prefetcher/
-# classifier/NUCA/data-prefetch config pins — is defined once in
+# The golden grid — variants, workloads, seed, and the classifier/NUCA/
+# data-prefetch/non-LRU-L1 config pins — is defined once in
 # scripts/dump_golden.py (the tool that records the fixtures); import it
 # so the pinned set and the regeneration script cannot drift apart.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -84,8 +84,8 @@ def test_byte_identical_to_seed_engine(golden_traces, workload, variant):
 )
 @pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
 def test_config_pins_byte_identical(golden_traces, workload, name, kwargs):
-    """Prefetcher/classifier/NUCA configurations are pinned too, so the
-    PR 3 inline fast paths cannot drift from the reference semantics."""
+    """The options only the reference path implements (miss classes,
+    the NUCA L2, the data prefetcher, non-LRU L1s) are pinned too."""
     golden = (GOLDEN_DIR / f"{workload}__cfg-{name}.json").read_text().strip()
     result = simulate(golden_traces[workload], config=SimConfig(**kwargs))
     assert result_to_json(result) == golden

@@ -6,8 +6,10 @@ allocation-free cache access, the age-counter LRU backend, the
 transposed bloom store — against small hand-checkable scenarios, and
 the generated replay kernel (``repro.sim.specialize``) against the
 ``_process_instruction`` / ``_process_data`` reference path on every
-arm it emits: the next-line prefetcher, the miss classifiers, the
-banked NUCA L2, the migration data prefetcher and non-LRU L1s.
+arm it emits (plain-LRU fills and evictions, the next-line prefetcher,
+the SLICC and STEPS trackers), and the rule that sends the miss
+classifiers, the banked NUCA L2, the migration data prefetcher and
+non-LRU L1s to the reference path instead.
 """
 
 from __future__ import annotations
@@ -189,15 +191,50 @@ def _l1_policies(l1i: str = "lru", l1d: str = "lru") -> SystemParams:
     )
 
 
-#: One configuration per generated arm of the quantum loop, plus the
-#: combinations: next-line prefetcher (consume/issue/evict), I+D miss
-#: classifiers (shadow LRU + three-C counts), banked NUCA (both record
-#: kinds), the migration data prefetcher (history/pending), non-LRU L1s
-#: (the generic replacement arms, alone, under the prefetcher's installs
-#: and under SLICC's bypass and bloom evictions), and each of them
-#: stacked on the SLICC/STEPS tracker paths.
+#: Small plain-LRU L1s: eviction pressure on both generated fill arms.
+_SMALL_L1S = SystemParams(
+    l1i=CacheParams(size_bytes=8 * 1024, assoc=2),
+    l1d=CacheParams(size_bytes=4 * 1024, assoc=8),
+)
+
+#: Low tracker thresholds: SLICC migrates and STEPS switches often.
+_LOW_THRESHOLDS = SliccParams(fill_up_t=64, matched_t=2, dilution_t=3)
+
+#: Four cores for eight smoke threads: STEPS has peers queued to switch
+#: to (on sixteen cores each thread has a core of its own).
+_FOUR_CORES = SystemParams(n_cores=4, torus_width=2)
+
+#: Configurations on the axes the generator still specialises or binds
+#: at run time — the policy, the quantum, plain-LRU geometry and the
+#: SLICC thresholds — each of which runs a generated kernel: the
+#: next-line prefetcher (consume/issue/evict), short quanta (more
+#: flushes and dispatches), small L1s under the prefetcher's installs
+#: and under SLICC's bypass and bloom evictions, and the tracker arms
+#: under frequent migrations and context switches.
 FAST_PATH_CONFIGS = (
     ("nextline", {}),
+    ("slicc-quantum-7", {"variant": "slicc", "quantum": 7}),
+    ("base-small-l1s", {"variant": "base", "system": _SMALL_L1S}),
+    ("nextline-small-l1s", {"system": _SMALL_L1S}),
+    ("slicc-small-l1s", {"variant": "slicc", "system": _SMALL_L1S}),
+    ("slicc-sw-low-thresholds", {"variant": "slicc-sw", "slicc": _LOW_THRESHOLDS}),
+    (
+        "steps-low-thresholds",
+        {
+            "variant": "steps",
+            "quantum": 20,
+            "slicc": _LOW_THRESHOLDS,
+            "system": _FOUR_CORES,
+        },
+    ),
+)
+
+#: Configurations with an option the generated record arms leave out —
+#: the miss classifiers, the banked NUCA L2, the migration data
+#: prefetcher, a non-LRU L1 — alone and stacked on the SLICC/STEPS
+#: tracker paths. Each takes the reference path; the golden pins hold
+#: its results.
+REFERENCE_PATH_CONFIGS = (
     ("base-classify", {"variant": "base", "collect_miss_classes": True}),
     ("pif-classify", {"variant": "pif", "collect_miss_classes": True}),
     ("slicc-classify", {"variant": "slicc", "collect_miss_classes": True}),
@@ -248,22 +285,28 @@ def matrix_trace():
     return standard_trace("tpcc-1", ScalePreset.SMOKE, seed=3)
 
 
-def _config(kwargs: dict, kernel: str = "auto") -> SimConfig:
-    return SimConfig(**{"variant": "nextline", **kwargs, "kernel": kernel})
+def _config(kwargs: dict) -> SimConfig:
+    return SimConfig(**{"variant": "nextline", **kwargs})
 
 
-def _forbid_reference(engine: ReplayEngine) -> ReplayEngine:
-    """Make any record that reaches the reference path fail the run."""
+class _ReachedReference(Exception):
+    """A record reached ``_process_instruction`` or ``_process_data``."""
 
-    def forbidden(*args):
-        raise AssertionError("a record took the reference path")
 
-    engine._process_instruction = engine._process_data = forbidden
+def _stop_at_reference(engine: ReplayEngine) -> ReplayEngine:
+    """Make the first record that reaches the reference path end the run
+    with :class:`_ReachedReference`."""
+
+    def reached(*args):
+        raise _ReachedReference
+
+    engine._process_instruction = engine._process_data = reached
     return engine
 
 
-def _run(trace, kwargs, kernel: str) -> str:
-    return result_to_json(ReplayEngine(trace, _config(kwargs, kernel)).run())
+def _run(trace, kwargs, reference: bool = False) -> str:
+    engine = ReplayEngine(trace, _config(kwargs), reference=reference)
+    return result_to_json(engine.run())
 
 
 def _one_thread(blocks) -> Trace:
@@ -280,8 +323,8 @@ class TestFastVsFallbackMatrix:
         ids=[name for name, _ in FAST_PATH_CONFIGS],
     )
     def test_inline_matches_reference(self, matrix_trace, name, kwargs):
-        assert _run(matrix_trace, kwargs, "auto") == _run(
-            matrix_trace, kwargs, "reference"
+        assert _run(matrix_trace, kwargs) == _run(
+            matrix_trace, kwargs, reference=True
         )
 
     def test_prefetch_install_eviction_drops_pending(self):
@@ -293,7 +336,7 @@ class TestFastVsFallbackMatrix:
             "system": SystemParams(l1i=CacheParams(size_bytes=128, assoc=1)),
         }
         trace = _one_thread([0, 2, 1, 1])
-        assert _run(trace, kwargs, "auto") == _run(trace, kwargs, "reference")
+        assert _run(trace, kwargs) == _run(trace, kwargs, reference=True)
 
     def test_stay_resyncs_tracker_mirrors(self):
         """On a one-core machine every SLICC evaluation ends in STAY,
@@ -308,48 +351,72 @@ class TestFastVsFallbackMatrix:
         }
         trace = _one_thread(range(0, 40 * 64, 64))
         assert ReplayEngine(trace, _config(kwargs)).run().stay_decisions > 1
-        assert _run(trace, kwargs, "auto") == _run(trace, kwargs, "reference")
+        assert _run(trace, kwargs) == _run(trace, kwargs, reference=True)
 
 
 class TestFastPathCoverage:
-    def test_nuca_prefetcher_combo_takes_fast_path(self, matrix_trace):
-        """Regression: a NUCA+prefetcher combination runs the generated
-        fast arms, not the slow reference path."""
-        engine = ReplayEngine(
-            matrix_trace,
-            SimConfig(variant="nextline", model_l2_capacity=True),
-        )
-        assert engine.prefetchers is not None
-        assert engine.machine.nuca is not None
-        _forbid_reference(engine).run()
-
     @pytest.mark.parametrize(
         "name,kwargs",
         FAST_PATH_CONFIGS,
         ids=[name for name, _ in FAST_PATH_CONFIGS],
     )
     def test_every_config_is_fast(self, matrix_trace, name, kwargs):
+        """No record of a FAST_PATH_CONFIGS row reaches the reference
+        path, so the matrix above compares two implementations."""
         engine = ReplayEngine(matrix_trace, _config(kwargs))
-        result = _forbid_reference(engine).run()
+        result = _stop_at_reference(engine).run()
         assert result.threads_completed == len(matrix_trace.threads)
 
-    def test_nuca_bank_stats_flushed(self, matrix_trace):
-        """The batched bank counters must land in the bank CacheStats by
-        the time run() returns (the kernel only batches, never loses)."""
-        fast = ReplayEngine(
-            matrix_trace, SimConfig(variant="base", model_l2_capacity=True)
-        )
-        fast.run()
-        ref = ReplayEngine(
-            matrix_trace,
-            SimConfig(variant="base", model_l2_capacity=True, kernel="reference"),
-        )
-        ref.run()
-        fast_stats = fast.machine.nuca.stats()
-        ref_stats = ref.machine.nuca.stats()
-        assert fast_stats.accesses == ref_stats.accesses > 0
-        assert fast_stats.misses == ref_stats.misses
-        assert fast_stats.evictions == ref_stats.evictions
+
+class TestKernelRouting:
+    """Which configurations get a generated kernel
+    (:func:`repro.sim.specialize.kernel_spec`)."""
+
+    def test_registry_runs_five_generated_kernels(self):
+        """Every spec of every registered figure, at every scale, runs a
+        generated kernel. A figure that brings in a reference-path
+        option fails here, not as a slower benchmark median."""
+        from repro.exp import select_figures
+
+        specs = {}
+        for scale in ScalePreset:
+            for figure in select_figures():
+                for spec in figure.specs(scale):
+                    specs.setdefault(kernel_spec(spec.config), spec)
+        slow = [spec for ks, spec in specs.items() if ks.reference]
+        assert not slow, f"registry specs on the reference path: {slow}"
+        assert len(specs) == 5
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"collect_miss_classes": True},
+            {"model_l2_capacity": True},
+            {"variant": "slicc", "data_prefetch_n": 4},
+            {"system": _l1_policies(l1i="srrip")},
+            {"system": _l1_policies(l1d="drrip")},
+        ],
+        ids=["classify", "nuca", "slicc-dp", "srrip-l1i", "drrip-l1d"],
+    )
+    def test_option_takes_reference_path(self, matrix_trace, kwargs):
+        """Each option alone sends the run's records to
+        ``_process_instruction`` / ``_process_data``."""
+        config = SimConfig(**{"variant": "base", **kwargs})
+        assert kernel_spec(config).reference
+        engine = _stop_at_reference(ReplayEngine(matrix_trace, config))
+        with pytest.raises(_ReachedReference):
+            engine.run()
+
+    def test_data_prefetch_without_migration_stays_generated(
+        self, matrix_trace
+    ):
+        """``base`` never migrates, so the engine builds no data
+        prefetcher and the run keeps its generated kernel."""
+        config = SimConfig(variant="base", data_prefetch_n=4)
+        assert not kernel_spec(config).reference
+        engine = ReplayEngine(matrix_trace, config)
+        assert engine.data_prefetcher is None
+        _stop_at_reference(engine).run()
 
 
 class TestReplayRecords:
@@ -400,7 +467,7 @@ class TestReplayRecords:
         clone = pickle.loads(pickle.dumps(trace))
         assert "_replay_records" not in vars(clone)
         kwargs = {"variant": "slicc-sw"}
-        assert _run(clone, kwargs, "auto") == _run(trace, kwargs, "auto")
+        assert _run(clone, kwargs) == _run(trace, kwargs)
 
     def test_bytes_kept_per_record(self):
         """Smoke tpcc-1's records keep under half the bytes per record of
@@ -445,14 +512,14 @@ class TestKernelEquivalenceMatrix:
     def test_kernels_byte_identical(self, kernel_traces, workload, variant):
         trace = kernel_traces[workload]
         kwargs = {"variant": variant}
-        assert _run(trace, kwargs, "auto") == _run(trace, kwargs, "reference")
+        assert _run(trace, kwargs) == _run(trace, kwargs, reference=True)
 
 
 class TestKernelSelection:
     def test_auto_runs_generated_kernel(self, matrix_trace):
         specialize.clear_cache()
         config = SimConfig(variant="slicc")
-        _forbid_reference(ReplayEngine(matrix_trace, config)).run()
+        _stop_at_reference(ReplayEngine(matrix_trace, config)).run()
         spec = kernel_spec(config)
         assert not spec.reference
         assert list(specialize._KERNEL_CACHE) == [spec]
@@ -472,54 +539,62 @@ class TestKernelSelection:
 
         monkeypatch.setattr(ReplayEngine, "_process_instruction", count_i)
         monkeypatch.setattr(ReplayEngine, "_process_data", count_d)
-        config = SimConfig(variant="slicc", kernel="reference")
-        result = ReplayEngine(matrix_trace, config).run()
+        config = SimConfig(variant="slicc")
+        result = ReplayEngine(matrix_trace, config, reference=True).run()
         assert calls == {"i": result.i_accesses, "d": result.d_accesses}
         assert calls["i"] + calls["d"] == matrix_trace.total_records
 
     def test_unknown_kernel_rejected(self):
-        for name in ("vectorised", "inline", "batch", "specialized", "fallback"):
-            with pytest.raises(ConfigurationError):
+        """The path is an engine argument, not a config field: a config
+        or an override that names ``kernel`` is refused."""
+        from repro.exp.spec import ExperimentSpec, with_overrides
+
+        spec = ExperimentSpec("tpcc-1", scale="smoke")
+        for name in ("auto", "reference", "inline", "specialized", "fallback"):
+            with pytest.raises(TypeError):
                 SimConfig(kernel=name)
+            with pytest.raises(ConfigurationError, match="kernel"):
+                with_overrides(spec, {"kernel": name})
 
     def test_kernel_excluded_from_spec_keys(self):
-        from repro.exp.spec import ExperimentSpec
+        """A spec cannot name the path, so no key can tell which one
+        ran, and a persisted ``reference`` rebuilds onto the same key."""
+        from repro.exp.spec import ExperimentSpec, spec_from_dict
 
-        base = ExperimentSpec("tpcc-1", config=SimConfig(variant="slicc"))
-        forced = ExperimentSpec(
-            "tpcc-1", config=SimConfig(variant="slicc", kernel="reference")
-        )
-        assert base.key() == forced.key()
+        spec = ExperimentSpec("tpcc-1", config=SimConfig(variant="slicc"))
+        payload = spec.to_dict()
+        assert "kernel" not in payload["config"]
+        payload["config"]["kernel"] = "reference"
+        assert spec_from_dict(payload).key() == spec.key()
 
 
 class TestSpecializedSelection:
     def test_specialized_excluded_from_spec_keys(self):
         """A persisted spec naming a retired kernel ("specialized", from
-        queues written before the kernels collapsed) rebuilds onto the
-        default kernel and the same store key."""
+        queues written before the kernels collapsed) rebuilds without it,
+        onto the same store key."""
         from repro.exp.spec import ExperimentSpec, spec_from_dict
 
         spec = ExperimentSpec("tpcc-1", config=SimConfig(variant="slicc"))
         payload = spec.to_dict()
         payload["config"]["kernel"] = "specialized"
         rebuilt = spec_from_dict(payload)
-        assert rebuilt.config.kernel == "auto"
+        assert rebuilt.config == spec.config
         assert rebuilt.key() == spec.key()
 
 
 class TestSpecializedGeneration:
     def test_generated_source_deterministic(self):
-        for kwargs in (
-            {"variant": "slicc"},
-            {"variant": "steps", "collect_miss_classes": True},
-            {"variant": "nextline", "model_l2_capacity": True},
-            {"variant": "slicc", "system": _l1_policies(l1i="srrip")},
-            {"variant": "slicc-sw", "kernel": "reference"},
+        for kwargs, reference in (
+            ({"variant": "slicc"}, False),
+            ({"variant": "steps", "collect_miss_classes": True}, False),
+            ({"variant": "nextline"}, False),
+            ({"variant": "slicc-sw"}, True),
         ):
-            spec = kernel_spec(SimConfig(**kwargs))
+            spec = kernel_spec(SimConfig(**kwargs), reference)
             first = specialize.generate_source(spec)
             assert first == specialize.generate_source(spec)
-            assert spec == kernel_spec(SimConfig(**kwargs))
+            assert spec == kernel_spec(SimConfig(**kwargs), reference)
             compile(first, "<test>", "exec")
 
     def test_spec_canonicalises_inapplicable_knobs(self):
@@ -540,12 +615,14 @@ class TestSpecializedGeneration:
 
     @pytest.mark.parametrize(
         "name,kwargs",
-        FAST_PATH_CONFIGS,
-        ids=[name for name, _ in FAST_PATH_CONFIGS],
+        FAST_PATH_CONFIGS + REFERENCE_PATH_CONFIGS,
+        ids=[name for name, _ in FAST_PATH_CONFIGS + REFERENCE_PATH_CONFIGS],
     )
     def test_spec_matches_engine_structure(self, matrix_trace, name, kwargs):
         """kernel_spec(config) needs no engine, yet agrees with the
-        machinery the engine builds for the same config."""
+        machinery the engine builds for the same config: the reference
+        path exactly when the engine builds something the generated
+        record arms leave out."""
         config = _config(kwargs)
         spec = kernel_spec(config)
         engine = ReplayEngine(matrix_trace, config)
@@ -553,20 +630,33 @@ class TestSpecializedGeneration:
         assert spec.slicc == (engine.agents is not None)
         assert spec.steps == (engine.steps_agents is not None)
         assert spec.nextline == (engine.prefetchers is not None)
-        assert spec.classify == (engine.i_classifiers is not None)
-        assert spec.nuca == (machine.nuca is not None)
-        assert spec.data_prefetch == (engine.data_prefetcher is not None)
-        assert spec.l1i_lru == (type(machine.l1i[0].policy) is LruPolicy)
-        assert spec.l1d_lru == (type(machine.l1d[0].policy) is LruPolicy)
+        assert spec.reference == (
+            engine.i_classifiers is not None
+            or machine.nuca is not None
+            or engine.data_prefetcher is not None
+            or type(machine.l1i[0].policy) is not LruPolicy
+            or type(machine.l1d[0].policy) is not LruPolicy
+        )
 
     def test_kernel_memoised_per_spec(self):
         spec = kernel_spec(SimConfig(variant="slicc"))
         assert specialize.kernel_for(spec) is specialize.kernel_for(spec)
 
-    def test_dump_env_writes_source(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE_DUMP", str(tmp_path))
+    def test_linecache_serves_compiled_kernel(self):
+        """Compiling a kernel registers its source under the kernel's
+        filename, where tracebacks and ``inspect`` look for it."""
+        import inspect
+        import linecache
+
         spec = kernel_spec(SimConfig(variant="slicc"))
-        specialize.kernel_for(spec)
-        dumped = tmp_path / f"{specialize.signature(spec)}.py"
-        assert dumped.exists()
-        assert dumped.read_text() == specialize.generate_source(spec)
+        filename = f"<specialized:{specialize.signature(spec)}>"
+        specialize.clear_cache()
+        linecache.cache.pop(filename, None)
+        kernel = specialize.kernel_for(spec)
+        assert kernel.__code__.co_filename == filename
+        linecache.checkcache()  # as traceback formatting does
+        lines = specialize.generate_source(spec).splitlines(keepends=True)
+        assert linecache.getlines(filename) == lines
+        first = kernel.__code__.co_firstlineno
+        assert linecache.getline(filename, first) == "def kernel(engine):\n"
+        assert inspect.getsource(kernel) == "".join(lines[first - 1 :])

@@ -6,16 +6,15 @@ totals, completion counts, and determinism — and the generated replay
 kernel must match the reference path on random configurations.
 """
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.policies import policy_names as replacement_policy_names
 from repro.exp.store import result_to_json
 from repro.params import CacheParams, SliccParams, SystemParams
 from repro.sched import policy_names
 from repro.sim import SimConfig, simulate
+from repro.sim.engine import ReplayEngine
+from repro.sim.specialize import kernel_spec
 from repro.workloads import (
     DataSpec,
     PathStep,
@@ -106,34 +105,28 @@ def test_miss_bounds(p):
         assert r.i_mpki >= 0 and r.d_mpki >= 0
 
 
-#: Every replacement policy an L1 can use (the generic arms' coverage).
-L1_POLICIES = tuple(replacement_policy_names())
-
-
 def l1_params(draw):
-    """An L1 with a random replacement policy; the small geometries put
-    the miniature workloads under eviction pressure."""
+    """A plain-LRU L1; the small geometries put the miniature workloads
+    under eviction pressure."""
     return CacheParams(
         size_bytes=draw(st.sampled_from((2048, 8192, 32768))),
         assoc=draw(st.sampled_from((2, 4, 8))),
-        policy=draw(st.sampled_from(L1_POLICIES)),
     )
 
 
 @st.composite
 def kernel_configs(draw):
-    """A SimConfig drawn across every KernelSpec axis: the policy (its
-    capability flags), the classify / NUCA / data-prefetch toggles, each
-    L1's replacement policy — plus the numeric knobs the kernel binds at
-    run time (quantum, L1 geometry, SLICC thresholds). Low fill-up
-    thresholds saturate the MC within the miniature traces, so the
-    SLICC/STEPS tracker arms run too."""
+    """A SimConfig drawn across every axis a generated kernel handles:
+    the policy (its capability flags), plus the numeric knobs the kernel
+    binds at run time (quantum, LRU L1 geometry, SLICC thresholds). Low
+    fill-up thresholds saturate the MC within the miniature traces, so
+    the SLICC/STEPS tracker arms run too. The options that take the
+    reference path (miss classes, the NUCA L2, the data prefetcher, a
+    non-LRU L1) are left at their defaults: drawn, they would compare
+    the reference path with itself."""
     msv_window = draw(st.integers(min_value=1, max_value=32))
     return SimConfig(
         variant=draw(st.sampled_from(policy_names())),
-        collect_miss_classes=draw(st.booleans()),
-        model_l2_capacity=draw(st.booleans()),
-        data_prefetch_n=draw(st.sampled_from((0, 4))),
         quantum=draw(st.integers(min_value=1, max_value=200)),
         system=SystemParams(l1i=l1_params(draw), l1d=l1_params(draw)),
         slicc=SliccParams(
@@ -153,7 +146,8 @@ def test_generated_kernel_matches_reference(p, config):
     """The generated kernel and the reference path agree byte for byte
     on random configurations — far beyond the golden pins' sliver of
     the config space."""
+    assert not kernel_spec(config).reference
     trace = build_trace(p)
     fast = simulate(trace, config=config)
-    reference = simulate(trace, config=replace(config, kernel="reference"))
+    reference = ReplayEngine(trace, config, reference=True).run()
     assert result_to_json(fast) == result_to_json(reference)

@@ -484,41 +484,33 @@ class TestDrain:
         self.test_drain_fails_bad_payload_entries_terminally(tmp_path, "sqlite")
 
     def test_drain_maps_retired_kernel_names(self, tmp_path):
-        """A queue written before the replay kernels collapsed to
-        auto/reference carries retired ``config.kernel`` names in its
-        payloads; it still drains, onto the same store keys."""
-        retired = {
-            "base": "inline",
-            "slicc": "batch",
-            "steps": "specialized",
-            "nextline": "fallback",
-        }
-        specs = smoke_specs(variants=tuple(retired))
+        """Queues written while ``SimConfig`` had a ``kernel`` field
+        carry it in every payload: ``auto`` or ``reference``, or from
+        older versions ``inline``, ``batch``, ``specialized`` or
+        ``fallback``. The entry is dropped whatever it names, so the
+        queue drains onto the same store keys."""
+        kernels = ("auto", "reference", "inline", "batch", "specialized", "fallback")
+        specs = smoke_specs(
+            variants=("base", "slicc", "steps", "nextline", "pif", "slicc-sw")
+        )
         queue = WorkQueue(tmp_path, worker_id="w")
-        for spec in specs:
+        for spec, kernel in zip(specs, kernels):
             payload = spec.to_dict()
-            payload["config"]["kernel"] = retired[spec.variant]
+            payload["config"]["kernel"] = kernel
             queue._append_locked(
                 {"event": "enqueued", "key": spec.key(), "t": 0.0, "spec": payload}
             )
         peek = WorkQueue(tmp_path, worker_id="peek")
-        claims = peek.claim(limit=4)
-        kernels = {
-            c.payload["config"]["kernel"]: spec_from_dict(c.payload).config.kernel
-            for c in claims
-        }
-        assert kernels == {
-            "inline": "auto",
-            "batch": "auto",
-            "specialized": "auto",
-            "fallback": "reference",
-        }
+        claims = peek.claim(limit=len(specs))
+        assert sorted(c.payload["config"]["kernel"] for c in claims) == sorted(
+            kernels
+        )
         for claim in claims:
             assert spec_from_dict(claim.payload).key() == claim.key
         peek.release([c.key for c in claims])
         runner = Runner(store=ResultStore(tmp_path), jobs=1)
         report = drain(queue, runner, poll_seconds=0.05)
-        assert report.completed == 4 and report.failed == 0
+        assert report.completed == len(specs) and report.failed == 0
         assert set(runner.store.keys()) == {s.key() for s in specs}
 
     def test_drain_reads_payloads_that_carry_trace_id(self, tmp_path):
