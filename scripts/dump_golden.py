@@ -26,7 +26,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.exp.store import result_to_json  # noqa: E402
-from repro.params import ScalePreset, SystemParams  # noqa: E402
+from repro.params import CacheParams, ScalePreset, SystemParams  # noqa: E402
 from repro.sim.engine import SimConfig, simulate  # noqa: E402
 from repro.workloads import standard_trace  # noqa: E402
 
@@ -71,14 +71,26 @@ def _l1s(l1i: str = "lru", l1d: str = "lru") -> SystemParams:
     )
 
 
-#: Config pins beyond the plain variants: the miss classifiers, the
-#: banked NUCA L2 (also under the next-line prefetcher), the migration
-#: data prefetcher, and non-LRU L1s under the prefetcher's installs and
-#: under SLICC's bypass and bloom evictions, alone and in combination.
-#: Each of these options sends the run through the engine's
-#: ``_process_instruction``/``_process_data`` reference path instead of
-#: a generated kernel (``repro.sim.specialize.kernel_spec``), so these
-#: pins hold that path's results for every option.
+#: Four cores with small LRU L1s, so the smoke traces' eight threads
+#: evict from every L1-D and STEPS has peers to switch to: no
+#: plain-variant pin does either.
+_SMALL_FOUR_CORES = SystemParams(
+    n_cores=4,
+    torus_width=2,
+    l1i=CacheParams(size_bytes=4096, assoc=4),
+    l1d=CacheParams(size_bytes=2048, assoc=4),
+)
+
+#: Config pins beyond the plain variants. Most hold the options only
+#: the engine's ``_process_instruction``/``_process_data`` reference
+#: path implements (``repro.sim.specialize.kernel_spec``): the miss
+#: classifiers, the banked NUCA L2 (also under the next-line
+#: prefetcher), the migration data prefetcher, and non-LRU L1s under
+#: the prefetcher's installs and under SLICC's bypass and bloom
+#: evictions, alone and in combination. The two ``4core-small-l1`` pins
+#: run generated kernels instead, and hold the arms no plain-variant pin
+#: reaches: the L1-D victim and directory-evict arms, and STEPS's
+#: context switch.
 GOLDEN_CONFIGS: tuple[tuple[str, dict], ...] = (
     ("classify", {"variant": "base", "collect_miss_classes": True}),
     ("slicc-classify", {"variant": "slicc", "collect_miss_classes": True}),
@@ -107,6 +119,8 @@ GOLDEN_CONFIGS: tuple[tuple[str, dict], ...] = (
         "slicc-dip-l1i-brrip-l1d",
         {"variant": "slicc", "system": _l1s(l1i="dip", l1d="brrip")},
     ),
+    ("slicc-4core-small-l1", {"variant": "slicc", "system": _SMALL_FOUR_CORES}),
+    ("steps-4core-small-l1", {"variant": "steps", "system": _SMALL_FOUR_CORES}),
 )
 
 

@@ -256,10 +256,15 @@ def _cmd_paper(args: argparse.Namespace) -> int:
 
     figures = select_figures(args.figures)
     out = Path(args.out)
+    # The runner checks its flags before --out exists: a rejected flag
+    # leaves nothing behind.
+    runner = _make_runner(args)
     out.mkdir(parents=True, exist_ok=True)
-    # The store lives inside the report directory by default, so pointing
-    # a second invocation at the same --out is what makes it resumable.
-    runner = _make_runner(args, default_store=out)
+    if args.store is None:
+        # The store lives inside the report directory by default, so
+        # pointing a second invocation at the same --out is what makes
+        # it resumable.
+        runner.store = ResultStore(out, backend=args.backend)
     store = runner.store
 
     entries = []
@@ -664,12 +669,12 @@ def build_parser() -> argparse.ArgumentParser:
         "that dies, which only its expired lease reveals. Exit codes: "
         "0 = queue drained, all specs done; 2 = usage/configuration "
         "error; 3 = queue drained but some specs failed terminally; "
-        "130 = interrupted — the first SIGINT/SIGTERM finishes "
-        "in-flight simulations, persists them, and releases the "
-        "remaining leases for other workers; a second signal aborts "
-        "in-flight work immediately (nothing further persisted, "
-        "still 130). Workers starting together on an empty campaign "
-        "must all pass the same --backend.",
+        "130 = interrupted — the first SIGINT/SIGTERM stops claiming, "
+        "then finishes, persists and settles the specs already "
+        "claimed; a second signal aborts in-flight work immediately "
+        "and releases its leases for other workers (nothing further "
+        "persisted, still 130). Workers starting together on an empty "
+        "campaign must all pass the same --backend.",
     )
     q_work.add_argument("queue", help="queue directory or queue.jsonl file")
     _add_exec(

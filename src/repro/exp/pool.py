@@ -16,17 +16,16 @@ what makes the recovery matrix implementable:
   again);
 * **poison spec** (exception inside the engine) → the worker reports
   the error over the pipe; after retries the task is reported failed
-  while every other spec proceeds;
-* **SIGINT/SIGTERM** → two explicit stages. The *first* signal drains:
-  no new dispatches, in-flight tasks finish and their results are
-  yielded (the caller persists them), then the run stops and the caller
-  exits 130. A *second* signal (either of the two) during the drain
-  escalates to immediate abort: the scheduler loop breaks on the next
-  tick (bounded by ``_TICK_SECONDS``), busy workers are killed without
-  being waited on, nothing further is yielded or persisted, and the
-  exit code is still 130. Workers ignore SIGINT so a terminal Ctrl-C
-  (which signals the whole process group) still drains instead of
-  killing workers mid-task.
+  while every other spec proceeds.
+
+The pool installs no signal handler: it runs under the one
+:meth:`Runner._execute <repro.exp.runner.Runner._execute>` installs,
+whose first SIGINT/SIGTERM ends the spec source (the pool then finishes
+every task it already pulled) and whose second raises
+``KeyboardInterrupt`` out of :meth:`FaultTolerantPool.run`, which kills
+the busy workers. Workers ignore SIGINT so a terminal Ctrl-C (which
+signals the whole process group) still drains instead of killing
+workers mid-task.
 
 Outcomes are yielded as they complete, in arbitrary order, so the
 caller can persist incrementally — an interrupted campaign keeps every
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import os
 import signal
-import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
@@ -47,8 +45,8 @@ from repro.exp import runner as runner_mod
 from repro.exp.runner import SpecOutcome, _backoff_delay
 from repro.exp.spec import ExperimentSpec
 
-#: Upper bound on one scheduler wait, so deadline checks and drain
-#: signals are honoured promptly even while every worker is busy.
+#: Upper bound on one scheduler wait, so deadline checks are honoured
+#: promptly even while every worker is busy.
 _TICK_SECONDS = 0.2
 
 #: Grace given to a SIGTERM'd worker before escalating to SIGKILL.
@@ -63,9 +61,11 @@ class _Task:
     not_before: float = 0.0
 
 
-def _worker_main(conn, parent_traces, parent_pid) -> None:
+def _worker_main(conn, traces, parent_pid) -> None:
     """Worker loop: receive ``(spec, attempt)``, simulate, reply.
 
+    ``traces`` is the parent's trace table (``runner._TRACES``): under
+    fork the very table the worker inherited, under spawn its copy.
     SIGINT is ignored (the parent coordinates draining); SIGTERM keeps
     its default fatal disposition so the parent's timeout kill works.
     Exceptions are reported over the pipe, never raised — a poison spec
@@ -84,7 +84,7 @@ def _worker_main(conn, parent_traces, parent_pid) -> None:
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    runner_mod._PARENT_TRACES = parent_traces
+    runner_mod._TRACES = traces
     while True:
         try:
             while not conn.poll(1.0):
@@ -111,11 +111,11 @@ def _worker_main(conn, parent_traces, parent_pid) -> None:
 class _Worker:
     """One dedicated worker process plus its command pipe."""
 
-    def __init__(self, ctx, parent_traces, wid: int) -> None:
+    def __init__(self, ctx, wid: int) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, parent_traces, os.getpid()),
+            args=(child_conn, runner_mod._TRACES, os.getpid()),
             name=f"repro-exp-worker-{wid}",
             daemon=True,
         )
@@ -146,9 +146,8 @@ class FaultTolerantPool:
 
     Args:
         ctx: multiprocessing context (fork on Linux — workers inherit
-            ``parent_traces`` zero-copy).
+            the parent's trace table zero-copy).
         n_workers: dedicated worker processes.
-        parent_traces: trace key -> Trace, shipped to every worker.
         retries: re-dispatches allowed per task after a transient
             failure (worker death or in-task exception).
         timeout: per-spec wall-clock seconds before the worker is
@@ -160,24 +159,15 @@ class FaultTolerantPool:
         self,
         ctx,
         n_workers: int,
-        parent_traces: dict,
         *,
         retries: int = 2,
         timeout: Optional[float] = None,
         backoff: float = 0.25,
     ) -> None:
         self._ctx = ctx
-        self._parent_traces = parent_traces
         self.retries = max(0, int(retries))
         self.timeout = timeout
         self.backoff = backoff
-        #: Drain requested (first SIGINT/SIGTERM): finish in-flight
-        #: tasks, drop undispatched ones, then stop.
-        self.draining = False
-        #: Hard abort (second signal): stop without waiting.
-        self.aborted = False
-        #: Which signal triggered the drain, for the caller's re-raise.
-        self.interrupted: Optional[int] = None
         self._waiting: list[_Task] = []  # retries, due at not_before
         self._source: Optional[Iterator] = None  # None once exhausted
         self._next_wid = 0
@@ -188,30 +178,7 @@ class FaultTolerantPool:
 
     def _spawn(self) -> _Worker:
         self._next_wid += 1
-        return _Worker(self._ctx, self._parent_traces, self._next_wid)
-
-    # -- signal handling ------------------------------------------------
-
-    def _install_signals(self):
-        """Route SIGINT/SIGTERM to the drain flag (main thread only)."""
-        if threading.current_thread() is not threading.main_thread():
-            return {}
-
-        def _on_signal(signum, frame):
-            if self.draining:
-                self.aborted = True
-            self.draining = True
-            self.interrupted = signum
-
-        previous = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous[signum] = signal.signal(signum, _on_signal)
-        return previous
-
-    @staticmethod
-    def _restore_signals(previous) -> None:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
+        return _Worker(self._ctx, self._next_wid)
 
     # -- the scheduler loop ---------------------------------------------
 
@@ -223,24 +190,16 @@ class FaultTolerantPool:
         ``specs`` is pulled lazily, one spec whenever a worker is idle
         and no retry is due. ``None`` means "nothing yet": the pool asks
         again next round, at once if no worker is busy, so a source with
-        nothing in flight should wait before answering ``None``.
+        nothing in flight should wait before answering ``None``. Once
+        ``specs`` ends, every task already pulled still runs to its
+        outcome, retries included. However the run ends, the pool is
+        closed: an exception out of it kills the busy workers.
         """
         self._source = iter(specs)
-        previous = self._install_signals()
         try:
             while self._source is not None or self._waiting or self._busy():
-                if self.aborted:
-                    # Second signal: stop yielding immediately. close()
-                    # in the finally kills the still-busy workers, so
-                    # their in-flight results are never persisted.
-                    break
-                if self.draining:
-                    self._source = None
-                    self._waiting.clear()
-                    if not self._busy():
-                        break
                 now = time.monotonic()
-                while self._idle and not self.draining:
+                while self._idle:
                     task = self._next_task(now)
                     if task is None:
                         break
@@ -248,7 +207,6 @@ class FaultTolerantPool:
                 yield from self._collect(self._wait_budget(now))
                 yield from self._expire_deadlines()
         finally:
-            self._restore_signals(previous)
             self.close()
 
     def _next_task(self, now: float) -> Optional[_Task]:
@@ -263,7 +221,7 @@ class FaultTolerantPool:
         except StopIteration:
             self._source = None
             return None
-        if spec is None or self.draining:  # a signal landed mid-pull
+        if spec is None:
             return None
         return _Task(spec.key(), spec)
 
@@ -303,7 +261,7 @@ class FaultTolerantPool:
         """Wait up to ``budget`` for worker messages; yield outcomes."""
         busy = self._busy()
         if not busy:
-            if budget > 0 and (self._waiting or self.draining):
+            if budget > 0 and self._waiting:
                 time.sleep(min(budget, _TICK_SECONDS))
             return
         conn_to_worker = {w.conn: w for w in busy}

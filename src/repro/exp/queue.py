@@ -799,10 +799,10 @@ def drain(
         ConfigurationError: for ``poll_seconds <= 0``
             (:func:`check_poll`), before any claim.
 
-    On KeyboardInterrupt (raised after the pool's graceful drain, whose
-    outcomes were settled as they arrived) the leases still held are
-    released for other workers and the interrupt is re-raised, so the
-    CLI exits 130.
+    On KeyboardInterrupt (raised by the runner after its graceful drain,
+    whose outcomes were settled as they arrived, or at once on a second
+    signal) the leases still held are released for other workers and
+    the interrupt is re-raised, so the CLI exits 130.
     """
     check_poll(poll_seconds)
     report = DrainReport(worker_id=queue.worker_id)

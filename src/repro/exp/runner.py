@@ -13,22 +13,27 @@ and a poison spec that exhausts its retries fails only its own row —
 recorded as a structured failure in the store and in
 :class:`RunnerStats` — while the rest of the sweep completes, after
 which :class:`~repro.errors.SweepFailure` reports what was lost.
-``SIGINT``/``SIGTERM`` drain gracefully: in-flight simulations finish
-and persist before the run stops.
 
-``run()`` builds every distinct trace once: it regenerates each from
-``(workload, scale, n_threads, seed)`` via the deterministic generators
-(once per call in the parent, reusing the previous call's traces where
-they overlap) and ships them to the workers at pool start. On Linux the
-pool forks, so ``run()`` first builds the replay records
-(:meth:`~repro.workloads.trace.Trace.replay_records`) of every trace its
-pending specs replay and compiles their replay kernels, and workers
-inherit both zero-copy: a worker writes only the reference counts of the
-trace's shared record tuples, so copy-on-write copies those pages, not
-one int per record.
+``SIGINT``/``SIGTERM`` drain gracefully at every job count: inline and
+pooled runs both go through :meth:`Runner._execute`, which installs the
+one handler.
+
+A process keeps its traces in one table, ``_TRACES`` (trace key ->
+trace, least recently used first). ``run()`` builds every distinct
+trace its pending specs replay once, from ``(workload, scale,
+n_threads, seed)`` via the deterministic generators, after pruning the
+table to those traces: the previous call's traces are reused where
+they overlap and released where they do not. On Linux the pool forks,
+so ``run()`` also builds the replay records
+(:meth:`~repro.workloads.trace.Trace.replay_records`) of those traces
+and compiles their replay kernels, and workers inherit the table, the
+records and the kernels zero-copy: a worker writes only the reference
+counts of the trace's shared record tuples, so copy-on-write copies
+those pages, not one int per record. Spawned workers get the table as
+a process argument.
 :meth:`Runner.stream` (the queue drain) learns its specs one at a time,
-so its workers build traces themselves, keeping the last few in a
-bounded cache.
+so each process builds a missing trace where the spec runs, holding at
+most ``_TRACE_CACHE_SIZE`` once it builds.
 Simulation itself is deterministic given the trace and config, so
 results are identical whatever the job count — the test suite pins that
 with a byte-identical-JSON guard.
@@ -57,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: or absent, so the platform's default start method is kept.
 _FORK = sys.platform == "linux"
 
-#: Most traces one process keeps that it was not shipped.
+#: Most traces a process holds once :func:`_trace_for` builds one.
 #: A drain's specs arrive one at a time, in queue order, and
 #: ``WorkQueue.enqueue`` groups that order by trace, so a drain worker
 #: builds each trace about once however many traces the queue holds
@@ -67,12 +72,10 @@ _FORK = sys.platform == "linux"
 #: this bound costs about 87 MB per worker at paper scale.
 _TRACE_CACHE_SIZE = 2
 
-# Per-process trace state, by trace key. ``_PARENT_TRACES`` holds the
-# traces the parent built and shipped (a ``run()``'s traces);
-# ``_TRACE_CACHE`` holds the most recently used traces a process built
-# itself, oldest first.
-_PARENT_TRACES: dict[str, Trace] = {}
-_TRACE_CACHE: dict[str, Trace] = {}
+#: The traces this process holds, by trace key, least recently used
+#: first: the ones ``Runner.run`` built for its pending specs (which
+#: forked workers inherit) and the ones :func:`_trace_for` built.
+_TRACES: dict[str, Trace] = {}
 
 
 def _build_trace(spec: ExperimentSpec) -> Trace:
@@ -86,18 +89,15 @@ def _build_trace(spec: ExperimentSpec) -> Trace:
 
 def _trace_for(spec: ExperimentSpec) -> Trace:
     key = spec.trace_key()
-    trace = _PARENT_TRACES.get(key)
-    if trace is not None:
-        return trace
-    # A spec whose trace was not shipped (a queue drain):
-    # reuse a recent build, else evict the oldest *before* building, so
-    # the process never holds more than _TRACE_CACHE_SIZE of them.
-    trace = _TRACE_CACHE.pop(key, None)
+    trace = _TRACES.pop(key, None)
     if trace is None:
-        while len(_TRACE_CACHE) >= _TRACE_CACHE_SIZE:
-            del _TRACE_CACHE[next(iter(_TRACE_CACHE))]
+        # A trace nobody built ahead (a queue drain's spec): evict the
+        # least recently used *before* building, so the process never
+        # holds more than _TRACE_CACHE_SIZE once it builds.
+        while len(_TRACES) >= _TRACE_CACHE_SIZE:
+            del _TRACES[next(iter(_TRACES))]
         trace = _build_trace(spec)
-    _TRACE_CACHE[key] = trace
+    _TRACES[key] = trace
     return trace
 
 
@@ -247,10 +247,6 @@ class Runner:
         self.stats = RunnerStats()
         #: Counts for the most recent ``run()`` call.
         self.last_stats = RunnerStats()
-        #: Traces built by the most recent ``run()`` call (trace key ->
-        #: Trace), shipped to its workers and offered to the next call
-        #: for reuse.
-        self._traces: dict[str, Trace] = {}
 
     def run(self, specs: Sequence[ExperimentSpec]) -> list[SimulationResult]:
         """Run every spec, returning results aligned with the input.
@@ -262,8 +258,9 @@ class Runner:
                 completion, if any spec still has no result — every
                 completed row is already persisted, so a rerun retries
                 only the failed specs.
-            KeyboardInterrupt: after a graceful SIGINT/SIGTERM drain;
-                results completed before the drain are persisted.
+            KeyboardInterrupt: after a graceful SIGINT/SIGTERM drain
+                (see :meth:`_execute`); every result completed before
+                or during the drain is persisted.
         """
         t_start = time.perf_counter()
         specs = list(specs)
@@ -282,23 +279,22 @@ class Runner:
             else:
                 pending[key] = spec
 
-        # Resolve each distinct trace once and ship it to the workers
+        # Resolve each distinct trace once, before any worker starts
         # (inherited for free under fork, pickled once per worker under
-        # spawn). Traces the previous run() built are carried over when
-        # this run needs them again (back-to-back figures share most
-        # traces); the rest are released *before* anything new is built,
-        # so the parent holds at most one simulating run's traces — never
+        # spawn). Traces the table already holds are reused when this
+        # run needs them again (back-to-back figures share most traces);
+        # the rest are released *before* anything new is built, so the
+        # process holds at most one simulating run's traces — never
         # every trace a long campaign ever touched. A run that simulates
-        # nothing releases none: the carry is live already, and the next
-        # run may need it.
+        # nothing releases none: they are live already, and the next
+        # run may need them.
         if pending:
             needed = {spec.trace_key(): spec for spec in pending.values()}
-            self._traces = {
-                key: t for key, t in self._traces.items() if key in needed
-            }
+            for key in [key for key in _TRACES if key not in needed]:
+                del _TRACES[key]
             for key, spec in needed.items():
-                if key not in self._traces:
-                    self._traces[key] = _build_trace(spec)
+                if key not in _TRACES:
+                    _TRACES[key] = _build_trace(spec)
         if _FORK and pending:
             # Zero-copy sharing: build the replay records of every trace a
             # pending spec replays, and each pending spec's replay kernel,
@@ -308,7 +304,7 @@ class Runner:
             from repro.sim.specialize import kernel_for, kernel_spec
             from repro.sim.tlb import PAGE_SHIFT
 
-            for trace in self._traces.values():
+            for trace in _TRACES.values():
                 trace.replay_records(PAGE_SHIFT)
             for spec in pending.values():
                 kernel_for(kernel_spec(spec.config))
@@ -319,9 +315,7 @@ class Runner:
         try:
             if pending:
                 jobs = min(self.jobs, len(pending))
-                for outcome in self._execute(
-                    pending.values(), self._traces, jobs
-                ):
+                for outcome in self._execute(pending.values(), jobs):
                     result = self._record(outcome, stats)
                     if result is None:
                         failures.append(outcome)
@@ -354,11 +348,12 @@ class Runner:
         (see :meth:`FaultTolerantPool.run`). No spec is served from the
         store and no failure raises: the caller settles every outcome.
         Raises ``KeyboardInterrupt`` after a graceful SIGINT/SIGTERM
-        drain.
+        drain (see :meth:`_execute`), every pulled spec's outcome
+        yielded.
         """
         t_start = time.perf_counter()
         try:
-            for outcome in self._execute(specs, {}, self.jobs):
+            for outcome in self._execute(specs, self.jobs):
                 self._record(outcome, self.stats)
                 yield outcome
         finally:
@@ -385,93 +380,115 @@ class Runner:
         return result
 
     def _execute(
-        self,
-        specs: Iterable[Optional[ExperimentSpec]],
-        parent_traces: dict[str, Trace],
-        jobs: int,
+        self, specs: Iterable[Optional[ExperimentSpec]], jobs: int
     ) -> Iterator[SpecOutcome]:
         """Yield a terminal :class:`SpecOutcome` per spec pulled from
         ``specs`` as simulations complete, in arbitrary order — the
-        caller realigns by key and persists incrementally. Workers
-        replay ``parent_traces`` (trace key -> Trace) without building."""
-        # Inline fast path: no pool process when nothing needs one. A
-        # timeout needs a killable worker, and an active fault plan
-        # needs a worker whose death is survivable, so both route
-        # through the pool even at jobs=1.
+        caller realigns by key and persists incrementally.
+
+        This is where a run stops, inline or pooled. The first SIGINT
+        or SIGTERM ends the pulls from ``specs``; every spec already
+        pulled still runs to its outcome, retries included, and is
+        yielded, so the caller persists it (and a queue drain settles
+        it). Then ``KeyboardInterrupt`` is raised. A second signal
+        raises ``KeyboardInterrupt`` at once: the pool's workers are
+        killed and nothing further is yielded. The handler is installed
+        on the main thread only, and removed on exit.
+        """
+        import signal
+        import threading
+
         from repro.exp.faults import active_plan
 
-        if jobs == 1 and self.timeout is None and active_plan() is None:
-            yield from self._execute_inline(specs, parent_traces)
-            return
-        # Import the simulation stack, trace building included, before
-        # the pool forks, so every worker inherits it instead of
-        # importing it again.
-        import multiprocessing
+        draining = False
 
-        import repro.sim.engine  # noqa: F401
-        import repro.workloads.generator  # noqa: F401
-        from repro.exp.pool import FaultTolerantPool
-        from repro.workloads import import_makers
+        def on_signal(signum, frame):
+            nonlocal draining
+            if draining:
+                raise KeyboardInterrupt
+            draining = True
 
-        import_makers()
+        def pulled() -> Iterator[Optional[ExperimentSpec]]:
+            source = iter(specs)
+            while not draining:
+                try:
+                    spec = next(source)
+                except StopIteration:
+                    return
+                yield spec
 
-        pool = FaultTolerantPool(
-            multiprocessing.get_context("fork" if _FORK else None),
-            jobs,
-            parent_traces,
-            retries=self.retries,
-            timeout=self.timeout,
-            backoff=self.backoff,
-        )
-        yield from pool.run(specs)  # which closes the pool however it ends
-        if pool.interrupted is not None:
-            # Completed outcomes were already yielded (and persisted by
-            # the caller); surface the drain as the interrupt it was.
+        previous = {}
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                previous[signum] = signal.signal(signum, on_signal)
+        try:
+            # Inline fast path: no pool process when nothing needs one.
+            # A timeout needs a killable worker, and an active fault
+            # plan needs a worker whose death is survivable, so both
+            # route through the pool even at jobs=1.
+            if jobs == 1 and self.timeout is None and active_plan() is None:
+                yield from self._execute_inline(pulled())
+            else:
+                # Import the simulation stack, trace building included,
+                # before the pool forks, so every worker inherits it
+                # instead of importing it again.
+                import multiprocessing
+
+                import repro.sim.engine  # noqa: F401
+                import repro.workloads.generator  # noqa: F401
+                from repro.exp.pool import FaultTolerantPool
+                from repro.workloads import import_makers
+
+                import_makers()
+                pool = FaultTolerantPool(
+                    multiprocessing.get_context("fork" if _FORK else None),
+                    jobs,
+                    retries=self.retries,
+                    timeout=self.timeout,
+                    backoff=self.backoff,
+                )
+                yield from pool.run(pulled())  # which closes the pool
+        finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+        if draining:
             raise KeyboardInterrupt
 
     def _execute_inline(
-        self,
-        specs: Iterable[Optional[ExperimentSpec]],
-        parent_traces: dict[str, Trace],
+        self, specs: Iterable[Optional[ExperimentSpec]]
     ) -> Iterator[SpecOutcome]:
         """Single-process execution with the same retry semantics.
 
         Worker death cannot happen inline (there is no worker), so the
         retry loop only sees engine exceptions; timeouts are pool-only.
         """
-        global _PARENT_TRACES
-        previous = _PARENT_TRACES
-        _PARENT_TRACES = parent_traces
-        try:
-            for spec in specs:
-                if spec is None:
+        for spec in specs:
+            if spec is None:
+                continue
+            key = spec.key()
+            for attempt in range(self.retries + 1):
+                if attempt:
+                    time.sleep(_backoff_delay(self.backoff, key, attempt))
+                try:
+                    payload, seconds = _run_spec(spec, attempt)
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
                     continue
-                key = spec.key()
-                for attempt in range(self.retries + 1):
-                    if attempt:
-                        time.sleep(_backoff_delay(self.backoff, key, attempt))
-                    try:
-                        payload, seconds = _run_spec(spec, attempt)
-                    except Exception as exc:
-                        error = f"{type(exc).__name__}: {exc}"
-                        continue
-                    yield SpecOutcome(
-                        key=key,
-                        spec=spec,
-                        ok=True,
-                        payload=payload,
-                        seconds=seconds,
-                        attempts=attempt + 1,
-                    )
-                    break
-                else:
-                    yield SpecOutcome(
-                        key=key,
-                        spec=spec,
-                        ok=False,
-                        attempts=self.retries + 1,
-                        kind="error",
-                        error=error,
-                    )
-        finally:
-            _PARENT_TRACES = previous
+                yield SpecOutcome(
+                    key=key,
+                    spec=spec,
+                    ok=True,
+                    payload=payload,
+                    seconds=seconds,
+                    attempts=attempt + 1,
+                )
+                break
+            else:
+                yield SpecOutcome(
+                    key=key,
+                    spec=spec,
+                    ok=False,
+                    attempts=self.retries + 1,
+                    kind="error",
+                    error=error,
+                )

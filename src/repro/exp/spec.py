@@ -41,6 +41,10 @@ _DEFAULT_CONFIG = SimConfig()
 #: a spec holds.
 _DEFAULT_THREADS = {scale.value: n for scale, n in DEFAULT_THREADS.items()}
 
+#: The config fields :meth:`ExperimentSpec.baseline` copies: the machine
+#: and the scheduling-neutral knobs a speedup must hold fixed.
+BASELINE_FIELDS = ("system", "quantum", "arrival_spacing", "model_l2_capacity")
+
 
 def _stable_hash(payload: object) -> str:
     """SHA-256 over a canonical JSON rendering of ``payload``."""
@@ -240,10 +244,7 @@ class ExperimentSpec:
         """
         config = SimConfig(
             variant="base",
-            system=self.config.system,
-            quantum=self.config.quantum,
-            arrival_spacing=self.config.arrival_spacing,
-            model_l2_capacity=self.config.model_l2_capacity,
+            **{name: getattr(self.config, name) for name in BASELINE_FIELDS},
         )
         return replace(self, config=config, label="base")
 

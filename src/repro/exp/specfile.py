@@ -29,7 +29,13 @@ from pathlib import Path
 from typing import Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.exp.spec import ExperimentSpec, _auto_label, grid, with_overrides
+from repro.exp.spec import (
+    BASELINE_FIELDS,
+    ExperimentSpec,
+    _auto_label,
+    grid,
+    with_overrides,
+)
 
 _TOP_KEYS = {
     "workload",
@@ -101,21 +107,8 @@ def specs_from_payload(
         # replays the same trace on the same machine: speedup is
         # undefined across traces, and misleading across the config
         # fields baseline() inherits (quantum, system geometry, ...).
-        fixed_paths = {
-            "workload",
-            "scale",
-            "n_threads",
-            "seed",
-            "quantum",
-            "arrival_spacing",
-            "model_l2_capacity",
-            "system",
-        }
-        clashes = {
-            axis
-            for axis in axes
-            if axis in fixed_paths or axis.startswith("system.")
-        }
+        fixed = {"workload", "scale", "n_threads", "seed", *BASELINE_FIELDS}
+        clashes = {axis for axis in axes if axis.split(".")[0] in fixed}
         if clashes:
             raise ConfigurationError(
                 "'baseline: true' cannot be combined with axes the "

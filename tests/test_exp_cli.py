@@ -114,14 +114,19 @@ class TestExpCommand:
     )
     def test_exp_rejects_a_bad_runner_flag(self, flag, value, tmp_path, capsys):
         """A zero timeout would kill every spec and write a failure row
-        for each: no spec may run and no store be created."""
-        store = tmp_path / "store"
+        for each: no spec may run and no store be created — nor, for
+        `paper`, its report directory."""
+        out = tmp_path / "out"
         specfile = write_specfile(tmp_path, SMOKE_EXP)
-        rc = main(["exp", specfile, flag, value, "--store", str(store)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and flag.lstrip("-") in err
-        assert not store.exists()
+        for argv in (
+            ["exp", specfile, "--store", str(out)],
+            ["paper", "--scale", "smoke", "--out", str(out)],
+        ):
+            rc = main([*argv, flag, value])
+            assert rc == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and flag.lstrip("-") in err
+            assert not out.exists(), argv[0]
 
     def test_exp_missing_file_is_a_clean_error(self, tmp_path, capsys):
         rc = main(["exp", str(tmp_path / "absent.json")])

@@ -117,6 +117,7 @@ class TestRunnerBasics:
         simulation."""
         from repro.exp import runner as runner_mod
 
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
         builds = []
         real = runner_mod.standard_trace
 
@@ -133,16 +134,21 @@ class TestRunnerBasics:
         assert runner.last_stats.simulated == 1
         assert runner.last_stats.cached == 1
 
-    def test_store_serves_second_invocation(self):
+    def test_store_serves_second_invocation(self, monkeypatch):
+        from repro.exp import runner as runner_mod
+
         store = ResultStore()
         first = Runner(store=store)
         second = Runner(store=store)
         spec = smoke_spec("base")
         a = first.run([spec])
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
+        builds = []
+        monkeypatch.setattr(runner_mod, "_build_trace", builds.append)
         b = second.run([spec])  # cache hit: builds no trace at all
         assert second.last_stats.simulated == 0
         assert second.last_stats.cached == 1
-        assert second._traces == {}
+        assert builds == []
         assert a == b
 
     def test_persistent_store_across_processes_shape(
@@ -302,17 +308,22 @@ class TestDeterminism:
             tmp_path, monkeypatch, "sqlite"
         )
 
-    def test_parent_process_does_not_hoard_traces(self):
-        """Declarative traces are resolved into a run-local dict and
-        released with the run, not accumulated in the module cache."""
+    def test_parent_process_does_not_hoard_traces(self, monkeypatch):
+        """After two runs on different traces the process holds only the
+        second run's trace: a campaign never accumulates every trace it
+        touched."""
         from repro.exp import runner as runner_mod
 
-        before = dict(runner_mod._TRACE_CACHE)
-        spec = ExperimentSpec(
-            "tpce", scale="smoke", seed=11, config=SimConfig(variant="base")
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
+        first, second = (
+            ExperimentSpec(
+                workload, scale="smoke", seed=11, config=SimConfig(variant="base")
+            )
+            for workload in ("tpce", "tpcc-1")
         )
-        Runner(jobs=1).run([spec])
-        assert runner_mod._TRACE_CACHE == before
+        Runner(jobs=1).run([first])
+        Runner(jobs=1).run([second])
+        assert list(runner_mod._TRACES) == [second.trace_key()]
 
     def test_traces_carry_over_between_runs(self, monkeypatch):
         """A second run() reuses the first run's traces it still needs,
@@ -322,6 +333,7 @@ class TestDeterminism:
 
         from repro.exp import runner as runner_mod
 
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
         built = []
         real = runner_mod.standard_trace
 
@@ -357,6 +369,7 @@ class TestDeterminism:
         once."""
         from repro.exp import runner as runner_mod
 
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
         builds = []
         real = runner_mod._build_trace
 

@@ -13,6 +13,7 @@ from repro.exp import (
     product,
     with_overrides,
 )
+from repro.exp.spec import BASELINE_FIELDS
 from repro.params import ScalePreset, SliccParams
 from repro.sim import SimConfig
 from repro.workloads import DEFAULT_THREADS
@@ -21,6 +22,15 @@ EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
 
 #: The spec files the repository ships.
 SPEC_FILES = sorted(path.name for path in EXPERIMENTS.glob("*.json"))
+
+#: A spec-file axis over each field a baseline inherits; a field added
+#: to ``BASELINE_FIELDS`` without one here fails collection.
+INHERITED_FIELD_AXES = {
+    "system": '"system.l2_hit_latency": [8, 16]',
+    "quantum": '"quantum": [25, 50]',
+    "arrival_spacing": '"arrival_spacing": [null, 500]',
+    "model_l2_capacity": '"model_l2_capacity": [false, true]',
+}
 
 
 class TestSpecIdentity:
@@ -318,7 +328,7 @@ class TestSpecFile:
             load_spec_file(path)
 
     @pytest.mark.parametrize(
-        "axis", ['"quantum": [25, 50]', '"system.l2_hit_latency": [8, 16]']
+        "axis", [INHERITED_FIELD_AXES[name] for name in BASELINE_FIELDS]
     )
     def test_baseline_with_shared_config_axis_rejected(self, tmp_path, axis):
         """Axes over fields the baseline inherits would compare grid

@@ -394,3 +394,164 @@ class TestGracefulInterrupt:
 
     def test_second_signal_aborts_immediately_sqlite(self, tmp_path):
         self.test_second_signal_aborts_immediately(tmp_path, "sqlite")
+
+
+def interrupt_inline_run(store, signum: int, count: int) -> dict:
+    """Run three smoke specs through ``Runner(jobs=1)`` (the inline
+    path) and send this process ``count`` ``signum`` signals as the
+    second spec starts.
+
+    Returns whether ``KeyboardInterrupt`` was raised, how many specs
+    started, which of the three the store holds (by index), and whether
+    the runner put the previous SIGINT/SIGTERM handlers back.
+    """
+    from repro.exp import runner as runner_mod
+
+    specs = smoke_specs()
+    watched = (signal.SIGINT, signal.SIGTERM)
+    handlers = [signal.getsignal(s) for s in watched]
+    started = []
+    real = runner_mod._run_spec
+
+    def signalling(spec, attempt=0):
+        started.append(spec.key())
+        if len(started) == 2:
+            for _ in range(count):
+                os.kill(os.getpid(), signum)
+        return real(spec, attempt)
+
+    runner_mod._run_spec = signalling
+    try:
+        Runner(store=ResultStore(store), jobs=1).run(specs)
+        interrupted = False
+    except KeyboardInterrupt:
+        interrupted = True
+    finally:
+        runner_mod._run_spec = real
+    stored = ResultStore(store)
+    return {
+        "interrupted": interrupted,
+        "started": len(started),
+        "stored": [i for i, spec in enumerate(specs) if spec.key() in stored],
+        "restored": handlers == [signal.getsignal(s) for s in watched],
+    }
+
+
+#: What each signal count leaves: one signal lets the second spec finish
+#: and persist, a second one abandons it.
+signal_counts = pytest.mark.parametrize(
+    "count,stored", [(1, [0, 1]), (2, [0])], ids=["drain", "abort"]
+)
+
+
+class TestInterruptAtOneJob:
+    """The interrupt contract on the inline path, which every ``--jobs
+    1`` campaign takes (:class:`TestGracefulInterrupt` covers the
+    pool)."""
+
+    @both_signals
+    @signal_counts
+    def test_signal_during_the_second_spec(self, tmp_path, signum, count, stored):
+        """SIGTERM kills a process that has no handler, so its cases run
+        in a subprocess; SIGINT's run in this one."""
+        if signum == signal.SIGINT:
+            outcome = interrupt_inline_run(tmp_path, signum, count)
+        else:
+            code = (
+                "import json, sys\n"
+                f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+                "from test_fault_tolerance import interrupt_inline_run\n"
+                f"outcome = interrupt_inline_run({str(tmp_path)!r}, "
+                f"{int(signum)}, {count})\n"
+                "print(json.dumps(outcome))\n"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src")),
+                cwd=REPO_ROOT,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outcome = json.loads(done.stdout.splitlines()[-1])
+        assert outcome == {
+            "interrupted": True,
+            "started": 2,
+            "stored": stored,
+            "restored": True,
+        }
+
+    def test_exp_sigterm_drains_and_resume_skips_completed(self, tmp_path):
+        """SIGTERM after the first stored row of a ``repro exp --jobs 1``
+        sweep: the spec in flight finishes and persists, the run exits
+        130, and a resume serves the stored rows. Ci-scale specs (about
+        a second each) keep the sweep mid-flight without a
+        ``REPRO_FAULT`` profile, which would route it through the
+        pool."""
+        specfile = tmp_path / "exp.json"
+        specfile.write_text(
+            json.dumps(
+                {
+                    "workload": "tpcc-1",
+                    "scale": "ci",
+                    "seed": 7,
+                    "variant": "slicc-sw",
+                    "axes": {"slicc.dilution_t": [2, 4, 6, 8]},
+                }
+            )
+        )
+        store = tmp_path / "results.jsonl"
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        env.pop("REPRO_FAULT", None)
+        argv = [
+            sys.executable,
+            "-m",
+            "repro",
+            "exp",
+            str(specfile),
+            "--store",
+            str(store),
+            "--jobs",
+            "1",
+        ]
+        proc = subprocess.Popen(
+            argv,
+            env=env,
+            cwd=REPO_ROOT,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                if persisted_results(store) >= 1:
+                    break
+                if proc.poll() is not None:  # pragma: no cover
+                    pytest.fail(
+                        "sweep finished before the signal: "
+                        + proc.communicate()[1]
+                    )
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - hung child
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, stderr
+        assert "interrupted" in stderr
+        audit = audit_store(store)
+        assert audit.clean and audit.failure_rows == 0
+        assert audit.lines == audit.result_rows
+        completed = audit.result_rows
+        assert 2 <= completed < 4  # the spec in flight was persisted
+
+        done = subprocess.run(
+            argv, env=env, cwd=REPO_ROOT, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert f"{4 - completed} simulated, {completed} cached" in done.stdout
+        assert len(ResultStore(store)) == 4

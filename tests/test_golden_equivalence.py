@@ -22,15 +22,16 @@ import pytest
 
 from repro.exp.store import result_to_json
 from repro.params import ScalePreset
-from repro.sim.engine import SimConfig, simulate
+from repro.sim.engine import ReplayEngine, SimConfig, simulate
+from repro.sim.specialize import kernel_spec
 from repro.workloads import standard_trace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# The golden grid — variants, workloads, seed, and the classifier/NUCA/
-# data-prefetch/non-LRU-L1 config pins — is defined once in
-# scripts/dump_golden.py (the tool that records the fixtures); import it
-# so the pinned set and the regeneration script cannot drift apart.
+# The golden grid — variants, workloads, seed, and the config pins — is
+# defined once in scripts/dump_golden.py (the tool that records the
+# fixtures); import it so the pinned set and the regeneration script
+# cannot drift apart.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from dump_golden import (  # noqa: E402
     GOLDEN_CONFIGS,
@@ -85,7 +86,9 @@ def test_byte_identical_to_seed_engine(golden_traces, workload, variant):
 @pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
 def test_config_pins_byte_identical(golden_traces, workload, name, kwargs):
     """The options only the reference path implements (miss classes,
-    the NUCA L2, the data prefetcher, non-LRU L1s) are pinned too."""
+    the NUCA L2, the data prefetcher, non-LRU L1s) are pinned too, and
+    so are the generated kernels' L1-D eviction and STEPS-switch arms
+    (the four-core small-L1 pins)."""
     golden = (GOLDEN_DIR / f"{workload}__cfg-{name}.json").read_text().strip()
     result = simulate(golden_traces[workload], config=SimConfig(**kwargs))
     assert result_to_json(result) == golden
@@ -100,3 +103,18 @@ def test_extension_policies_byte_identical(golden_traces, workload, policy):
     golden = (GOLDEN_DIR / f"{workload}__{policy}.json").read_text().strip()
     result = simulate(golden_traces[workload], variant=policy)
     assert result_to_json(result) == golden
+
+
+@pytest.mark.parametrize("name", ["slicc-4core-small-l1", "steps-4core-small-l1"])
+@pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
+def test_small_l1_pins_reach_the_kernel_arms(golden_traces, workload, name):
+    """The four-core small-L1 pins run a generated kernel that evicts
+    from an L1-D and, under STEPS, switches context: arms no
+    plain-variant pin reaches."""
+    config = SimConfig(**dict(GOLDEN_CONFIGS)[name])
+    assert not kernel_spec(config).reference
+    engine = ReplayEngine(golden_traces[workload], config)
+    result = engine.run()
+    assert sum(cache.stats.evictions for cache in engine.machine.l1d) > 0
+    if config.variant == "steps":
+        assert result.context_switches > 0

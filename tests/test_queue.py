@@ -394,7 +394,7 @@ class TestDrain:
         import weakref
 
         bound = runner_mod._TRACE_CACHE_SIZE
-        monkeypatch.setattr(runner_mod, "_TRACE_CACHE", {})
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
         built, alive_at_build = [], []
         real = runner_mod.standard_trace
 
@@ -420,13 +420,13 @@ class TestDrain:
         assert report.completed == len(specs)
         assert len(built) == bound + 1
         assert max(alive_at_build) == bound - 1
-        assert len(runner_mod._TRACE_CACHE) == bound
+        assert len(runner_mod._TRACES) == bound
 
     def test_drain_builds_each_trace_once(self, tmp_path, monkeypatch):
         """Claims follow trace groups, so a one-job drain of a queue
         enqueued A B C A B C builds three traces, where claiming in
         input order through a two-trace cache would build six."""
-        monkeypatch.setattr(runner_mod, "_TRACE_CACHE", {})
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
         builds = []
         real = runner_mod.standard_trace
 
@@ -851,6 +851,79 @@ class TestInterruptedDrain:
         self.test_sigint_settles_finished_specs_and_releases_the_rest(
             tmp_path, "sqlite"
         )
+
+    def test_sigterm_at_one_job_settles_the_claim_in_flight(self, tmp_path):
+        """SIGTERM after a ``--jobs 1`` worker's first ``done``: the spec
+        it is running finishes and is settled ``done``, the worker exits
+        130, and it holds no lease, so no other worker waits for one to
+        expire. Ci-scale specs (about a second each) keep the drain
+        mid-flight without a ``REPRO_FAULT`` profile, which would route
+        it through the pool."""
+        specfile = tmp_path / "exp.json"
+        specfile.write_text(
+            json.dumps(
+                {
+                    "workload": "tpcc-1",
+                    "scale": "ci",
+                    "seed": 7,
+                    "variant": "slicc-sw",
+                    "axes": {"slicc.dilution_t": [2, 4, 6, 8]},
+                }
+            )
+        )
+        campaign = tmp_path / "campaign"
+        assert main(["queue", "enqueue", str(specfile), str(campaign)]) == 0
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        env.pop("REPRO_FAULT", None)
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "queue",
+                "work",
+                str(campaign),
+                "--jobs",
+                "1",
+                "--poll",
+                "0.1",
+                "--worker-id",
+                "w1",
+            ],
+            env=env,
+            cwd=REPO_ROOT,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                if any(e["event"] == "done" for e in queue_events(campaign)):
+                    break
+                if proc.poll() is not None:  # pragma: no cover
+                    pytest.fail(
+                        "drain finished before the signal: "
+                        + proc.communicate()[1]
+                    )
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - hung child
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, stderr
+        assert "interrupted" in stderr
+
+        events = queue_events(campaign)
+        claimed = {e["key"] for e in events if e["event"] == "claimed"}
+        done = {e["key"] for e in events if e["event"] == "done"}
+        assert 2 <= len(done) < 4  # the claim in flight was settled
+        assert done == claimed == set(ResultStore(campaign).keys())
+        status = WorkQueue(campaign, worker_id="check").snapshot()
+        assert "w1" not in status.workers and status.leased == 0
+        assert status.pending == 4 - len(done)
 
 
 @linux_only
