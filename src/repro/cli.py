@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
@@ -786,9 +788,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     Exit codes: 0 success; 1 ``store verify`` found corruption; 2
     usage/configuration error; 3 sweep completed with failed specs;
     130 interrupted (completed results are persisted).
+
+    SIGTERM raises ``KeyboardInterrupt`` here as SIGINT does, so one
+    that lands outside the runner's drain (the store open, the trace
+    builds before the first spec, the reports between two figures)
+    also exits 130. The previous handler is restored on return.
     """
-    args = build_parser().parse_args(argv)
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except KeyboardInterrupt:
         # The runner drains on SIGINT/SIGTERM: in-flight simulations
@@ -813,3 +823,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # message — rerun under python -X dev for a trace.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)

@@ -65,9 +65,13 @@ def _worker_main(conn, traces, parent_pid) -> None:
     """Worker loop: receive ``(spec, attempt)``, simulate, reply.
 
     ``traces`` is the parent's trace table (``runner._TRACES``): under
-    fork the very table the worker inherited, under spawn its copy.
-    SIGINT is ignored (the parent coordinates draining); SIGTERM keeps
-    its default fatal disposition so the parent's timeout kill works.
+    fork the very table the worker inherited, under spawn its copy. It
+    holds the traces the parent built ahead; the worker builds any other
+    through ``runner._trace_for``, which first releases the worker's
+    idle traces down to ``_IDLE_TRACE_RECORDS``, as a drain's process
+    does. SIGINT is ignored (the parent coordinates draining); SIGTERM
+    keeps its default fatal disposition so the parent's timeout kill
+    works.
     Exceptions are reported over the pipe, never raised — a poison spec
     must cost one task, not one worker.
 

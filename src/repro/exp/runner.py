@@ -19,21 +19,26 @@ pooled runs both go through :meth:`Runner._execute`, which installs the
 one handler.
 
 A process keeps its traces in one table, ``_TRACES`` (trace key ->
-trace, least recently used first). ``run()`` builds every distinct
-trace its pending specs replay once, from ``(workload, scale,
-n_threads, seed)`` via the deterministic generators, after pruning the
-table to those traces: the previous call's traces are reused where
-they overlap and released where they do not. On Linux the pool forks,
+trace, least recently used first), and :func:`_trace_for` is the one
+place that builds or releases one. A process replays one spec at a
+time, so when it asks for a trace every trace in the table is *idle*:
+before it builds a trace, :func:`_trace_for` releases the least
+recently used ones until they hold at most ``_IDLE_TRACE_RECORDS``
+records. ``run()`` replays its pending specs trace by trace (traces the
+table holds first), so a large trace lives only while its specs replay,
+and small ones carry from one run to the next. Before any spec runs,
+``run()`` builds ahead, in run order, until the table passes the budget
+(every smoke trace, or one ci or paper trace). On Linux the pool forks,
 so ``run()`` also builds the replay records
-(:meth:`~repro.workloads.trace.Trace.replay_records`) of those traces
-and compiles their replay kernels, and workers inherit the table, the
-records and the kernels zero-copy: a worker writes only the reference
-counts of the trace's shared record tuples, so copy-on-write copies
-those pages, not one int per record. Spawned workers get the table as
-a process argument.
-:meth:`Runner.stream` (the queue drain) learns its specs one at a time,
-so each process builds a missing trace where the spec runs, holding at
-most ``_TRACE_CACHE_SIZE`` once it builds.
+(:meth:`~repro.workloads.trace.Trace.replay_records`) of the traces it
+built ahead and compiles every pending spec's replay kernel, and
+workers inherit the table, the records and the kernels zero-copy: a
+worker writes only the reference counts of the trace's shared record
+tuples, so copy-on-write copies those pages, not one int per record.
+Spawned workers get the table as a process argument. A worker builds
+any other trace itself through :func:`_trace_for`, as does each process
+of a queue drain (:meth:`Runner.stream`), which learns its specs one at
+a time.
 Simulation itself is deterministic given the trace and config, so
 results are identical whatever the job count — the test suite pins that
 with a byte-identical-JSON guard.
@@ -62,19 +67,18 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: or absent, so the platform's default start method is kept.
 _FORK = sys.platform == "linux"
 
-#: Most traces a process holds once :func:`_trace_for` builds one.
-#: A drain's specs arrive one at a time, in queue order, and
-#: ``WorkQueue.enqueue`` groups that order by trace, so a drain worker
-#: builds each trace about once however many traces the queue holds
-#: (the smoke queue-drain benchmark: 12 builds of 6 traces by two
-#: workers). A paper-scale tpcc-1 trace with its replay records takes
-#: about 87 MB and 1.0 s to rebuild (2-core Xeon VM), so each slot of
-#: this bound costs about 87 MB per worker at paper scale.
-_TRACE_CACHE_SIZE = 2
+#: Records the idle traces of a process may hold: :func:`_trace_for`
+#: releases the least recently used ones down to this before it builds
+#: a trace. About 5 MB at ~25 bytes per record with replay records. All
+#: six smoke traces of the registry (about 58k records) fit, so they
+#: carry between figures and a drain worker builds each once. A ci
+#: trace (140k-604k records) or a paper-scale one (about 87 MB for
+#: tpcc-1) is held while its specs replay, beside at most a small idle
+#: one.
+_IDLE_TRACE_RECORDS = 200_000
 
 #: The traces this process holds, by trace key, least recently used
-#: first: the ones ``Runner.run`` built for its pending specs (which
-#: forked workers inherit) and the ones :func:`_trace_for` built.
+#: first. Forked workers inherit the table.
 _TRACES: dict[str, Trace] = {}
 
 
@@ -87,18 +91,39 @@ def _build_trace(spec: ExperimentSpec) -> Trace:
     )
 
 
+def _held_records() -> int:
+    return sum(trace.total_records for trace in _TRACES.values())
+
+
 def _trace_for(spec: ExperimentSpec) -> Trace:
+    """The spec's trace, built if the table lacks it. The one place a
+    trace is built or released: a process replays one spec at a time,
+    so every trace in the table is idle here, and the least recently
+    used go before a build until the rest hold at most
+    ``_IDLE_TRACE_RECORDS`` records."""
     key = spec.trace_key()
     trace = _TRACES.pop(key, None)
     if trace is None:
-        # A trace nobody built ahead (a queue drain's spec): evict the
-        # least recently used *before* building, so the process never
-        # holds more than _TRACE_CACHE_SIZE once it builds.
-        while len(_TRACES) >= _TRACE_CACHE_SIZE:
-            del _TRACES[next(iter(_TRACES))]
+        held = _held_records()
+        while held > _IDLE_TRACE_RECORDS:
+            held -= _TRACES.pop(next(iter(_TRACES))).total_records
         trace = _build_trace(spec)
     _TRACES[key] = trace
     return trace
+
+
+def _build_ahead(heads: Iterable[ExperimentSpec]) -> None:
+    """Build the traces of ``heads`` (one spec per trace, in run order)
+    until the table passes ``_IDLE_TRACE_RECORDS``, and under fork their
+    replay records, so forked workers inherit them."""
+    from repro.sim.tlb import PAGE_SHIFT
+
+    for spec in heads:
+        trace = _trace_for(spec)
+        if _FORK:
+            trace.replay_records(PAGE_SHIFT)
+        if _held_records() > _IDLE_TRACE_RECORDS:
+            return
 
 
 def _run_spec(spec: ExperimentSpec, attempt: int = 0) -> tuple[dict, float]:
@@ -279,43 +304,32 @@ class Runner:
             else:
                 pending[key] = spec
 
-        # Resolve each distinct trace once, before any worker starts
-        # (inherited for free under fork, pickled once per worker under
-        # spawn). Traces the table already holds are reused when this
-        # run needs them again (back-to-back figures share most traces);
-        # the rest are released *before* anything new is built, so the
-        # process holds at most one simulating run's traces — never
-        # every trace a long campaign ever touched. A run that simulates
-        # nothing releases none: they are live already, and the next
-        # run may need them.
-        if pending:
-            needed = {spec.trace_key(): spec for spec in pending.values()}
-            for key in [key for key in _TRACES if key not in needed]:
-                del _TRACES[key]
-            for key, spec in needed.items():
-                if key not in _TRACES:
-                    _TRACES[key] = _build_trace(spec)
-        if _FORK and pending:
-            # Zero-copy sharing: build the replay records of every trace a
-            # pending spec replays, and each pending spec's replay kernel,
-            # here: forked workers inherit both, read-only, and an inline
-            # run needs the same. Under spawn neither reaches the workers,
-            # so neither is built.
+        # Replay trace by trace: the traces the table holds first, then
+        # the rest in order of first appearance, each trace's specs in
+        # input order. So _trace_for holds a trace past the budget only
+        # while its specs replay.
+        by_trace: dict[str, list[ExperimentSpec]] = {}
+        for spec in pending.values():
+            by_trace.setdefault(spec.trace_key(), []).append(spec)
+        order = sorted(by_trace, key=lambda key: key not in _TRACES)
+        runs = [spec for key in order for spec in by_trace[key]]
+        if runs:
+            _build_ahead(by_trace[key][0] for key in order)
+        if _FORK and runs:
+            # Forked workers inherit every pending spec's replay kernel,
+            # and an inline run needs the same.
             from repro.sim.specialize import kernel_for, kernel_spec
-            from repro.sim.tlb import PAGE_SHIFT
 
-            for trace in _TRACES.values():
-                trace.replay_records(PAGE_SHIFT)
-            for spec in pending.values():
+            for spec in runs:
                 kernel_for(kernel_spec(spec.config))
 
         # Results persist as they arrive (not after the whole batch), so
         # an interrupted campaign keeps every simulation it finished.
         failures: list[SpecOutcome] = []
         try:
-            if pending:
-                jobs = min(self.jobs, len(pending))
-                for outcome in self._execute(pending.values(), jobs):
+            if runs:
+                jobs = min(self.jobs, len(runs))
+                for outcome in self._execute(runs, jobs):
                     result = self._record(outcome, stats)
                     if result is None:
                         failures.append(outcome)

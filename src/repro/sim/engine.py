@@ -361,6 +361,12 @@ class ReplayEngine:
         by default assembled segments survive steals).
         This implements the paper's stated scheduler goal of maximising
         core utilisation and reducing queuing delay (Section 4.3.2).
+
+        A victim that runs nothing and queues one thread keeps it: that
+        core dispatches the thread itself. Taking it would leave the
+        victim idle, and at ``steal_min_depth=1`` the next idle core
+        would take it back, forever. Deeper minimum depths never meet
+        this rule.
         """
         if not self._steal_enabled:
             return
@@ -372,6 +378,8 @@ class ReplayEngine:
         ):
             if not idle:
                 break
+            if self.running[victim] is None and self.queues.depth(victim) == 1:
+                continue
             thread_id = self.queues.steal_tail(victim)
             if thread_id is None:
                 continue

@@ -1,11 +1,20 @@
 """Integration tests for the replay engine across all six variants."""
 
+import os
+import subprocess
+import sys
+import unittest
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.params import ScalePreset, SliccParams
+from repro.params import ScalePreset, SliccParams, SystemParams
 from repro.sim import ReplayEngine, SimConfig, simulate
 from repro.workloads import standard_trace
+from repro.workloads.trace import KIND_INSTR, ThreadTrace, Trace
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ALL_VARIANTS = ["base", "nextline", "pif", "slicc", "slicc-sw", "slicc-pp"]
 
@@ -178,3 +187,68 @@ class TestSliccBehaviour:
         for thread in smoke_tpcc.threads:
             allowed = engine._allowed_for(thread.thread_id)
             assert allowed  # never empty
+
+
+class TestStealFromAnIdleCore(unittest.TestCase):
+    """Work stealing at ``steal_min_depth=1`` in the smallest world that
+    livelocked: worker cores 0 and 1 run nothing, core 0 queues one
+    thread, and cores 2 and 3 are busy. An idle core that took the
+    thread left core 0 idle, the next idle core took it back, and no
+    thread ever ran."""
+
+    def setUp(self) -> None:
+        addr = np.arange(8, dtype=np.int64)
+        kind = np.full(len(addr), KIND_INSTR, dtype=np.int8)
+        trace = Trace(
+            "hand", [ThreadTrace(t, 0, addr, kind) for t in range(4)], 12, 0
+        )
+        config = SimConfig(
+            variant="slicc",
+            steal_min_depth=1,
+            system=SystemParams(n_cores=4, torus_width=2),
+        )
+        self.engine = ReplayEngine(trace, config)
+        self.engine.running[2], self.engine.running[3] = 1, 2
+        self.engine.queues.enqueue(0, 0)
+
+    def test_idle_victim_keeps_its_only_thread(self):
+        self.engine._rebalance(0)
+        self.assertEqual(
+            [self.engine.queues.depth(core) for core in range(4)],
+            [1, 0, 0, 0],
+        )
+        self.assertEqual(self.engine.steals, 0)
+
+    def test_busy_victim_gives_up_its_only_thread(self):
+        self.engine.running[0] = 3
+        self.engine._rebalance(0)
+        self.assertEqual(
+            [self.engine.queues.depth(core) for core in range(4)],
+            [0, 1, 0, 0],
+        )
+        self.assertEqual(self.engine.steals, 1)
+
+
+def test_steal_at_depth_one_finishes():
+    """``steal_min_depth=1`` on ci-scale tpcc-1 completes every thread.
+    Run in a subprocess so a livelock fails on the timeout instead of
+    hanging the suite; the run takes about 2 s on a 2-core Xeon VM."""
+    code = (
+        "from repro.params import ScalePreset\n"
+        "from repro.sim import SimConfig, simulate\n"
+        "from repro.workloads import standard_trace\n"
+        "trace = standard_trace('tpcc-1', ScalePreset.CI, seed=7)\n"
+        "config = SimConfig(variant='slicc', steal_min_depth=1)\n"
+        "result = simulate(trace, config=config)\n"
+        "print(result.threads_completed, len(trace.threads))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    completed, threads = done.stdout.split()
+    assert completed == threads == "48"

@@ -309,25 +309,37 @@ class TestDeterminism:
         )
 
     def test_parent_process_does_not_hoard_traces(self, monkeypatch):
-        """After two runs on different traces the process holds only the
-        second run's trace: a campaign never accumulates every trace it
-        touched."""
+        """A campaign never holds idle traces past the records budget:
+        with room for one smoke trace, runs on three traces leave the
+        last run's trace and the one idle trace used before it."""
         from repro.exp import runner as runner_mod
 
         monkeypatch.setattr(runner_mod, "_TRACES", {})
-        first, second = (
+        specs = [
             ExperimentSpec(
                 workload, scale="smoke", seed=11, config=SimConfig(variant="base")
             )
-            for workload in ("tpce", "tpcc-1")
-        )
-        Runner(jobs=1).run([first])
-        Runner(jobs=1).run([second])
-        assert list(runner_mod._TRACES) == [second.trace_key()]
+            for workload in ("tpce", "mapreduce", "tpcc-1")
+        ]
+        budget = 12_000  # one smoke trace of these: 8,796-11,880 records
+        monkeypatch.setattr(runner_mod, "_IDLE_TRACE_RECORDS", budget)
+        for spec in specs:
+            Runner(jobs=1).run([spec])
+            *idle, last = runner_mod._TRACES
+            assert last == spec.trace_key()
+            assert sum(
+                runner_mod._TRACES[key].total_records for key in idle
+            ) <= budget
+        assert list(runner_mod._TRACES) == [
+            specs[1].trace_key(),
+            specs[2].trace_key(),
+        ]
 
     def test_traces_carry_over_between_runs(self, monkeypatch):
-        """A second run() reuses the first run's traces it still needs,
-        builds only the new ones, and releases the rest."""
+        """A later run() reuses the traces the table holds and builds
+        only the new ones. Idle traces within the budget carry over
+        (every smoke trace fits the default); past it, they are
+        released before a build."""
         import gc
         import weakref
 
@@ -355,13 +367,145 @@ class TestDeterminism:
         runner = Runner(jobs=1)
         runner.run([spec("tpcc-1", "base"), spec("tpce", "base")])
         assert len(built) == 2
-        tpce_trace = built[1]
-        # tpcc-1 is needed again (new variant), tpce is not, mapreduce is new.
+        # tpcc-1 is needed again (new variant), mapreduce is new, and
+        # tpce stays within the budget.
         runner.run([spec("tpcc-1", "slicc"), spec("mapreduce", "base")])
         assert len(built) == 3
         gc.collect()
-        assert tpce_trace() is None
-        assert built[0]() is not None
+        assert all(ref() is not None for ref in built)
+        # With no budget, mapreduce is reused and every other trace is
+        # released before phased is built.
+        monkeypatch.setattr(runner_mod, "_IDLE_TRACE_RECORDS", 0)
+        runner.run([spec("phased", "base"), spec("mapreduce", "slicc")])
+        assert len(built) == 4
+        gc.collect()
+        assert [ref() is not None for ref in built] == [
+            False, False, False, True
+        ]
+
+    def test_interleaved_specs_replay_trace_by_trace(self, monkeypatch):
+        """Specs given as A B C A B C replay as A A B B C C: with no
+        budget for idle traces, each trace is built once and no other
+        trace is alive at a build, with the same results as at the
+        default budget."""
+        import gc
+        import weakref
+
+        from repro.exp import runner as runner_mod
+
+        specs = [
+            ExperimentSpec(
+                workload, scale="smoke", seed=5, config=SimConfig(variant=variant)
+            )
+            for variant in ("base", "slicc")
+            for workload in ("tpcc-1", "tpce", "mapreduce")
+        ]
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
+        reference = [result_to_json(r) for r in Runner(jobs=1).run(specs)]
+
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
+        monkeypatch.setattr(runner_mod, "_IDLE_TRACE_RECORDS", 0)
+        built, refs, alive_at_build = [], [], []
+        real = runner_mod._build_trace
+
+        def spy(spec):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            trace = real(spec)
+            built.append(spec.workload)
+            refs.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(runner_mod, "_build_trace", spy)
+        results = Runner(jobs=1).run(specs)
+        assert built == ["tpcc-1", "tpce", "mapreduce"]
+        assert alive_at_build == [0, 0, 0]
+        assert [result_to_json(r) for r in results] == reference
+
+    def test_held_traces_replay_first(self, monkeypatch):
+        """A run that needs traces A and B, with B held, builds only A
+        and simulates B's specs first, each trace's in input order."""
+        from repro.exp import runner as runner_mod
+
+        def spec(workload, variant):
+            return ExperimentSpec(
+                workload, scale="smoke", seed=5, config=SimConfig(variant=variant)
+            )
+
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
+        runner = Runner(jobs=1)
+        runner.run([spec("tpce", "base")])
+        builds, simulated = [], []
+        real_build, real_run = runner_mod._build_trace, runner_mod._run_spec
+
+        def build(spec):
+            builds.append(spec.workload)
+            return real_build(spec)
+
+        def run(spec, attempt=0):
+            simulated.append((spec.workload, spec.variant))
+            return real_run(spec, attempt)
+
+        monkeypatch.setattr(runner_mod, "_build_trace", build)
+        monkeypatch.setattr(runner_mod, "_run_spec", run)
+        specs = [
+            spec("tpcc-1", "base"),
+            spec("tpce", "slicc"),
+            spec("tpcc-1", "slicc"),
+            spec("tpce", "nextline"),
+        ]
+        results = runner.run(specs)
+        assert builds == ["tpcc-1"]
+        assert simulated == [
+            ("tpce", "slicc"),
+            ("tpce", "nextline"),
+            ("tpcc-1", "base"),
+            ("tpcc-1", "slicc"),
+        ]
+        assert [(r.workload, r.variant) for r in results] == [
+            (s.workload, s.variant) for s in specs
+        ]
+
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="workers inherit the spy under fork"
+    )
+    def test_pooled_run_builds_past_the_budget_in_workers(
+        self, tmp_path, monkeypatch
+    ):
+        """With no budget for idle traces, a pooled run builds ahead
+        only its first trace: the workers build every other one
+        themselves, and the results equal a one-job run's."""
+        from repro.exp import runner as runner_mod
+
+        specs = [
+            ExperimentSpec(
+                workload, scale="smoke", seed=5, config=SimConfig(variant=variant)
+            )
+            for variant in ("base", "slicc")
+            for workload in ("tpcc-1", "tpce", "mapreduce")
+        ]
+        monkeypatch.setattr(runner_mod, "_IDLE_TRACE_RECORDS", 0)
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
+        serial = [result_to_json(r) for r in Runner(jobs=1).run(specs)]
+
+        monkeypatch.setattr(runner_mod, "_TRACES", {})
+        log = tmp_path / "builds"
+        real = runner_mod._build_trace
+
+        def logged(spec):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {spec.workload}\n")
+            return real(spec)
+
+        monkeypatch.setattr(runner_mod, "_build_trace", logged)
+        pooled = Runner(jobs=2).run(specs)
+        assert [result_to_json(r) for r in pooled] == serial
+        builds = [line.split() for line in log.read_text().splitlines()]
+        parent = str(os.getpid())
+        assert [w for pid, w in builds if pid == parent] == ["tpcc-1"]
+        assert {w for pid, w in builds if pid != parent} == {
+            "tpce", "mapreduce"
+        }
 
     def test_cached_run_keeps_the_carry(self, monkeypatch):
         """A run() that simulates nothing releases no carried trace: a

@@ -555,3 +555,58 @@ class TestInterruptAtOneJob:
         assert done.returncode == 0, done.stderr
         assert f"{4 - completed} simulated, {completed} cached" in done.stdout
         assert len(ResultStore(store)) == 4
+
+    def test_sigterm_before_the_drain_handler_exits_130(self, tmp_path):
+        """A SIGTERM that lands before the runner installs its drain
+        handler (here during the store open, the keying or the trace
+        build ahead of a three-spec ci-scale ``repro exp --jobs 1``)
+        still ends the command with ``interrupted`` and exit 130, not
+        status -15, and leaves a store that audits clean. The signal
+        goes about 0.1 s after the CLI module is imported, about 0.3 s
+        after the start, well before the first spec starts (0.5 s on
+        a 2-core Xeon VM)."""
+        specfile = tmp_path / "exp.json"
+        specfile.write_text(
+            json.dumps(
+                {
+                    "workload": "tpcc-1",
+                    "scale": "ci",
+                    "seed": 7,
+                    "variant": "slicc-sw",
+                    "axes": {"slicc.dilution_t": [2, 4, 6]},
+                }
+            )
+        )
+        store = tmp_path / "results.jsonl"
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        env.pop("REPRO_FAULT", None)
+        code = (
+            "import sys\n"
+            "import repro.cli\n"
+            "print('imported', flush=True)\n"
+            "sys.exit(repro.cli.main(sys.argv[1:]))\n"
+        )
+        argv = [sys.executable, "-c", code, "exp", str(specfile)]
+        argv += ["--store", str(store), "--jobs", "1"]
+        proc = subprocess.Popen(
+            argv,
+            env=env,
+            cwd=REPO_ROOT,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert proc.stdout.readline() == "imported\n"
+            time.sleep(0.1)
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - hung child
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, stderr
+        assert "interrupted" in stderr
+        audit = audit_store(store)
+        assert audit.clean and audit.failure_rows == 0
+        assert audit.lines == audit.result_rows < 3

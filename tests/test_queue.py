@@ -387,20 +387,23 @@ class TestDrain:
         self, tmp_path, monkeypatch
     ):
         """A drain learns its specs one claim at a time, so traces are
-        built where the specs run: more distinct traces than the cache
-        bound never leave more than the bound alive, and specs sharing
-        a trace build it once."""
+        built where the specs run: at every build, the traces still
+        alive hold at most the idle-records budget, and specs sharing a
+        trace build it once."""
         import gc
         import weakref
 
-        bound = runner_mod._TRACE_CACHE_SIZE
         monkeypatch.setattr(runner_mod, "_TRACES", {})
+        budget = 12_300  # one smoke tpcc-1 trace: 11,515-12,233 records
+        monkeypatch.setattr(runner_mod, "_IDLE_TRACE_RECORDS", budget)
         built, alive_at_build = [], []
         real = runner_mod.standard_trace
 
         def counting(*args, **kwargs):
             gc.collect()
-            alive_at_build.append(sum(ref() is not None for ref in built))
+            alive_at_build.append(
+                sum(ref().total_records for ref in built if ref() is not None)
+            )
             trace = real(*args, **kwargs)
             built.append(weakref.ref(trace))
             return trace
@@ -411,16 +414,16 @@ class TestDrain:
             {"variant": ["base", "slicc"]},
         ) + [
             ExperimentSpec("tpcc-1", scale="smoke", seed=seed)
-            for seed in range(2, bound + 2)
+            for seed in (2, 3, 4)
         ]
         queue = WorkQueue(tmp_path, worker_id="w")
         queue.enqueue(specs)
         runner = Runner(store=ResultStore(tmp_path), jobs=1)
         report = drain(queue, runner, poll_seconds=0.05)
         assert report.completed == len(specs)
-        assert len(built) == bound + 1
-        assert max(alive_at_build) == bound - 1
-        assert len(runner_mod._TRACES) == bound
+        assert len(built) == 4
+        assert 0 < max(alive_at_build) <= budget
+        assert len(runner_mod._TRACES) == 2  # the last trace, one idle
 
     def test_drain_builds_each_trace_once(self, tmp_path, monkeypatch):
         """Claims follow trace groups, so a one-job drain of a queue
